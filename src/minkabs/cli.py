@@ -158,10 +158,12 @@ def cmd_verify_covariance(config: dict) -> RunReport:
     )
 
     t0 = time.perf_counter()
-    worst_var, witness_var = V.time_variance_dichotomy(
-        cfg, n_states=100, seed=seed, witness_chi=float(config["witness_rapidity"])
-    )
+    worst_var = V.own_time_variance(cfg, n_states=100, seed=seed)
     report.add(V.CheckResult.make("time-variance/own-observer", worst_var, 0.0, cfg, t0))
+    t0 = time.perf_counter()
+    witness_var = V.time_variance_witness(
+        cfg, witness_chi=float(config["witness_rapidity"])
+    )
     report.add(
         V.CheckResult.make(
             "time-variance/tilted-witness", witness_var, 0.01, cfg, t0, below=False
@@ -231,8 +233,10 @@ def cmd_demo_causality(config: dict) -> RunReport:
 
     min_rest = None
     min_boosted = None
+    rest_s = boosted_s = 0.0  # sweep time of each check's experiments
     for dt in config["delta_t_sweep"]:
         for chi in config["rapidity_sweep"]:
+            t0 = time.perf_counter()
             u2 = None if chi == 0.0 else V.boosted_velocity(float(chi))
             res = V.causality_experiment(cfg, delta_t=float(dt), u2=u2)
             rows.append(
@@ -245,16 +249,23 @@ def cmd_demo_causality(config: dict) -> RunReport:
             )
             if chi == 0.0:
                 min_rest = res.leakage if min_rest is None else min(min_rest, res.leakage)
+                rest_s += time.perf_counter() - t0
             else:
                 min_boosted = (
                     res.leakage if min_boosted is None else min(min_boosted, res.leakage)
                 )
+                boosted_s += time.perf_counter() - t0
     report.tables["leakage_sweep"] = rows
 
-    t0 = time.perf_counter()
+    # each check's clock covers the sweep experiments behind it
     report.add(
         V.CheckResult.make(
-            "leakage/strictly-positive", min_rest, 1e-6, cfg, t0, below=False
+            "leakage/strictly-positive",
+            min_rest,
+            1e-6,
+            cfg,
+            time.perf_counter() - rest_s,
+            below=False,
         )
     )
     if min_boosted is not None:
@@ -264,7 +275,7 @@ def cmd_demo_causality(config: dict) -> RunReport:
                 min_boosted,
                 1e-6,
                 cfg,
-                t0,
+                time.perf_counter() - boosted_s,
                 below=False,
             )
         )

@@ -48,7 +48,7 @@ class ModelConfig:
         fiducial origin.
     pad:
         Oversampling factor for spectral interpolation in velocity
-        transforms.
+        transforms off the lattice axes.
     """
 
     def __init__(

@@ -16,9 +16,16 @@ Three flavors of spacetime action are implemented:
   permutations;
 * remaining orthochronous maps (velocity changes) act by pulling the
   amplitudes back along the mass shell with the on-shell measure weight
-  ``sqrt(omega(source)/omega(target))``, evaluated by pad-oversampled
-  spectral interpolation.  This path is approximately unitary; the norm
-  drift is reported and the result rescaled to the input norm.
+  ``sqrt(omega(source)/omega(target))``, evaluating the trigonometric
+  interpolant of the amplitudes at the pulled-back labels.  When two of
+  the three labels stay on their lattice points (a velocity change
+  along a lattice axis) the interpolant is summed exactly: a 1-D
+  transform along the moving axis, then a Horner sum.  Every other
+  direction uses pad-oversampled quintic spline interpolation.  Neither
+  path is exactly unitary; the norm drift is reported and the result
+  rescaled to the input norm.  The state-independent part of each
+  velocity change (labels, weight, interpolation nodes) is cached per
+  lattice and map, keyed by value.
 
 Everything here is a pure function of immutable values.
 """
@@ -26,6 +33,8 @@ Everything here is a pure function of immutable values.
 from __future__ import annotations
 
 import math
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -163,7 +172,7 @@ _PERM_CACHE: dict[tuple, np.ndarray] = {}
 
 
 def _perm_flat_indices(cfg: ModelConfig, r3: np.ndarray) -> np.ndarray:
-    key = (id(cfg), r3.tobytes())
+    key = (cfg.N, r3.tobytes())
     cached = _PERM_CACHE.get(key)
     if cached is not None:
         return cached
@@ -197,30 +206,40 @@ def rapidity_of(cfg: ModelConfig, L: LorentzMap) -> float:
     return math.acosh(max(g, 1.0))
 
 
-def _boost_array(
-    cfg: ModelConfig, arr: np.ndarray, L: LorentzMap
-) -> tuple[np.ndarray, float]:
-    """Mass-shell pullback of one amplitude field along ``L``.
+_LABEL_TOL = 1e-12  # lattice steps within which a pulled-back label stays fixed
+_PLAN_CACHE_SIZE = 4  # two maps (a boost and its inverse) at two lattice sizes
+_PLAN_CACHE: OrderedDict[tuple, "_PullbackPlan"] = OrderedDict()
+_PLAN_LOCK = threading.Lock()
 
-    Returns the transformed field rescaled to the input norm, plus the
-    relative norm drift of the raw pullback.
+
+@dataclass(frozen=True)
+class _PullbackPlan:
+    """The state-independent part of one velocity change on one lattice.
+
+    ``axis`` is the one lattice axis whose pulled-back labels leave the
+    lattice (exact path), or ``None`` (spline path).  On the exact path
+    ``nodes`` holds ``z = exp(-i q a)`` with the moving axis first and
+    ``weight`` includes the ``z**(-N/2) / sqrt(N)`` that recenters the
+    Horner sum on signed positions; on the spline path ``nodes`` holds
+    the coordinates on the pad-refined grid.
     """
-    n, pad = cfg.N, cfg.pad
-    npad = n * pad
-    norm_in = float(np.linalg.norm(arr))
-    if norm_in == 0.0:
-        return arr.copy(), 0.0
 
-    # values of the trigonometric interpolant on the pad-refined grid
-    pos = _to_position(arr)
-    if pad == 1:
-        fine = _to_momentum(pos)
-    else:
-        padded = np.zeros((npad, npad, npad), dtype=complex)
-        ix = np.mod(cfg.signed_index, npad)
-        padded[np.ix_(ix, ix, ix)] = pos
-        fine = np.fft.fftn(padded, norm="ortho") * pad**1.5
+    axis: int | None
+    nodes: np.ndarray
+    weight: np.ndarray
 
+
+def _moving_axis(cfg: ModelConfig, q: np.ndarray) -> int | None:
+    """The one lattice axis whose labels leave the lattice, or ``None``."""
+    free = []
+    for i in range(3):
+        own = np.expand_dims(cfg.signed_index, [j for j in range(3) if j != i])
+        if np.max(np.abs(q[..., i] / cfg.dk - own)) > _LABEL_TOL:
+            free.append(i)
+    return free[0] if len(free) == 1 else None
+
+
+def _build_plan(cfg: ModelConfig, L: LorentzMap) -> _PullbackPlan:
     # labels of the inverse image of each on-shell four-momentum
     li = L.inverse().matrix
     u = cfg.observer._c
@@ -235,18 +254,101 @@ def _boost_array(
         - k3[..., None] * bmat[2]
     )
     pulled = four @ li.T
-    q = -np.einsum("...m,im,m->...i", pulled, bmat, _METRIC)
+    q = -(pulled @ (bmat * _METRIC).T)
     omega_q = np.sqrt(cfg.mass.value**2 + np.sum(q * q, axis=-1))
+    weight = np.sqrt(omega_q / cfg.omega)
 
-    dk_fine = cfg.dk / pad
-    coords = np.moveaxis(np.mod(q / dk_fine, npad), -1, 0)
+    axis = _moving_axis(cfg, q)
+    if axis is None:
+        dk_fine = cfg.dk / cfg.pad
+        coords = np.moveaxis(np.mod(q / dk_fine, cfg.N * cfg.pad), -1, 0)
+        return _PullbackPlan(None, coords, weight)
+    qa = q[..., axis] * cfg.spacing.value
+    z = np.ascontiguousarray(np.moveaxis(np.exp(-1j * qa), axis, 0))
+    recenter = np.exp(0.5j * cfg.N * qa) / math.sqrt(cfg.N)
+    return _PullbackPlan(axis, z, weight * recenter)
+
+
+def _pullback_plan(cfg: ModelConfig, L: LorentzMap) -> _PullbackPlan:
+    """The plan of ``L`` on ``cfg``'s lattice, from a small LRU cache keyed
+    by value."""
+    key = (
+        cfg.N,
+        cfg.pad,
+        cfg.spacing.value,
+        cfg.mass.value,
+        cfg.observer._c.tobytes(),
+        L.matrix.tobytes(),
+    )
+    with _PLAN_LOCK:
+        plan = _PLAN_CACHE.get(key)
+        if plan is not None:
+            _PLAN_CACHE.move_to_end(key)
+            return plan
+    plan = _build_plan(cfg, L)
+    with _PLAN_LOCK:
+        _PLAN_CACHE[key] = plan
+        while len(_PLAN_CACHE) > _PLAN_CACHE_SIZE:
+            _PLAN_CACHE.popitem(last=False)
+    return plan
+
+
+def _exact_pullback(arr: np.ndarray, plan: _PullbackPlan) -> np.ndarray:
+    """Trigonometric interpolant at labels that leave the lattice along
+    one axis only: a 1-D transform along that axis, then a Horner sum in
+    ``z`` over the signed positions."""
+    part = np.fft.ifft(arr, axis=plan.axis, norm="ortho")
+    coef = np.fft.fftshift(np.moveaxis(part, plan.axis, 0), axes=0)
+    z = plan.nodes
+    acc = np.empty_like(z)
+    acc[...] = coef[-1]
+    for c in coef[-2::-1]:
+        acc *= z
+        acc += c
+    return np.moveaxis(acc, 0, plan.axis)
+
+
+def _spline_pullback(
+    cfg: ModelConfig, arr: np.ndarray, plan: _PullbackPlan
+) -> np.ndarray:
+    """Trigonometric interpolant at general labels: quintic spline on the
+    pad-refined grid."""
+    n, pad = cfg.N, cfg.pad
+    npad = n * pad
+    pos = _to_position(arr)
+    if pad == 1:
+        fine = _to_momentum(pos)
+    else:
+        padded = np.zeros((npad, npad, npad), dtype=complex)
+        ix = np.mod(cfg.signed_index, npad)
+        padded[np.ix_(ix, ix, ix)] = pos
+        fine = np.fft.fftn(padded, norm="ortho") * pad**1.5
     interp_re = ndimage.map_coordinates(
-        fine.real, coords, order=5, mode="grid-wrap", prefilter=True
+        fine.real, plan.nodes, order=5, mode="grid-wrap", prefilter=True
     )
     interp_im = ndimage.map_coordinates(
-        fine.imag, coords, order=5, mode="grid-wrap", prefilter=True
+        fine.imag, plan.nodes, order=5, mode="grid-wrap", prefilter=True
     )
-    out = (interp_re + 1j * interp_im) * np.sqrt(omega_q / cfg.omega)
+    return interp_re + 1j * interp_im
+
+
+def _boost_array(
+    cfg: ModelConfig, arr: np.ndarray, L: LorentzMap
+) -> tuple[np.ndarray, float]:
+    """Mass-shell pullback of one amplitude field along ``L``.
+
+    Returns the transformed field rescaled to the input norm, plus the
+    relative norm drift of the raw pullback.
+    """
+    norm_in = float(np.linalg.norm(arr))
+    if norm_in == 0.0:
+        return arr.copy(), 0.0
+    plan = _pullback_plan(cfg, L)
+    if plan.axis is None:
+        raw = _spline_pullback(cfg, arr, plan)
+    else:
+        raw = _exact_pullback(arr, plan)
+    out = raw * plan.weight
     norm_out = float(np.linalg.norm(out))
     if norm_out == 0.0:
         raise GeometryError("velocity transform annihilated the state")

@@ -80,6 +80,8 @@ __all__ = [
     "position_family_stabilizer_residual",
     "fixed_label_boost_witness",
     "space_component_residual",
+    "own_time_variance",
+    "time_variance_witness",
     "time_variance_dichotomy",
     "causality_experiment",
     "commutator_witness",
@@ -322,6 +324,8 @@ def factorization_residual(
     """
     mask = rasterize(cfg, region)
     hom = PoincareMap.from_homogeneous(linear, cfg.origin)
+    # the first leg of every shift-then-transform side
+    back, _ = represent_array(cfg, states, hom.inverse())
     a = cfg.spacing.value
     worst = 0.0
     for _ in range(shifts):
@@ -331,7 +335,7 @@ def factorization_residual(
         t_bd = PoincareMap.from_translation(linear(d))
         # the same map factored two ways: shift-then-transform equals
         # transform-then-shifted-shift
-        lhs = _conjugate_mask(cfg, states, [t_d, hom], mask)
+        lhs, _ = represent_array(cfg, _conjugate_mask(cfg, back, [t_d], mask), hom)
         rhs = _conjugate_mask(cfg, states, [hom, t_bd], mask)
         worst = max(worst, _batch_max_norm(lhs - rhs))
     return worst
@@ -464,6 +468,29 @@ def space_component_residual(
     return _family_norm(moved - rhs)
 
 
+def own_time_variance(cfg: ModelConfig, n_states: int = 100, seed: int = 42) -> float:
+    """Largest duration variance of the family's own observer over random
+    states (must be exactly zero)."""
+    w = NwPosition(cfg.observer, cfg.instant, cfg.origin)
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    for one in random_states(cfg, rng, n_states):
+        stats = nw_component_stats(w, cfg.observer, LatticeState(cfg, one))
+        worst = max(worst, abs(stats.time_variance.value))
+    return worst
+
+
+def time_variance_witness(
+    cfg: ModelConfig, witness_chi: float = 0.5, witness_width: float = 1.0
+) -> float:
+    """Duration variance of a wide packet relative to a tilted observer
+    (must be positive)."""
+    w = NwPosition(cfg.observer, cfg.instant, cfg.origin)
+    witness_state = make_gaussian(cfg, width=seconds(witness_width))
+    u2 = boosted_velocity(witness_chi)
+    return nw_component_stats(w, u2, witness_state).time_variance.value
+
+
 def time_variance_dichotomy(
     cfg: ModelConfig,
     n_states: int = 100,
@@ -471,23 +498,12 @@ def time_variance_dichotomy(
     witness_chi: float = 0.5,
     witness_width: float = 1.0,
 ) -> tuple[float, float]:
-    """The duration-component variance split.
-
-    Returns the largest own-observer variance over random states (must
-    be exactly zero) and the witness variance of a wide packet relative
-    to a tilted observer (must be positive).
-    """
-    w = NwPosition(cfg.observer, cfg.instant, cfg.origin)
-    rng = np.random.default_rng(seed)
-    states = random_states(cfg, rng, n_states)
-    worst = 0.0
-    for one in states:
-        stats = nw_component_stats(w, cfg.observer, LatticeState(cfg, one))
-        worst = max(worst, abs(stats.time_variance.value))
-    witness_state = make_gaussian(cfg, width=seconds(witness_width))
-    u2 = boosted_velocity(witness_chi)
-    witness = nw_component_stats(w, u2, witness_state).time_variance.value
-    return worst, witness
+    """The duration-component variance split: ``own_time_variance`` and
+    ``time_variance_witness``."""
+    return (
+        own_time_variance(cfg, n_states, seed),
+        time_variance_witness(cfg, witness_chi, witness_width),
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -85,10 +85,12 @@ def run_geometry_suite(seed: int = 42, heavy_samples: int = 10_000) -> list[Chec
     rng = np.random.default_rng(seed)
     results = []
 
-    # observer splitting: reconstruction and orthogonality
+    # observer splitting: reconstruction and orthogonality share one
+    # loop; each check's clock covers its own part of it
     t0 = time.perf_counter()
     worst_split = 0.0
     worst_orth = 0.0
+    orth_s = 0.0
     for _ in range(heavy_samples):
         u = _random_velocity(rng)
         x = vector(*rng.uniform(-10, 10, 4))
@@ -97,12 +99,24 @@ def run_geometry_suite(seed: int = 42, heavy_samples: int = 10_000) -> list[Chec
         recon = u * tp + sp
         scale = max(1.0, float(np.max(np.abs(x._c))))
         worst_split = max(worst_split, float(np.max(np.abs(recon._c - x._c))) / scale)
+        t1 = time.perf_counter()
         worst_orth = max(
             worst_orth,
             abs(lorentz_product(u.as_vector(), sp).value) / max(1.0, tp.value**2),
         )
-    results.append(_check("splitting-reconstruction", worst_split, 1e-12, t0, heavy_samples))
-    results.append(_check("splitting-orthogonality", worst_orth, 1e-12, t0, heavy_samples))
+        orth_s += time.perf_counter() - t1
+    results.append(
+        _check("splitting-reconstruction", worst_split, 1e-12, t0 + orth_s, heavy_samples)
+    )
+    results.append(
+        _check(
+            "splitting-orthogonality",
+            worst_orth,
+            1e-12,
+            time.perf_counter() - orth_s,
+            heavy_samples,
+        )
+    )
 
     # product preservation under composed maps
     t0 = time.perf_counter()

@@ -65,6 +65,20 @@ class TestDeterminism:
         second = capsys.readouterr().out
         assert first == second
 
+    def test_covariance_cold_and_warm_plan_cache(self, tmp_path, capsys):
+        # the first run builds every velocity-change plan, the second
+        # reuses the cached ones; the reports must not differ
+        from minkabs.quantum import state
+
+        state._PLAN_CACHE.clear()
+        path = small_config(tmp_path)
+        assert main(["verify-covariance", "--config", path]) == 0
+        first = capsys.readouterr().out
+        assert state._PLAN_CACHE
+        assert main(["verify-covariance", "--config", path]) == 0
+        second = capsys.readouterr().out
+        assert first == second
+
     def test_timings_zeroed_by_default(self, capsys):
         main(["verify-geometry", "--seed", "11"])
         report = json.loads(capsys.readouterr().out)
