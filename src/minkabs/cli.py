@@ -7,17 +7,22 @@ Subcommands::
     minkabs demo-causality     leakage sweeps and the commutator witness
 
 Configuration is a flat JSON object (all keys optional); command-line
-flags override file values.  Reports are deterministic JSON on stdout
-(or ``--out``); ``demo-causality --csv`` emits the sweep table instead.
-Exit codes: 0 all checks passed, 1 any check failed, 2 usage or
-configuration error.  The environment variable ``MINKABS_THREADS`` caps
-internal trial fan-out.
+flags override file values.  ``build_model`` checks the whole config
+before any work starts: every value is a finite number, the three lists
+are non-empty, ``rapidity_sweep`` holds 0.0, ``delta_t_sweep`` entries
+are >= 0, and ``|rapidity|`` and every ``|rapidity_sweep|`` entry stay
+under the lattice's band-limit cap.  Reports are deterministic JSON on
+stdout (or ``--out``); ``demo-causality --csv`` emits the sweep table
+instead.  Exit codes: 0 all checks passed, 1 any check failed, 2 usage
+or configuration error.  The environment variable ``MINKABS_THREADS``
+caps internal trial fan-out.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 
@@ -27,7 +32,7 @@ from .geometry import GeometryError, MeasureScalar, seconds
 from .groups import PoincareMap, make_boost, make_rotation
 from .quantum import ModelConfig, apply_boost, make_gaussian
 from .quantum import verify as V
-from .report import RunReport, sweep_csv
+from .report import CheckResult, RunReport, sweep_csv
 from .suites import run_geometry_suite
 
 DEFAULTS = {
@@ -68,9 +73,29 @@ def load_config(path: str | None, overrides: dict) -> dict:
     return config
 
 
+def _is_number(value) -> bool:
+    return (
+        isinstance(value, (int, float))
+        and not isinstance(value, bool)
+        and math.isfinite(value)
+    )
+
+
 def build_model(config: dict) -> ModelConfig:
+    """The lattice of a config, after checking every key before any work
+    starts; a config that fails a check raises ``ConfigError``."""
+    for key, default in DEFAULTS.items():
+        value = config[key]
+        if isinstance(default, list) and not (isinstance(value, list) and value):
+            raise ConfigError(f"{key} must be a non-empty list")
+        if not all(map(_is_number, value if isinstance(default, list) else [value])):
+            raise ConfigError(f"{key} must hold finite numbers")
+    if 0.0 not in config["rapidity_sweep"]:
+        raise ConfigError("rapidity_sweep must include 0.0, the rest observer")
+    if min(config["delta_t_sweep"]) < 0.0:
+        raise ConfigError("delta_t_sweep entries must be >= 0")
     try:
-        return ModelConfig(
+        cfg = ModelConfig(
             N=int(config["N"]),
             spacing=seconds(float(config["spacing_sec"])),
             mass=MeasureScalar(float(config["mass_inv_sec"]), -1),
@@ -78,6 +103,10 @@ def build_model(config: dict) -> ModelConfig:
         )
     except GeometryError as exc:
         raise ConfigError(str(exc)) from exc
+    chi = max(abs(c) for c in [config["rapidity"], *config["rapidity_sweep"]])
+    if chi > cfg.chi_max:
+        raise ConfigError(f"rapidity {chi} exceeds the band-limit cap {cfg.chi_max:.4f}")
+    return cfg
 
 
 # ---------------------------------------------------------------------------
@@ -86,7 +115,7 @@ def build_model(config: dict) -> ModelConfig:
 
 
 def cmd_verify_geometry(config: dict) -> RunReport:
-    build_model(config)  # config validation shares the power-of-two rule
+    build_model(config)  # the same config checks as the quantum commands
     report = RunReport("verify-geometry", config)
     for check in run_geometry_suite(seed=int(config["seed"])):
         report.add(check)
@@ -114,7 +143,7 @@ def cmd_verify_covariance(config: dict) -> RunReport:
     step = PoincareMap.from_translation(cfg.observer * seconds(0.7))
     res = V.label_change_residual(cfg, step, region, white[:3])
     report.add(
-        V.CheckResult.make("observer-step-label-change", res, 1e-10, cfg, t0)
+        CheckResult.make("observer-step-label-change", res, 1e-10, cfg.N, t0)
     )
 
     a = cfg.spacing.value
@@ -132,41 +161,41 @@ def cmd_verify_covariance(config: dict) -> RunReport:
         t0 = time.perf_counter()
         res = V.position_family_stabilizer_residual(cfg, S, white[:4])
         report.add(
-            V.CheckResult.make(f"position-family/{name}", res, 1e-10, cfg, t0)
+            CheckResult.make(f"position-family/{name}", res, 1e-10, cfg.N, t0)
         )
 
     chi = float(config["rapidity"])
     t0 = time.perf_counter()
     witness = V.fixed_label_boost_witness(cfg, chi=chi)
     report.add(
-        V.CheckResult.make(
-            "fixed-label-not-a-vector", witness, 0.1, cfg, t0, below=False
+        CheckResult.make(
+            "fixed-label-not-a-vector", witness, 0.1, cfg.N, t0, below=False
         )
     )
 
     t0 = time.perf_counter()
     own = V.space_component_residual(cfg, cfg.observer, rot, white[:4])
-    report.add(V.CheckResult.make("space-component/own-observer", own, 1e-10, cfg, t0))
+    report.add(CheckResult.make("space-component/own-observer", own, 1e-10, cfg.N, t0))
     t0 = time.perf_counter()
     tilted = V.space_component_residual(
         cfg, V.boosted_velocity(float(config["witness_rapidity"])), rot, white[:4]
     )
     report.add(
-        V.CheckResult.make(
-            "space-component/tilted-witness", tilted, 0.05, cfg, t0, below=False
+        CheckResult.make(
+            "space-component/tilted-witness", tilted, 0.05, cfg.N, t0, below=False
         )
     )
 
     t0 = time.perf_counter()
     worst_var = V.own_time_variance(cfg, n_states=100, seed=seed)
-    report.add(V.CheckResult.make("time-variance/own-observer", worst_var, 0.0, cfg, t0))
+    report.add(CheckResult.make("time-variance/own-observer", worst_var, 0.0, cfg.N, t0))
     t0 = time.perf_counter()
     witness_var = V.time_variance_witness(
         cfg, witness_chi=float(config["witness_rapidity"])
     )
     report.add(
-        V.CheckResult.make(
-            "time-variance/tilted-witness", witness_var, 0.01, cfg, t0, below=False
+        CheckResult.make(
+            "time-variance/tilted-witness", witness_var, 0.01, cfg.N, t0, below=False
         )
     )
 
@@ -178,11 +207,11 @@ def cmd_verify_covariance(config: dict) -> RunReport:
     # with headroom; small boxes are wrap-tail dominated
     drift_bounds = {8: 5e-1, 16: 5e-2, 32: 5e-4}
     report.add(
-        V.CheckResult.make(
+        CheckResult.make(
             "velocity-roundtrip-drift",
             boost_report.norm_drift,
             drift_bounds.get(cfg.N, 1e-6),
-            cfg,
+            cfg.N,
             t0,
             rapidity=chi,
             rapidity_cap=boost_report.rapidity_cap,
@@ -191,7 +220,7 @@ def cmd_verify_covariance(config: dict) -> RunReport:
 
     t0 = time.perf_counter()
     eq = V.equivariance_residual(cfg, seed=seed)
-    report.add(V.CheckResult.make("global-equivariance", eq, 1e-10, cfg, t0))
+    report.add(CheckResult.make("global-equivariance", eq, 1e-10, cfg.N, t0))
 
     t0 = time.perf_counter()
     rows = V.boost_convergence_rows(
@@ -204,8 +233,8 @@ def cmd_verify_covariance(config: dict) -> RunReport:
     report.tables["boost_convergence"] = rows
     ratios = [r["ratio_to_previous"] for r in rows if r["ratio_to_previous"]]
     report.add(
-        V.CheckResult.make(
-            "factorization-convergence-ratio", max(ratios), 0.6, cfg, t0, seeds=len(ratios)
+        CheckResult.make(
+            "factorization-convergence-ratio", max(ratios), 0.6, cfg.N, t0, seeds=len(ratios)
         )
     )
     return report
@@ -228,7 +257,7 @@ def cmd_demo_causality(config: dict) -> RunReport:
         }
     )
     report.add(
-        V.CheckResult.make("leakage/zero-interval", zero.leakage, 1e-10, cfg, t0)
+        CheckResult.make("leakage/zero-interval", zero.leakage, 1e-10, cfg.N, t0)
     )
 
     min_rest = None
@@ -259,22 +288,22 @@ def cmd_demo_causality(config: dict) -> RunReport:
 
     # each check's clock covers the sweep experiments behind it
     report.add(
-        V.CheckResult.make(
+        CheckResult.make(
             "leakage/strictly-positive",
             min_rest,
             1e-6,
-            cfg,
+            cfg.N,
             time.perf_counter() - rest_s,
             below=False,
         )
     )
     if min_boosted is not None:
         report.add(
-            V.CheckResult.make(
+            CheckResult.make(
                 "leakage/strictly-positive-boosted",
                 min_boosted,
                 1e-6,
-                cfg,
+                cfg.N,
                 time.perf_counter() - boosted_s,
                 below=False,
             )
@@ -286,11 +315,11 @@ def cmd_demo_causality(config: dict) -> RunReport:
     m1 = V.causality_experiment(cfg, delta_t=dt_margin, margin=0.2 * a)
     m2 = V.causality_experiment(cfg, delta_t=dt_margin, margin=0.4 * a)
     report.add(
-        V.CheckResult.make(
+        CheckResult.make(
             "leakage/margin-doubling-stable",
             abs(m1.leakage - m2.leakage),
             1e-10,
-            cfg,
+            cfg.N,
             t0,
         )
     )
@@ -298,8 +327,8 @@ def cmd_demo_causality(config: dict) -> RunReport:
     t0 = time.perf_counter()
     witness = V.commutator_witness(cfg, seed=seed, starts=3, iterations=10)
     report.add(
-        V.CheckResult.make(
-            "commutator/cross-instant-witness", witness, 1e-4, cfg, t0, below=False
+        CheckResult.make(
+            "commutator/cross-instant-witness", witness, 1e-4, cfg.N, t0, below=False
         )
     )
     t0 = time.perf_counter()
@@ -309,7 +338,7 @@ def cmd_demo_causality(config: dict) -> RunReport:
         cfg, region_a=reg_a, region_b=reg_b, seed=seed, starts=1, iterations=4
     )
     report.add(
-        V.CheckResult.make("commutator/same-instant-disjoint", same, 1e-12, cfg, t0)
+        CheckResult.make("commutator/same-instant-disjoint", same, 1e-12, cfg.N, t0)
     )
     return report
 
@@ -331,12 +360,8 @@ def _parser() -> argparse.ArgumentParser:
         p.add_argument("--out", help="write the report here instead of stdout")
         p.add_argument("--seed", type=int, help="override the seed")
         p.add_argument("--lattice", type=int, help="override lattice points per axis")
-        fmt = p.add_mutually_exclusive_group()
-        fmt.add_argument("--json", action="store_true", help="JSON report (default)")
-        fmt.add_argument(
-            "--csv",
-            action="store_true",
-            help="sweep table as CSV (demo-causality only)",
+        p.add_argument(
+            "--csv", action="store_true", help="sweep table as CSV (demo-causality only)"
         )
         p.add_argument(
             "--timings", action="store_true", help="include wall-clock timings"

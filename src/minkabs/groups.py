@@ -501,16 +501,6 @@ class Region:
                 return True
         return False
 
-    def translated(self, offset: Sequence[float]) -> "Region":
-        off = np.asarray(offset, float).reshape(3)
-        return Region(
-            self.instant,
-            [(lo + off, hi + off) for lo, hi in self.boxes],
-            basis=self.basis,
-            anchor=self.anchor,
-            _canonical=True,
-        )
-
     def __repr__(self) -> str:
         return f"Region({len(self.boxes)} boxes, volume={self.volume():.6g})"
 

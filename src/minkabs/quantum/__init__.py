@@ -17,7 +17,6 @@ from .pvm import (
     NwComponentStats,
     NwPosition,
     PvmHandle,
-    apply_position_family,
     canonical_map,
     localization_probability,
     nw_component_stats,
@@ -47,7 +46,6 @@ __all__ = [
     "pvm_project",
     "localization_probability",
     "position_multipliers",
-    "apply_position_family",
     "nw_expectation",
     "nw_component_stats",
 ]

@@ -114,17 +114,6 @@ class ModelConfig:
         band_energy = math.sqrt(3.0 * (0.5 * self.cutoff) ** 2 + mass.value**2)
         self.chi_max = math.asinh(0.25 * self.cutoff / band_energy)
 
-    def same_lattice(self, other: "ModelConfig") -> bool:
-        return (
-            self.N == other.N
-            and self.pad == other.pad
-            and abs(self.spacing.value - other.spacing.value) <= 1e-15
-            and abs(self.mass.value - other.mass.value) <= 1e-15
-            and self.observer.approx_eq(other.observer)
-            and self.instant == other.instant
-            and self.origin.approx_eq(other.origin)
-        )
-
     def refined(self, factor: int = 2) -> "ModelConfig":
         """Same physics on a lattice with ``factor`` times the points."""
         return ModelConfig(

@@ -52,7 +52,6 @@ __all__ = [
     "pvm_project",
     "localization_probability",
     "position_multipliers",
-    "apply_position_family",
     "nw_expectation",
     "nw_component_stats",
 ]
@@ -254,21 +253,6 @@ def position_multipliers(cfg: ModelConfig, origin: SpacetimePoint) -> np.ndarray
             + wrapped[2][None, None, :] * b[2][mu]
         )
     return out
-
-
-def apply_position_family(w: NwPosition, state: LatticeState) -> np.ndarray:
-    """The four component fields of the position family applied to a state.
-
-    Direct multiplication by the cell displacements on the constructing
-    labels; other labels go through the covariance route in the
-    verification drivers.  Returns raw momentum amplitudes (4, N, N, N).
-    """
-    cfg = state.cfg
-    if not (w.observer.approx_eq(cfg.observer) and w.instant == cfg.instant):
-        raise GeometryError("direct position application needs constructing labels")
-    mult = position_multipliers(cfg, w.origin)
-    pos = _to_position(state.psi)
-    return _to_momentum(mult * pos[None, ...])
 
 
 @dataclass(frozen=True)

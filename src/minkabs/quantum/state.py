@@ -51,7 +51,7 @@ from ..geometry import (
     time_part,
 )
 from ..geometry import _METRIC
-from ..groups import LorentzMap, PoincareMap, in_O_u, is_orthochronous
+from ..groups import LorentzMap, PoincareMap, in_O_u, is_orthochronous, time_inversion
 from .config import ModelConfig
 
 __all__ = [
@@ -103,9 +103,6 @@ class LatticeState:
     def position_probability(self) -> np.ndarray:
         pos = _to_position(self.psi)
         return pos.real**2 + pos.imag**2
-
-    def overlap(self, other: "LatticeState") -> complex:
-        return complex(np.vdot(self.psi, other.psi))
 
     def __repr__(self) -> str:
         return f"LatticeState(N={self.cfg.N}, norm={self.norm():.6g})"
@@ -355,6 +352,38 @@ def _boost_array(
     return out * (norm_in / norm_out), abs(norm_out / norm_in - 1.0)
 
 
+def _apply_linear(
+    cfg: ModelConfig, arr: np.ndarray, L: LorentzMap, velocity: bool = True
+) -> tuple[np.ndarray, float, float]:
+    """Apply a homogeneous map at the lattice origin to raw amplitudes.
+
+    Classifies ``L`` as the identity, a signed permutation of the lattice
+    axes (exact), or, when ``velocity`` allows it, an orthochronous
+    velocity change under the rapidity cap (pullback of each state).
+    Returns the result, the rapidity of ``L`` and the worst norm drift,
+    both 0 on exact paths.
+    """
+    if np.array_equal(L.matrix, np.eye(4)):
+        return arr, 0.0, 0.0
+    r3 = signed_permutation_of(cfg, L)
+    if r3 is not None:
+        return _apply_perm(arr, _perm_flat_indices(cfg, r3)), 0.0, 0.0
+    if not velocity:
+        raise GeometryError(
+            "map does not permute the lattice; use the velocity-transform path"
+        )
+    if not is_orthochronous(L):
+        raise GeometryError("only orthochronous maps are represented")
+    chi = rapidity_of(cfg, L)
+    if chi > cfg.chi_max + 1e-12:
+        raise GeometryError(
+            f"rapidity {chi:.4f} exceeds the band-limit cap {cfg.chi_max:.4f}"
+        )
+    pieces = [_boost_array(cfg, one, L) for one in arr.reshape(-1, cfg.N, cfg.N, cfg.N)]
+    out = np.stack([res for res, _ in pieces]).reshape(arr.shape)
+    return out, chi, max(drift for _, drift in pieces)
+
+
 def _apply_poincare_array(
     cfg: ModelConfig, arr: np.ndarray, P: PoincareMap
 ) -> tuple[np.ndarray, float]:
@@ -365,31 +394,7 @@ def _apply_poincare_array(
     and the worst norm drift of any interpolation step (0 for exact
     paths).
     """
-    out = arr
-    drift = 0.0
-    linear = P.linear
-    if not np.array_equal(linear.matrix, np.eye(4)):
-        r3 = signed_permutation_of(cfg, linear)
-        if r3 is not None:
-            out = _apply_perm(out, _perm_flat_indices(cfg, r3))
-        else:
-            if not is_orthochronous(linear):
-                raise GeometryError("only orthochronous maps are represented")
-            chi = rapidity_of(cfg, linear)
-            if chi > cfg.chi_max + 1e-12:
-                raise GeometryError(
-                    f"rapidity {chi:.4f} exceeds the band-limit cap {cfg.chi_max:.4f}"
-                )
-            if out.ndim == 3:
-                out, drift = _boost_array(cfg, out, linear)
-            else:
-                batch = out.reshape(-1, cfg.N, cfg.N, cfg.N)
-                pieces = []
-                for one in batch:
-                    res, d = _boost_array(cfg, one, linear)
-                    pieces.append(res)
-                    drift = max(drift, d)
-                out = np.stack(pieces).reshape(out.shape)
+    out, _, drift = _apply_linear(cfg, arr, P.linear)
     shift = P(cfg.origin) - cfg.origin
     if not np.all(shift._c == 0.0):
         out = out * _translation_phase(cfg, shift)
@@ -471,13 +476,8 @@ def apply_rotation(state: LatticeState, L: LorentzMap) -> LatticeState:
     ``L`` must restrict to a signed permutation of the lattice axes; the
     action is an exact index permutation (exactly unitary).
     """
-    r3 = signed_permutation_of(state.cfg, L)
-    if r3 is None:
-        raise GeometryError(
-            "map does not permute the lattice; use the velocity-transform path"
-        )
-    flat = _perm_flat_indices(state.cfg, r3)
-    return LatticeState(state.cfg, _apply_perm(state.psi, flat))
+    psi, _, _ = _apply_linear(state.cfg, state.psi, L, velocity=False)
+    return LatticeState(state.cfg, psi)
 
 
 def apply_boost(state: LatticeState, L: LorentzMap, return_report: bool = False):
@@ -485,27 +485,13 @@ def apply_boost(state: LatticeState, L: LorentzMap, return_report: bool = False)
 
     The rapidity between the constructing observer and its image must
     stay under the configuration's cap so band-limited packets remain in
-    band.  The result keeps the input norm; the measured relative norm
-    drift is available through ``return_report=True``.
+    band.  Lattice symmetries take the exact permutation path.  The
+    result keeps the input norm; the measured relative norm drift is
+    available through ``return_report=True``.
     """
-    if not is_orthochronous(L):
-        raise GeometryError("only orthochronous maps are represented")
-    chi = rapidity_of(state.cfg, L)
-    if chi > state.cfg.chi_max + 1e-12:
-        raise GeometryError(
-            f"rapidity {chi:.4f} exceeds the band-limit cap {state.cfg.chi_max:.4f}"
-        )
-    r3 = signed_permutation_of(state.cfg, L)
-    if r3 is not None:
-        out = LatticeState(
-            state.cfg, _apply_perm(state.psi, _perm_flat_indices(state.cfg, r3))
-        )
-        report = BoostReport(chi, state.cfg.chi_max, 0.0)
-        return (out, report) if return_report else out
-    psi, drift = _boost_array(state.cfg, state.psi, L)
+    psi, chi, drift = _apply_linear(state.cfg, state.psi, L)
     out = LatticeState(state.cfg, psi)
-    report = BoostReport(chi, state.cfg.chi_max, drift)
-    return (out, report) if return_report else out
+    return (out, BoostReport(chi, state.cfg.chi_max, drift)) if return_report else out
 
 
 def apply_poincare(state: LatticeState, P: PoincareMap) -> LatticeState:
@@ -523,8 +509,6 @@ def apply_poincare(state: LatticeState, P: PoincareMap) -> LatticeState:
 def _time_twist(cfg: ModelConfig, P: PoincareMap) -> PoincareMap:
     """Conjugate an affine map by the constructing observer's time inversion
     anchored at the lattice origin."""
-    from ..groups import time_inversion  # local import to avoid a cycle
-
     inv = PoincareMap.from_homogeneous(time_inversion(cfg.observer), cfg.origin)
     return inv.compose(P).compose(inv)
 

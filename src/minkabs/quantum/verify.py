@@ -24,7 +24,7 @@ import math
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,6 +36,7 @@ from ..geometry import (
     seconds,
     vector,
 )
+from ..geometry import _METRIC
 from ..groups import (
     LorentzMap,
     PoincareMap,
@@ -44,6 +45,7 @@ from ..groups import (
     lattice_point_group,
     make_boost,
 )
+from ..report import CheckResult
 from .config import ModelConfig
 from .pvm import (
     NwPosition,
@@ -86,35 +88,8 @@ __all__ = [
     "causality_experiment",
     "commutator_witness",
     "handle_covariance_residual",
-    "equivariance_probe",
     "equivariance_residual",
 ]
-
-
-@dataclass(frozen=True)
-class CheckResult:
-    """One measured residual against its tolerance."""
-
-    name: str
-    residual: float
-    tolerance: float
-    passed: bool
-    n: int
-    seconds: float
-    details: dict = field(default_factory=dict)
-
-    @staticmethod
-    def make(name, residual, tolerance, cfg, t0, below=True, **details):
-        ok = residual <= tolerance if below else residual >= tolerance
-        return CheckResult(
-            name=name,
-            residual=float(residual),
-            tolerance=float(tolerance),
-            passed=bool(ok),
-            n=cfg.N,
-            seconds=time.perf_counter() - t0,
-            details=dict(details, bound="upper" if below else "lower"),
-        )
 
 
 def worker_cap(default: int = 1) -> int:
@@ -196,10 +171,10 @@ def stabilizer_elements(cfg: ModelConfig, rng: np.random.Generator, translations
     """Labeled elements of the instant's stabilizer that preserve the lattice:
     the 48 axis symmetries about the origin plus sampled lattice
     translations and mixed products."""
-    elements = []
-    for i, L in enumerate(lattice_point_group(cfg.observer, cfg.basis)):
-        elements.append((f"axis-symmetry-{i:02d}", PoincareMap.from_homogeneous(L, cfg.origin)))
     group = lattice_point_group(cfg.observer, cfg.basis)
+    elements = []
+    for i, L in enumerate(group):
+        elements.append((f"axis-symmetry-{i:02d}", PoincareMap.from_homogeneous(L, cfg.origin)))
     a = cfg.spacing.value
     for j in range(translations):
         steps = rng.integers(-cfg.N // 4, cfg.N // 4 + 1, 3)
@@ -263,7 +238,7 @@ def run_stabilizer_suite(
         t0 = time.perf_counter()
         res = stabilizer_covariance_residual(cfg, S, region, states)
         return idx, CheckResult.make(
-            f"stabilizer-covariance/{name}", res, tolerance, cfg, t0, states=n_states
+            f"stabilizer-covariance/{name}", res, tolerance, cfg.N, t0, states=n_states
         )
 
     if cap > 1:
@@ -386,9 +361,28 @@ def _family_fields(cfg: ModelConfig, states: np.ndarray, mult: np.ndarray) -> np
     return _to_momentum(pos[:, None, ...] * mult[None, ...])
 
 
-def _family_norm(diff: np.ndarray) -> float:
-    # aggregate over the four vector components, max over the batch
-    flat = diff.reshape(diff.shape[0], -1)
+def _family_residual(
+    cfg: ModelConfig,
+    S: PoincareMap,
+    states: np.ndarray,
+    mult: np.ndarray,
+    rhs_mult: np.ndarray,
+    mix: np.ndarray,
+) -> float:
+    """Conjugate the four component fields of ``mult`` by the unitary of
+    ``S`` and compare with the fields of ``rhs_mult`` mixed by ``mix``.
+
+    The norm aggregates over the four vector components and takes the
+    max over the batch.
+    """
+    batch = states if states.ndim == 4 else states[None]
+    arr, _ = represent_array(cfg, batch, S.inverse())
+    lhs = _family_fields(cfg, arr, mult)
+    moved = np.empty_like(lhs)
+    for mu in range(4):
+        moved[:, mu], _ = represent_array(cfg, lhs[:, mu], S)
+    rhs = np.einsum("mn,bn...->bm...", mix, _family_fields(cfg, batch, rhs_mult))
+    flat = (moved - rhs).reshape(batch.shape[0], -1)
     return float(np.max(np.linalg.norm(flat, axis=1)))
 
 
@@ -402,20 +396,8 @@ def position_family_stabilizer_residual(
     sides are exact lattice paths.
     """
     mult = position_multipliers(cfg, cfg.origin)
-    batch = states if states.ndim == 4 else states[None]
-    # left side: conjugate each component field
-    arr = batch
-    arr, _ = represent_array(cfg, arr, S.inverse())
-    lhs = _family_fields(cfg, arr, mult)
-    moved = np.empty_like(lhs)
-    for mu in range(4):
-        moved[:, mu], _ = represent_array(cfg, lhs[:, mu], S)
-    # right side: carried origin, mixed components
     mult_carried = position_multipliers(cfg, S(cfg.origin))
-    rhs_fields = _family_fields(cfg, batch, mult_carried)
-    li = S.linear.inverse().matrix
-    rhs = np.einsum("mn,bn...->bm...", li, rhs_fields)
-    return _family_norm(moved - rhs)
+    return _family_residual(cfg, S, states, mult, mult_carried, S.linear.inverse().matrix)
 
 
 def fixed_label_boost_witness(
@@ -430,16 +412,9 @@ def fixed_label_boost_witness(
     """
     boost = make_boost(cfg.observer, boosted_velocity(chi))
     hom = PoincareMap.from_homogeneous(boost, cfg.origin)
-    s = make_gaussian(cfg, width=seconds(width)).psi[None, ...]
+    s = make_gaussian(cfg, width=seconds(width)).psi
     mult = position_multipliers(cfg, cfg.origin)
-    arr, _ = represent_array(cfg, s, hom.inverse())
-    conj = _family_fields(cfg, arr, mult)
-    moved = np.empty_like(conj)
-    for mu in range(4):
-        moved[:, mu], _ = represent_array(cfg, conj[:, mu], hom)
-    guess_fields = _family_fields(cfg, s, mult)
-    guess = np.einsum("mn,bn...->bm...", boost.matrix, guess_fields)
-    return _family_norm(moved - guess)
+    return _family_residual(cfg, hom, s, mult, mult, boost.matrix)
 
 
 def space_component_residual(
@@ -451,21 +426,10 @@ def space_component_residual(
     Vanishes (exact path) when ``u2`` is the constructing observer;
     bounded away from zero for witness elements when it is not.
     """
-    from ..geometry import _METRIC
-
     mult = position_multipliers(cfg, cfg.origin)
     dot = np.einsum("m,m...->...", _METRIC * u2._c, mult)
     pia = mult + dot[None, ...] * u2._c[:, None, None, None]
-    batch = states if states.ndim == 4 else states[None]
-    arr, _ = represent_array(cfg, batch, S.inverse())
-    lhs = _family_fields(cfg, arr, pia)
-    moved = np.empty_like(lhs)
-    for mu in range(4):
-        moved[:, mu], _ = represent_array(cfg, lhs[:, mu], S)
-    rhs_fields = _family_fields(cfg, batch, pia)
-    li = S.linear.inverse().matrix
-    rhs = np.einsum("mn,bn...->bm...", li, rhs_fields)
-    return _family_norm(moved - rhs)
+    return _family_residual(cfg, S, states, pia, pia, S.linear.inverse().matrix)
 
 
 def own_time_variance(cfg: ModelConfig, n_states: int = 100, seed: int = 42) -> float:
@@ -555,7 +519,7 @@ def causality_experiment(
     chi = (
         0.0
         if u2 is None
-        else math.acosh(max(1.0, -float(np.dot(_metric_vec() * u2._c, cfg.observer._c))))
+        else math.acosh(max(1.0, -float(np.dot(_METRIC * u2._c, cfg.observer._c))))
     )
 
     lo, hi = region.boxes[0]
@@ -586,12 +550,6 @@ def causality_experiment(
         N=cfg.N,
         margin=float(margin),
     )
-
-
-def _metric_vec():
-    from ..geometry import _METRIC
-
-    return _METRIC
 
 
 def commutator_witness(
@@ -738,11 +696,6 @@ def _probe_bundle(
         h2, shadow, LatticeState(cfg, phi)
     )
     return out
-
-
-def equivariance_probe(cfg: ModelConfig, seed: int = 42) -> dict[str, float]:
-    """The untransported probe bundle."""
-    return _probe_bundle(cfg, None, seed)
 
 
 def equivariance_residual(cfg: ModelConfig, seed: int = 42) -> float:

@@ -8,13 +8,39 @@ serialization sorts keys and, by default, zeroes the wall-clock timings
 from __future__ import annotations
 
 import json
+import time
 from dataclasses import dataclass, field
 
-from .quantum.verify import CheckResult
-
-__all__ = ["RunReport", "sweep_csv", "SWEEP_CSV_HEADER"]
+__all__ = ["CheckResult", "RunReport", "sweep_csv", "SWEEP_CSV_HEADER"]
 
 SWEEP_CSV_HEADER = "delta_t_sec,rapidity,leakage,N"
+
+
+@dataclass(frozen=True)
+class CheckResult:
+    """One measured residual against its tolerance."""
+
+    name: str
+    residual: float
+    tolerance: float
+    passed: bool
+    n: int
+    seconds: float
+    details: dict = field(default_factory=dict)
+
+    @staticmethod
+    def make(name, residual, tolerance, n, t0, below=True, **details):
+        """A check timed from ``t0``; ``n`` is the lattice size, 0 without one."""
+        ok = residual <= tolerance if below else residual >= tolerance
+        return CheckResult(
+            name=name,
+            residual=float(residual),
+            tolerance=float(tolerance),
+            passed=bool(ok),
+            n=n,
+            seconds=time.perf_counter() - t0,
+            details=dict(details, bound="upper" if below else "lower"),
+        )
 
 
 @dataclass

@@ -39,7 +39,7 @@ from .groups import (
     stabilizes_instant,
     time_inversion,
 )
-from .quantum.verify import CheckResult
+from .report import CheckResult
 
 __all__ = ["run_geometry_suite"]
 
@@ -62,22 +62,6 @@ def _random_map(rng, depth=3):
             axis = c[0] * vector(0, 1, 0, 0) + c[1] * vector(0, 0, 1, 0) + c[2] * vector(0, 0, 0, 1)
             m = make_rotation(u0, axis, rng.uniform(0, 2 * math.pi)).compose(m)
     return m
-
-
-def _check(name, residual, tolerance, t0, samples, below=True, note=None):
-    ok = residual <= tolerance if below else residual >= tolerance
-    details = {"samples": samples, "bound": "upper" if below else "lower"}
-    if note:
-        details["note"] = note
-    return CheckResult(
-        name=name,
-        residual=float(residual),
-        tolerance=float(tolerance),
-        passed=bool(ok),
-        n=0,
-        seconds=time.perf_counter() - t0,
-        details=details,
-    )
 
 
 def run_geometry_suite(seed: int = 42, heavy_samples: int = 10_000) -> list[CheckResult]:
@@ -105,18 +89,12 @@ def run_geometry_suite(seed: int = 42, heavy_samples: int = 10_000) -> list[Chec
             abs(lorentz_product(u.as_vector(), sp).value) / max(1.0, tp.value**2),
         )
         orth_s += time.perf_counter() - t1
-    results.append(
-        _check("splitting-reconstruction", worst_split, 1e-12, t0 + orth_s, heavy_samples)
-    )
-    results.append(
-        _check(
-            "splitting-orthogonality",
-            worst_orth,
-            1e-12,
-            time.perf_counter() - orth_s,
-            heavy_samples,
-        )
-    )
+    t_orth = time.perf_counter() - orth_s
+    for name, worst, start in (
+        ("splitting-reconstruction", worst_split, t0 + orth_s),
+        ("splitting-orthogonality", worst_orth, t_orth),
+    ):
+        results.append(CheckResult.make(name, worst, 1e-12, 0, start, samples=heavy_samples))
 
     # product preservation under composed maps
     t0 = time.perf_counter()
@@ -133,7 +111,7 @@ def run_geometry_suite(seed: int = 42, heavy_samples: int = 10_000) -> list[Chec
             abs(lorentz_product(y, y).value),
         )
         worst = max(worst, abs(after - before) / scale)
-    results.append(_check("product-preservation", worst, 1e-9, t0, 1000))
+    results.append(CheckResult.make("product-preservation", worst, 1e-9, 0, t0, samples=1000))
 
     # restriction to a simultaneity space is positive definite
     t0 = time.perf_counter()
@@ -144,7 +122,9 @@ def run_geometry_suite(seed: int = 42, heavy_samples: int = 10_000) -> list[Chec
         if float(np.max(np.abs(v._c))) > 1e-10:
             min_norm = min(min_norm, lorentz_product(v, v).value)
     results.append(
-        _check("simultaneous-space-positive", min_norm, 1e-12, t0, 1000, below=False)
+        CheckResult.make(
+            "simultaneous-space-positive", min_norm, 1e-12, 0, t0, below=False, samples=1000
+        )
     )
 
     # causal classification partitions nonzero vectors
@@ -161,7 +141,7 @@ def run_geometry_suite(seed: int = 42, heavy_samples: int = 10_000) -> list[Chec
     light = vector(1, 1, 0, 0)
     if causal_class(light) is not CausalClass.LIGHTLIKE:
         bad += 1
-    results.append(_check("causal-partition", float(bad), 0.0, t0, 1001))
+    results.append(CheckResult.make("causal-partition", float(bad), 0.0, 0, t0, samples=1001))
 
     # dimensional safety must be an error, not a coercion
     t0 = time.perf_counter()
@@ -175,7 +155,7 @@ def run_geometry_suite(seed: int = 42, heavy_samples: int = 10_000) -> list[Chec
     except DimensionMismatchError:
         caught += 1
     results.append(
-        _check("dimension-safety-error-path", float(2 - caught), 0.0, t0, 2)
+        CheckResult.make("dimension-safety-error-path", float(2 - caught), 0.0, 0, t0, samples=2)
     )
 
     # group laws over random composites
@@ -191,7 +171,7 @@ def run_geometry_suite(seed: int = 42, heavy_samples: int = 10_000) -> list[Chec
         worst = max(worst, float(np.max(np.abs(ident.matrix - np.eye(4)))))
         assoc = a.compose(b).compose(c).matrix - a.compose(b.compose(c)).matrix
         worst = max(worst, float(np.max(np.abs(assoc))))
-    results.append(_check("group-laws", worst, 1e-10, t0, 100))
+    results.append(CheckResult.make("group-laws", worst, 1e-10, 0, t0, samples=100))
 
     # orientation characters compose as expected
     t0 = time.perf_counter()
@@ -206,7 +186,7 @@ def run_geometry_suite(seed: int = 42, heavy_samples: int = 10_000) -> list[Chec
         bad += 1
     if is_orthochronous(time_inversion(_random_velocity(rng)).compose(_random_map(rng))):
         bad += 1
-    results.append(_check("orientation-characters", float(bad), 0.0, t0, 52))
+    results.append(CheckResult.make("orientation-characters", float(bad), 0.0, 0, t0, samples=52))
 
     # velocity stabilizers of different observers differ
     t0 = time.perf_counter()
@@ -223,7 +203,9 @@ def run_geometry_suite(seed: int = 42, heavy_samples: int = 10_000) -> list[Chec
                 break
         if not found:
             misses += 1
-    results.append(_check("velocity-stabilizers-differ", float(misses), 0.0, t0, 50))
+    results.append(
+        CheckResult.make("velocity-stabilizers-differ", float(misses), 0.0, 0, t0, samples=50)
+    )
 
     # instant stabilizers restrict to isometries of the hyperplane
     t0 = time.perf_counter()
@@ -245,7 +227,9 @@ def run_geometry_suite(seed: int = 42, heavy_samples: int = 10_000) -> list[Chec
         d0 = lorentz_product(p - q, p - q).value
         d1 = lorentz_product(m(p) - m(q), m(p) - m(q)).value
         worst = max(worst, abs(d1 - d0) / max(1.0, abs(d0)))
-    results.append(_check("instant-stabilizer-isometry", worst, 1e-10, t0, 50))
+    results.append(
+        CheckResult.make("instant-stabilizer-isometry", worst, 1e-10, 0, t0, samples=50)
+    )
 
     # the time inversion about an instant stabilizes it
     t0 = time.perf_counter()
@@ -259,7 +243,9 @@ def run_geometry_suite(seed: int = 42, heavy_samples: int = 10_000) -> list[Chec
             bad += 1
         if inv.is_orthochronous():
             bad += 1
-    results.append(_check("time-inversion-stabilizes-instant", float(bad), 0.0, t0, 20))
+    results.append(
+        CheckResult.make("time-inversion-stabilizes-instant", float(bad), 0.0, 0, t0, samples=20)
+    )
 
     # causal growth: light-speed box growth and the no-interval limit
     t0 = time.perf_counter()
@@ -271,6 +257,6 @@ def run_geometry_suite(seed: int = 42, heavy_samples: int = 10_000) -> list[Chec
     same = grow_region_causally(reg, t_inst)
     lo0, hi0 = same.boxes[0]
     worst = max(worst, float(np.max(np.abs(lo0))), float(np.max(np.abs(hi0 - 1.0))))
-    results.append(_check("causal-growth-unit-speed", worst, 1e-10, t0, 2))
+    results.append(CheckResult.make("causal-growth-unit-speed", worst, 1e-10, 0, t0, samples=2))
 
     return results

@@ -4,7 +4,14 @@ import json
 
 import pytest
 
-from minkabs.cli import ConfigError, DEFAULTS, cmd_demo_causality, load_config, main
+from minkabs.cli import (
+    ConfigError,
+    DEFAULTS,
+    build_model,
+    cmd_demo_causality,
+    load_config,
+    main,
+)
 from minkabs.report import SWEEP_CSV_HEADER, RunReport, sweep_csv
 from minkabs.quantum.verify import CheckResult
 
@@ -136,3 +143,59 @@ class TestReport:
         report = json.loads(out.read_text())
         assert report["suite"] == "verify-geometry"
         assert capsys.readouterr().out == ""
+
+
+class TestConfigValidation:
+    # each config was accepted before any check and then ended in a
+    # traceback; it must be a configuration error (exit 2) up front
+    @pytest.mark.parametrize(
+        "command, extra",
+        [
+            ("demo-causality", {"spacing_sec": "abc"}),
+            ("demo-causality", {"rapidity_sweep": [0.1, 0.2]}),
+            ("demo-causality", {"rapidity_sweep": []}),
+            ("demo-causality", {"delta_t_sweep": []}),
+            ("demo-causality", {"delta_t_sweep": [-0.5, 1.0]}),
+            ("demo-causality", {"rapidity_sweep": [0.0, 0.5]}),
+            ("verify-covariance", {"convergence_seeds": []}),
+            ("verify-covariance", {"rapidity": 0.5}),
+        ],
+        ids=[
+            "non-numeric",
+            "sweep-without-rest",
+            "empty-rapidity-sweep",
+            "empty-delta-t-sweep",
+            "negative-delta-t",
+            "sweep-over-cap",
+            "empty-convergence-seeds",
+            "rapidity-over-cap",
+        ],
+    )
+    def test_rejected_with_exit_2(self, tmp_path, capsys, command, extra):
+        path = small_config(tmp_path, **extra)
+        assert main([command, "--config", path]) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err.startswith("configuration error: ")
+
+    def test_negative_rapidity_is_capped(self):
+        # a negative rapidity boosts along the opposite axis direction
+        config = load_config(None, {})
+        config["rapidity_sweep"] = [0.0, -0.3]
+        with pytest.raises(ConfigError, match="band-limit cap"):
+            build_model(config)
+
+
+class TestDemoCausalityCli:
+    def test_csv_through_main_is_deterministic(self, tmp_path, capsys):
+        # the sweep of the report fixture, through the argument parser
+        path = tmp_path / "sweep.json"
+        path.write_text(json.dumps({"delta_t_sweep": [0.5, 1.0], "rapidity_sweep": [0.0, 0.1]}))
+        argv = ["demo-causality", "--config", str(path), "--lattice", "16", "--csv"]
+        outputs = []
+        for _ in range(2):
+            assert main(argv) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0].startswith(SWEEP_CSV_HEADER + "\n")
+        assert len(outputs[0].strip().split("\n")) == 1 + 1 + 2 * 2
+        assert outputs[0] == outputs[1]

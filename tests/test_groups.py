@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from minkabs.geometry import (
     GeometryError,
@@ -438,3 +440,39 @@ class TestCausalGrowth:
         # sampled support approaches the cover bounds
         assert np.all(best_hi >= hi - 0.15 * (hi - lo))
         assert np.all(best_lo <= lo + 0.15 * (hi - lo))
+
+
+def test_hypothesis_region_canonicalization():
+    # box edges on a half-step grid and probe points on a quarter-step
+    # grid, so probes land on edges as well as inside and outside boxes
+    edge = st.integers(-6, 6).map(lambda i: 0.5 * i)
+    corner = st.tuples(edge, edge, edge)
+    probe = st.tuples(*(st.integers(-13, 13).map(lambda i: 0.25 * i) for _ in range(3)))
+    t0 = Instant(U0, ORIGIN)
+    centers = (np.stack(np.meshgrid(*[np.arange(-6, 6)] * 3), -1).reshape(-1, 3) + 0.5) * 0.5
+
+    def in_union(boxes, pts):
+        inside = np.zeros(len(pts), dtype=bool)
+        for lo, hi in boxes:
+            inside |= np.all((np.asarray(lo) <= pts) & (pts < np.asarray(hi)), axis=1)
+        return inside
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(corner, corner), max_size=5), st.lists(probe, max_size=20))
+    def run(boxes, probes):
+        reg = Region.from_bounds(t0, boxes)
+        for i, (lo_a, hi_a) in enumerate(reg.boxes):
+            for lo_b, hi_b in reg.boxes[i + 1 :]:
+                assert not (np.all(lo_a < hi_b) and np.all(lo_b < hi_a))
+        expected = in_union(boxes, np.array(probes).reshape(-1, 3))
+        for p, want in zip(probes, expected):
+            assert reg.contains_point(ORIGIN + vector(0, *p)) == want
+        # the stored volume is the union's, counted on half-step cells
+        cells = int(np.sum(in_union(boxes, centers)))
+        assert reg.volume() == pytest.approx(0.125 * cells, abs=1e-12)
+        again = Region._canonicalize(list(reg.boxes))
+        assert len(again) == len(reg.boxes)
+        for (lo, hi), (lo2, hi2) in zip(reg.boxes, again):
+            assert np.array_equal(lo, lo2) and np.array_equal(hi, hi2)
+
+    run()

@@ -16,17 +16,26 @@ from minkabs.geometry import (
     seconds,
     vector,
 )
-from minkabs.groups import LorentzMap, make_boost, make_rotation, time_inversion
+from minkabs.groups import (
+    LorentzMap,
+    PoincareMap,
+    lattice_point_group,
+    make_boost,
+    make_rotation,
+    time_inversion,
+)
 from minkabs.quantum import (
     LatticeState,
     ModelConfig,
     apply_boost,
+    apply_poincare,
     apply_rotation,
     apply_translation,
     make_gaussian,
     rapidity_of,
     signed_permutation_of,
 )
+from minkabs.quantum.state import _apply_poincare_array
 
 U0 = normalize_velocity(vector(1, 0, 0, 0))
 E1 = vector(0, 1, 0, 0)
@@ -436,3 +445,34 @@ class TestVelocityKernel:
             sys.setswitchinterval(interval)
         for i, out in enumerate(results):
             assert np.array_equal(out.psi, expected[i % len(maps)])
+
+
+class TestActionWrappers:
+    def test_boost_of_lattice_symmetry_is_the_rotation(self, cfg):
+        s = white_state(cfg, 5)
+        symmetries = [
+            L for L in lattice_point_group(U0, cfg.basis) if not np.array_equal(L.matrix, np.eye(4))
+        ]
+        assert len(symmetries) == 47
+        for L in symmetries:
+            out, report = apply_boost(s, L, return_report=True)
+            assert np.array_equal(out.psi, apply_rotation(s, L).psi)
+            assert report.norm_drift == 0.0
+            assert report.rapidity == 0.0
+
+    @pytest.mark.parametrize("axis", [(1, 0, 0), (1, 1, 0)])
+    def test_boost_is_the_homogeneous_poincare_map(self, cfg, axis):
+        s = make_gaussian(cfg, width=seconds(1.0), mean_momentum=(0.5, 0.25, 0))
+        L = make_boost(U0, boosted(0.25, axis))
+        P = PoincareMap.from_homogeneous(L, cfg.origin)
+        out, report = apply_boost(s, L, return_report=True)
+        assert np.array_equal(out.psi, apply_poincare(s, P).psi)
+        _, drift = _apply_poincare_array(cfg, s.psi, P)
+        assert drift > 0.0
+        assert report.norm_drift == drift
+        assert report.rapidity == rapidity_of(cfg, L)
+
+    def test_rotation_rejects_velocity_change(self, cfg):
+        s = make_gaussian(cfg, width=seconds(1.0))
+        with pytest.raises(GeometryError, match="does not permute the lattice"):
+            apply_rotation(s, make_boost(U0, boosted(0.2)))
