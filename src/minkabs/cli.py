@@ -8,14 +8,14 @@ Subcommands::
 
 Configuration is a flat JSON object (all keys optional); command-line
 flags override file values.  ``build_model`` checks the whole config
-before any work starts: every value is a finite number, the three lists
-are non-empty, ``rapidity_sweep`` holds 0.0, ``delta_t_sweep`` entries
-are >= 0, and ``|rapidity|`` and every ``|rapidity_sweep|`` entry stay
-under the lattice's band-limit cap.  Reports are deterministic JSON on
-stdout (or ``--out``); ``demo-causality --csv`` emits the sweep table
-instead.  Exit codes: 0 all checks passed, 1 any check failed, 2 usage
-or configuration error.  The environment variable ``MINKABS_THREADS``
-caps internal trial fan-out.
+before any work starts: finite numbers, non-empty lists, 0.0 in
+``rapidity_sweep``, the bounds of ``MINIMUM`` (seeds and intervals >= 0,
+``states`` >= 1) and the band-limit cap on every rapidity; each quantum
+command then checks, geometry only, that its packets and inflated causal
+shadows fit the lattice box.  Reports are deterministic JSON on stdout
+(or ``--out``; ``--csv``: the demo-causality sweep table).  Exit codes:
+0 all checks passed, 1 a check failed, 2 usage or configuration error.
+``MINKABS_THREADS`` caps internal trial fan-out.
 """
 
 from __future__ import annotations
@@ -32,6 +32,7 @@ from .geometry import GeometryError, MeasureScalar, seconds
 from .groups import PoincareMap, make_boost, make_rotation
 from .quantum import ModelConfig, apply_boost, make_gaussian
 from .quantum import verify as V
+from .quantum.state import check_packet_width
 from .report import CheckResult, RunReport, sweep_csv
 from .suites import run_geometry_suite
 
@@ -49,6 +50,8 @@ DEFAULTS = {
     "rapidity_sweep": [0.0, 0.1, 0.2],
     "witness_rapidity": 0.5,
 }
+# lower bounds of the keys that have one (of each entry, for lists)
+MINIMUM = {"seed": 0, "states": 1, "convergence_seeds": 0, "delta_t_sweep": 0.0}
 
 
 class ConfigError(ValueError):
@@ -88,12 +91,13 @@ def build_model(config: dict) -> ModelConfig:
         value = config[key]
         if isinstance(default, list) and not (isinstance(value, list) and value):
             raise ConfigError(f"{key} must be a non-empty list")
-        if not all(map(_is_number, value if isinstance(default, list) else [value])):
+        values = value if isinstance(default, list) else [value]
+        if not all(map(_is_number, values)):
             raise ConfigError(f"{key} must hold finite numbers")
+        if min(values) < MINIMUM.get(key, -math.inf):
+            raise ConfigError(f"{key} must be >= {MINIMUM[key]}")
     if 0.0 not in config["rapidity_sweep"]:
         raise ConfigError("rapidity_sweep must include 0.0, the rest observer")
-    if min(config["delta_t_sweep"]) < 0.0:
-        raise ConfigError("delta_t_sweep entries must be >= 0")
     try:
         cfg = ModelConfig(
             N=int(config["N"]),
@@ -107,6 +111,18 @@ def build_model(config: dict) -> ModelConfig:
     if chi > cfg.chi_max:
         raise ConfigError(f"rapidity {chi} exceeds the band-limit cap {cfg.chi_max:.4f}")
     return cfg
+
+
+def _require_fit(cfg: ModelConfig, widths, trials=()) -> None:
+    """Reject, before any quantum work, a lattice box too small for the packet
+    ``widths`` or the inflated shadows of the ``(delta_t, u2, margin)`` trials."""
+    try:
+        for width in widths:
+            check_packet_width(cfg, width)
+        for dt, u2, margin in trials:
+            V.causal_shadow(cfg, delta_t=dt, u2=u2, margin=margin)
+    except GeometryError as exc:
+        raise ConfigError(f"{exc} (lattice box {cfg.box_length:g} s)") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -124,6 +140,7 @@ def cmd_verify_geometry(config: dict) -> RunReport:
 
 def cmd_verify_covariance(config: dict) -> RunReport:
     cfg = build_model(config)
+    _require_fit(cfg, (3.0 * cfg.spacing.value, 0.75, 1.0))  # default and witness packets
     seed = int(config["seed"])
     report = RunReport("verify-covariance", dict(config, **cfg.echo()))
 
@@ -242,78 +259,48 @@ def cmd_verify_covariance(config: dict) -> RunReport:
 
 def cmd_demo_causality(config: dict) -> RunReport:
     cfg = build_model(config)
+    a = cfg.spacing.value
+    # the observer of each sweep rapidity; None is the constructing one
+    observer = {c: V.boosted_velocity(float(c)) if c else None for c in config["rapidity_sweep"]}
+    sweep = [(float(dt), chi) for dt in config["delta_t_sweep"] for chi in config["rapidity_sweep"]]
+    margins = [(float(max(config["delta_t_sweep"])), None, m * a) for m in (0.2, 0.4)]
+    trials = [(dt, observer[chi], None) for dt, chi in [(0.0, 0.0), *sweep]]
+    _require_fit(cfg, (3.0 * a,), trials + margins)
     seed = int(config["seed"])
     report = RunReport("demo-causality", dict(config, **cfg.echo()))
     rows = []
 
-    t0 = time.perf_counter()
-    zero = V.causality_experiment(cfg, delta_t=0.0)
-    rows.append(
-        {
-            "delta_t_sec": 0.0,
-            "rapidity": 0.0,
-            "leakage": zero.leakage,
-            "N": cfg.N,
-        }
-    )
-    report.add(
-        CheckResult.make("leakage/zero-interval", zero.leakage, 1e-10, cfg.N, t0)
-    )
+    def leakage(dt, chi):
+        """Run one sweep experiment and append its row: (leakage, seconds)."""
+        t0 = time.perf_counter()
+        res = V.causality_experiment(cfg, delta_t=dt, u2=observer[chi])
+        rows.append({"delta_t_sec": dt, "rapidity": float(chi), "leakage": res.leakage, "N": cfg.N})
+        return res.leakage, time.perf_counter() - t0
 
-    min_rest = None
-    min_boosted = None
-    rest_s = boosted_s = 0.0  # sweep time of each check's experiments
-    for dt in config["delta_t_sweep"]:
-        for chi in config["rapidity_sweep"]:
-            t0 = time.perf_counter()
-            u2 = None if chi == 0.0 else V.boosted_velocity(float(chi))
-            res = V.causality_experiment(cfg, delta_t=float(dt), u2=u2)
-            rows.append(
-                {
-                    "delta_t_sec": float(dt),
-                    "rapidity": float(chi),
-                    "leakage": res.leakage,
-                    "N": cfg.N,
-                }
-            )
-            if chi == 0.0:
-                min_rest = res.leakage if min_rest is None else min(min_rest, res.leakage)
-                rest_s += time.perf_counter() - t0
-            else:
-                min_boosted = (
-                    res.leakage if min_boosted is None else min(min_boosted, res.leakage)
-                )
-                boosted_s += time.perf_counter() - t0
+    # each check's clock covers the experiments behind it
+    zero, spent = leakage(0.0, 0.0)
+    report.add(
+        CheckResult.make("leakage/zero-interval", zero, 1e-10, cfg.N, time.perf_counter() - spent)
+    )
+    runs_of = {"rest": [], "boosted": []}
+    for dt, chi in sweep:
+        runs_of["boosted" if chi else "rest"].append(leakage(dt, chi))
     report.tables["leakage_sweep"] = rows
-
-    # each check's clock covers the sweep experiments behind it
-    report.add(
-        CheckResult.make(
-            "leakage/strictly-positive",
-            min_rest,
-            1e-6,
-            cfg.N,
-            time.perf_counter() - rest_s,
-            below=False,
-        )
-    )
-    if min_boosted is not None:
-        report.add(
-            CheckResult.make(
-                "leakage/strictly-positive-boosted",
-                min_boosted,
-                1e-6,
-                cfg.N,
-                time.perf_counter() - boosted_s,
-                below=False,
+    for kind, runs in runs_of.items():
+        if runs:
+            report.add(
+                CheckResult.make(
+                    "leakage/strictly-positive" + ("-boosted" if kind == "boosted" else ""),
+                    min(value for value, _ in runs),
+                    1e-6,
+                    cfg.N,
+                    time.perf_counter() - sum(s for _, s in runs),
+                    below=False,
+                )
             )
-        )
 
-    a = cfg.spacing.value
     t0 = time.perf_counter()
-    dt_margin = float(max(config["delta_t_sweep"]))
-    m1 = V.causality_experiment(cfg, delta_t=dt_margin, margin=0.2 * a)
-    m2 = V.causality_experiment(cfg, delta_t=dt_margin, margin=0.4 * a)
+    m1, m2 = (V.causality_experiment(cfg, delta_t=dt, margin=m) for dt, _, m in margins)
     report.add(
         CheckResult.make(
             "leakage/margin-doubling-stable",

@@ -477,10 +477,6 @@ class Instant:
         """Deterministic orthonormal basis of the hyperplane's direction space."""
         return spatial_basis_for(self.observer)
 
-    def shifted(self, dt: MeasureScalar) -> "Instant":
-        """The observer's instant a duration later."""
-        return Instant(self.observer, self.anchor + self.observer * dt)
-
     def __repr__(self) -> str:
         return f"Instant(observer={self.observer!r}, anchor={self.anchor!r})"
 

@@ -94,9 +94,6 @@ class LorentzMap:
     def compose(self, other: "LorentzMap") -> "LorentzMap":
         return LorentzMap(self.matrix @ other.matrix, check=False)
 
-    def __matmul__(self, other: "LorentzMap") -> "LorentzMap":
-        return self.compose(other)
-
     def inverse(self) -> "LorentzMap":
         # metric-transpose inverse is exact for product-preserving maps,
         # but the numeric inverse tracks accumulated rounding better
@@ -309,9 +306,6 @@ class PoincareMap:
             self.linear.matrix @ other.translation._c + self.translation._c
         )
         return PoincareMap(lin, tr)
-
-    def __matmul__(self, other: "PoincareMap") -> "PoincareMap":
-        return self.compose(other)
 
     def inverse(self) -> "PoincareMap":
         inv = self.linear.inverse()

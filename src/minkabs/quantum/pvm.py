@@ -100,6 +100,14 @@ class NwPosition:
 # ---------------------------------------------------------------------------
 
 
+def _fitted_boxes(cfg: ModelConfig, region: Region, inflate: float = 0.0) -> list:
+    """Boxes grown by ``inflate``, refused when wider than the lattice box."""
+    boxes = [(lo - inflate, hi + inflate) for lo, hi in region.boxes]
+    if any(np.any(hi - lo > cfg.box_length + _SNAP * cfg.spacing.value) for lo, hi in boxes):
+        raise GeometryError("region box wider than the lattice box")
+    return boxes
+
+
 def rasterize(cfg: ModelConfig, region: Region, inflate: float = 0.0) -> np.ndarray:
     """Boolean cell mask of a region on the constructing position lattice.
 
@@ -123,11 +131,7 @@ def rasterize(cfg: ModelConfig, region: Region, inflate: float = 0.0) -> np.ndar
     L = cfg.box_length
     snap = _SNAP * cfg.spacing.value
     mask = np.zeros((cfg.N,) * 3, dtype=bool)
-    for lo, hi in region.boxes:
-        lo = lo - inflate
-        hi = hi + inflate
-        if np.any(hi - lo > L + snap):
-            raise GeometryError("region box wider than the lattice box")
+    for lo, hi in _fitted_boxes(cfg, region, inflate):
         box_mask = None
         for m in range(3):
             c = off[m] + x1 * mat[0, m] + x2 * mat[1, m] + x3 * mat[2, m]
@@ -177,19 +181,29 @@ def _pullback_region(cfg: ModelConfig, P: PoincareMap, region: Region) -> Region
     )
 
 
+def _conjugate_mask(cfg: ModelConfig, states: np.ndarray, chain, mask: np.ndarray):
+    """Apply U M U^-1 to raw amplitudes, M the position-space multiplier
+    ``mask`` (any real field that broadcasts against the amplitudes) and U
+    representing the composite of ``chain`` in application order (first
+    element acts on spacetime first)."""
+    arr = states
+    for P in reversed(chain):
+        arr, _ = represent_array(cfg, arr, P.inverse())
+    arr = _to_momentum(_to_position(arr) * mask)
+    for P in chain:
+        arr, _ = represent_array(cfg, arr, P)
+    return arr
+
+
 def _project_raw(
     handle: PvmHandle, region: Region, psi: np.ndarray, cfg: ModelConfig
 ) -> np.ndarray:
     if handle.is_constructing(cfg):
-        mask = rasterize(cfg, region)
-        return _to_momentum(_to_position(psi) * mask)
+        return _conjugate_mask(cfg, psi, [], rasterize(cfg, region))
     carry = canonical_map(cfg, handle.observer, handle.instant)
-    pulled = _pullback_region(cfg, carry, region)
-    mask = rasterize(cfg, pulled)
-    back, _ = represent_array(cfg, psi, carry.inverse())
-    projected = _to_momentum(_to_position(back) * mask)
-    forward, _ = represent_array(cfg, projected, carry)
-    return forward
+    return _conjugate_mask(
+        cfg, psi, [carry], rasterize(cfg, _pullback_region(cfg, carry, region))
+    )
 
 
 def pvm_project(handle: PvmHandle, region: Region, state: LatticeState) -> LatticeState:
@@ -212,9 +226,7 @@ def localization_probability(
 ) -> float:
     """Squared norm of the projected state; in [0, 1] for unit states
     and monotone in the region."""
-    if not region.instant == handle.instant:
-        raise GeometryError("region does not sit on the handle instant")
-    raw = _project_raw(handle, region, state.psi, state.cfg)
+    raw = pvm_project(handle, region, state).psi
     return float(np.real(np.vdot(raw, raw)))
 
 
@@ -267,7 +279,7 @@ class NwComponentStats:
 
 def _stats_weights(w: NwPosition, state: LatticeState):
     cfg = state.cfg
-    if w.observer.approx_eq(cfg.observer) and w.instant == cfg.instant:
+    if w.pvm().is_constructing(cfg):
         return state.position_probability(), position_multipliers(cfg, w.origin), None
     carry = canonical_map(cfg, w.observer, w.instant)
     back, _ = represent_array(cfg, state.psi, carry.inverse())

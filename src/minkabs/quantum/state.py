@@ -406,6 +406,14 @@ def _apply_poincare_array(
 # ---------------------------------------------------------------------------
 
 
+def check_packet_width(cfg: ModelConfig, width: float) -> None:
+    """The width rule of ``make_gaussian``: three spacings to a quarter box."""
+    if width < 3.0 * cfg.spacing.value:
+        raise GeometryError("width must be at least three lattice spacings")
+    if width > 0.25 * cfg.box_length:
+        raise GeometryError("packet too wide for the lattice box")
+
+
 def make_gaussian(
     cfg: ModelConfig,
     center: SpacetimePoint | None = None,
@@ -426,8 +434,7 @@ def make_gaussian(
         width = cfg.spacing * 3.0
     if not isinstance(width, MeasureScalar) or width.dim != 1:
         raise GeometryError("width must carry sec^1")
-    if width.value < 3.0 * cfg.spacing.value:
-        raise GeometryError("width must be at least three lattice spacings")
+    check_packet_width(cfg, width.value)
     if any(isinstance(m, MeasureScalar) and m.dim != -1 for m in mean_momentum):
         raise GeometryError("mean momentum must carry sec^-1")
     kbar = np.array(
@@ -437,8 +444,6 @@ def make_gaussian(
         raise GeometryError("band limit violated: mean momentum beyond half cutoff")
     if not cfg.instant.contains(center):
         raise GeometryError("packet center must lie on the constructing instant")
-    if width.value > 0.25 * cfg.box_length:
-        raise GeometryError("packet too wide for the lattice box")
     disp = center - cfg.origin
     c = np.array([lorentz_product(b, disp).value for b in cfg.basis])
     half = 0.5 * cfg.box_length

@@ -50,6 +50,8 @@ from .config import ModelConfig
 from .pvm import (
     NwPosition,
     PvmHandle,
+    _conjugate_mask,
+    _fitted_boxes,
     canonical_map,
     localization_probability,
     nw_component_stats,
@@ -85,6 +87,7 @@ __all__ = [
     "own_time_variance",
     "time_variance_witness",
     "time_variance_dichotomy",
+    "causal_shadow",
     "causality_experiment",
     "commutator_witness",
     "handle_covariance_residual",
@@ -188,20 +191,8 @@ def stabilizer_elements(cfg: ModelConfig, rng: np.random.Generator, translations
     return elements
 
 
-def _conjugate_mask(cfg: ModelConfig, states: np.ndarray, chain, mask: np.ndarray):
-    """Apply U P(mask) U^-1 with U representing the composite of ``chain``
-    in application order (first element acts on spacetime first)."""
-    arr = states
-    for P in reversed(chain):
-        arr, _ = represent_array(cfg, arr, P.inverse())
-    arr = _to_momentum(_to_position(arr) * mask)
-    for P in chain:
-        arr, _ = represent_array(cfg, arr, P)
-    return arr
-
-
 def _batch_max_norm(diff: np.ndarray) -> float:
-    flat = diff.reshape(diff.shape[0], -1) if diff.ndim == 4 else diff.reshape(1, -1)
+    flat = diff.reshape(diff.shape[0], -1) if diff.ndim > 3 else diff.reshape(1, -1)
     return float(np.max(np.linalg.norm(flat, axis=1)))
 
 
@@ -268,9 +259,8 @@ def label_change_residual(
     if not L.is_orthochronous():
         raise GeometryError("covariance drivers take orthochronous maps")
     carried_region = L.transform_region(region)
-    u2 = L.linear.transform_velocity(cfg.observer)
-    t2 = Instant(u2, L(cfg.instant.anchor))
-    handle = PvmHandle(u2, t2)
+    t2 = L.transform_instant(cfg.instant)
+    handle = PvmHandle(t2.observer, t2)
     lhs = _conjugate_mask(cfg, states, [L], rasterize(cfg, region))
     rhs = np.empty_like(states)
     batch = states.reshape(-1, cfg.N, cfg.N, cfg.N)
@@ -355,12 +345,6 @@ def boost_convergence_rows(
 # ---------------------------------------------------------------------------
 
 
-def _family_fields(cfg: ModelConfig, states: np.ndarray, mult: np.ndarray) -> np.ndarray:
-    """Multiplier fields applied in position space: (B, 4, N, N, N)."""
-    pos = _to_position(states)
-    return _to_momentum(pos[:, None, ...] * mult[None, ...])
-
-
 def _family_residual(
     cfg: ModelConfig,
     S: PoincareMap,
@@ -376,14 +360,9 @@ def _family_residual(
     max over the batch.
     """
     batch = states if states.ndim == 4 else states[None]
-    arr, _ = represent_array(cfg, batch, S.inverse())
-    lhs = _family_fields(cfg, arr, mult)
-    moved = np.empty_like(lhs)
-    for mu in range(4):
-        moved[:, mu], _ = represent_array(cfg, lhs[:, mu], S)
-    rhs = np.einsum("mn,bn...->bm...", mix, _family_fields(cfg, batch, rhs_mult))
-    flat = (moved - rhs).reshape(batch.shape[0], -1)
-    return float(np.max(np.linalg.norm(flat, axis=1)))
+    moved = _conjugate_mask(cfg, batch[:, None], [S], mult)
+    rhs = np.einsum("mn,bn...->bm...", mix, _conjugate_mask(cfg, batch[:, None], [], rhs_mult))
+    return _batch_max_norm(moved - rhs)
 
 
 def position_family_stabilizer_residual(
@@ -488,6 +467,30 @@ class CausalityResult:
     margin: float
 
 
+def causal_shadow(cfg: ModelConfig, region=None, delta_t=2.0, u2=None, margin=None):
+    """The geometry of one trial of ``causality_experiment``, with its defaults:
+    region, margin, the carry to the later labels, the causal shadow pulled
+    back to the constructing instant and its inflation.  No transform and
+    no rasterization; raises ``GeometryError`` where ``rasterize`` would."""
+    if delta_t < 0.0:
+        raise GeometryError("the later instant must not precede the region")
+    a = cfg.spacing.value
+    if region is None:
+        region = cell_region(cfg, (-2, -2, -2), (1, 1, 1))
+    if margin is None:
+        margin = 0.2 * a
+    observer2 = cfg.observer if u2 is None else u2
+    t2 = Instant(observer2, cfg.origin + cfg.observer * seconds(delta_t))
+    shadow = grow_region_causally(region, t2)
+    carry = canonical_map(cfg, observer2, t2)
+    from .pvm import _pullback_region
+
+    pulled = _pullback_region(cfg, carry, shadow)
+    inflate = 0.5 * a * (1.0 + 1e-9) + margin
+    _fitted_boxes(cfg, pulled, inflate)
+    return region, margin, carry, pulled, inflate
+
+
 def causality_experiment(
     cfg: ModelConfig,
     region: Region | None = None,
@@ -506,16 +509,9 @@ def causality_experiment(
     be under-reported.  Any strictly positive leakage exhibits
     superluminal spreading of this localization notion.
     """
-    if delta_t < 0.0:
-        raise GeometryError("the later instant must not precede the region")
-    a = cfg.spacing.value
-    if region is None:
-        region = cell_region(cfg, (-2, -2, -2), (1, 1, 1))
-    if margin is None:
-        margin = 0.2 * a
+    region, margin, carry, pulled, inflate = causal_shadow(cfg, region, delta_t, u2, margin)
     if width is None:
-        width = 3.0 * a
-    observer2 = cfg.observer if u2 is None else u2
+        width = 3.0 * cfg.spacing.value
     chi = (
         0.0
         if u2 is None
@@ -531,13 +527,6 @@ def causality_experiment(
     phi = pvm_project(handle0, region, packet).normalized()
     localized = localization_probability(handle0, region, phi)
 
-    t2 = Instant(observer2, cfg.origin + cfg.observer * seconds(delta_t))
-    shadow = grow_region_causally(region, t2)
-    carry = canonical_map(cfg, observer2, t2)
-    from .pvm import _pullback_region
-
-    pulled = _pullback_region(cfg, carry, shadow)
-    inflate = 0.5 * a * (1.0 + 1e-9) + margin
     mask = rasterize(cfg, pulled, inflate=inflate)
     arr, _ = represent_array(cfg, phi.psi, carry.inverse())
     inside = float(np.sum((np.abs(_to_position(arr)) ** 2) * mask))
@@ -615,9 +604,8 @@ def handle_covariance_residual(
     states: np.ndarray,
 ) -> float:
     """Conjugation-vs-carried-labels residual through arbitrary handles."""
-    carried_handle = PvmHandle(
-        S.linear.transform_velocity(handle.observer), S.transform_instant(handle.instant)
-    )
+    t2 = S.transform_instant(handle.instant)
+    carried_handle = PvmHandle(t2.observer, t2)
     carried_region = S.transform_region(region)
     worst = 0.0
     for one in states.reshape(-1, cfg.N, cfg.N, cfg.N):
@@ -656,10 +644,8 @@ def _probe_bundle(
     moved_states, _ = represent_array(cfg, states, ident)
     region = cell_region(cfg, (-3, -2, -4), (2, 3, 1))
     moved_region = ident.transform_region(region)
-    handle = PvmHandle(
-        ident.linear.transform_velocity(cfg.observer),
-        ident.transform_instant(cfg.instant),
-    )
+    t1 = ident.transform_instant(cfg.instant)
+    handle = PvmHandle(t1.observer, t1)
     out: dict[str, float] = {}
     for i in range(3):
         out[f"localization-{i}"] = localization_probability(

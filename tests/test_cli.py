@@ -159,6 +159,14 @@ class TestConfigValidation:
             ("demo-causality", {"rapidity_sweep": [0.0, 0.5]}),
             ("verify-covariance", {"convergence_seeds": []}),
             ("verify-covariance", {"rapidity": 0.5}),
+            ("verify-geometry", {"seed": -1}),
+            ("verify-covariance", {"convergence_seeds": [-1]}),
+            ("verify-covariance", {"states": 0}),
+            ("verify-covariance", {"N": 8}),
+            ("demo-causality", {"N": 8}),
+            ("demo-causality", {}),
+            ("verify-covariance", {"spacing_sec": 0.3}),
+            ("demo-causality", {"delta_t_sweep": [0.0]}),
         ],
         ids=[
             "non-numeric",
@@ -169,6 +177,14 @@ class TestConfigValidation:
             "sweep-over-cap",
             "empty-convergence-seeds",
             "rapidity-over-cap",
+            "negative-seed",
+            "negative-convergence-seed",
+            "zero-states",
+            "covariance-packet-wider-than-box",
+            "causality-packet-wider-than-box",
+            "causality-shadow-wider-than-box",
+            "witness-packet-under-three-spacings",
+            "boosted-instant-not-in-the-future",
         ],
     )
     def test_rejected_with_exit_2(self, tmp_path, capsys, command, extra):

@@ -13,7 +13,7 @@ from minkabs.geometry import (
     seconds,
     vector,
 )
-from minkabs.groups import Region
+from minkabs.groups import PoincareMap, Region, make_boost, make_rotation
 from minkabs.quantum import (
     ModelConfig,
     NwPosition,
@@ -26,7 +26,9 @@ from minkabs.quantum import (
     pvm_project,
     rasterize,
 )
+from minkabs.quantum.pvm import _conjugate_mask, position_multipliers
 from minkabs.quantum.state import LatticeState
+from minkabs.quantum.verify import boosted_velocity
 
 U0 = normalize_velocity(vector(1, 0, 0, 0))
 ORIGIN = fiducial_origin()
@@ -215,3 +217,25 @@ class TestPositionFamily:
         stats = nw_component_stats(w, U0, s)
         for v in stats.space_variances:
             assert abs(v.value - width**2) <= 0.1 * width**2
+
+
+class TestConjugateMask:
+    # one batched call over the four multiplier fields must equal the
+    # four single-field calls bit for bit, on the exact (lattice symmetry
+    # plus a lattice step) path and on the exact axis-boost path
+    @pytest.mark.parametrize("kind", ["lattice-symmetry", "axis-boost"])
+    def test_field_stack_equals_single_fields(self, cfg, kind):
+        if kind == "lattice-symmetry":
+            a = cfg.spacing.value
+            step = PoincareMap.from_translation(2 * a * cfg.basis[0] - a * cfg.basis[2])
+            R = make_rotation(cfg.observer, cfg.basis[2], np.pi / 2)
+            S = step.compose(PoincareMap.from_homogeneous(R, cfg.origin))
+        else:
+            boost = make_boost(cfg.observer, boosted_velocity(0.25))
+            S = PoincareMap.from_homogeneous(boost, cfg.origin)
+        states = np.stack([random_state(cfg, seed).psi for seed in (3, 4)])
+        mult = position_multipliers(cfg, cfg.origin)
+        batched = _conjugate_mask(cfg, states[:, None], [S], mult)
+        single = [_conjugate_mask(cfg, states, [S], mult[mu]) for mu in range(4)]
+        assert batched.shape == (2, 4) + (cfg.N,) * 3
+        assert np.array_equal(batched, np.stack(single, axis=1))
