@@ -2,7 +2,8 @@
 
 Amplitudes live on the periodic momentum lattice of a
 :class:`~minkabs.quantum.config.ModelConfig`; their unitary discrete
-Fourier transform gives amplitudes on the dual position lattice of the
+Fourier transform (one ``scipy.fft`` pair, ``_to_position`` and
+``_to_momentum``) gives amplitudes on the dual position lattice of the
 constructing instant (kernel ``exp(+i k.x)``, so a packet built with
 mean momentum ``k`` drifts along ``+k`` under time evolution).
 
@@ -21,7 +22,8 @@ Three flavors of spacetime action are implemented:
   the three labels stay on their lattice points (a velocity change
   along a lattice axis) the interpolant is summed exactly: a 1-D
   transform along the moving axis, then a Horner sum.  Every other
-  direction uses pad-oversampled quintic spline interpolation.  Neither
+  direction uses pad-oversampled quintic spline interpolation
+  (``scipy.ndimage``, imported on the first such boost).  Neither
   path is exactly unitary; the norm drift is reported and the result
   rescaled to the input norm.  The state-independent part of each
   velocity change (labels, weight, interpolation nodes) is cached per
@@ -39,7 +41,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy import ndimage
+import scipy.fft
 
 from ..geometry import (
     GeometryError,
@@ -123,11 +125,11 @@ class BoostReport:
 
 
 def _to_position(arr: np.ndarray) -> np.ndarray:
-    return np.fft.ifftn(arr, axes=(-3, -2, -1), norm="ortho")
+    return scipy.fft.ifftn(arr, axes=(-3, -2, -1), norm="ortho")
 
 
 def _to_momentum(arr: np.ndarray) -> np.ndarray:
-    return np.fft.fftn(arr, axes=(-3, -2, -1), norm="ortho")
+    return scipy.fft.fftn(arr, axes=(-3, -2, -1), norm="ortho")
 
 
 def _translation_phase(cfg: ModelConfig, v: SpacetimeVector) -> np.ndarray:
@@ -190,10 +192,7 @@ def _perm_flat_indices(cfg: ModelConfig, r3: np.ndarray) -> np.ndarray:
 
 
 def _apply_perm(arr: np.ndarray, flat_idx: np.ndarray) -> np.ndarray:
-    shape = arr.shape
-    n3 = flat_idx.size
-    out = arr.reshape(-1, n3)[:, flat_idx]
-    return out.reshape(shape)
+    return np.take(arr.reshape(-1, flat_idx.size), flat_idx, axis=1).reshape(arr.shape)
 
 
 def rapidity_of(cfg: ModelConfig, L: LorentzMap) -> float:
@@ -294,6 +293,7 @@ def _exact_pullback(arr: np.ndarray, plan: _PullbackPlan) -> np.ndarray:
     """Trigonometric interpolant at labels that leave the lattice along
     one axis only: a 1-D transform along that axis, then a Horner sum in
     ``z`` over the signed positions."""
+    # numpy.fft, not scipy.fft: scipy rounds differently and moves the pinned kernel error
     part = np.fft.ifft(arr, axis=plan.axis, norm="ortho")
     coef = np.fft.fftshift(np.moveaxis(part, plan.axis, 0), axes=0)
     z = plan.nodes
@@ -310,6 +310,8 @@ def _spline_pullback(
 ) -> np.ndarray:
     """Trigonometric interpolant at general labels: quintic spline on the
     pad-refined grid."""
+    from scipy import ndimage  # loaded by off-axis velocity changes only
+
     n, pad = cfg.N, cfg.pad
     npad = n * pad
     pos = _to_position(arr)
@@ -319,7 +321,7 @@ def _spline_pullback(
         padded = np.zeros((npad, npad, npad), dtype=complex)
         ix = np.mod(cfg.signed_index, npad)
         padded[np.ix_(ix, ix, ix)] = pos
-        fine = np.fft.fftn(padded, norm="ortho") * pad**1.5
+        fine = _to_momentum(padded) * pad**1.5
     interp_re = ndimage.map_coordinates(
         fine.real, plan.nodes, order=5, mode="grid-wrap", prefilter=True
     )

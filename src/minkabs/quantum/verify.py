@@ -197,13 +197,17 @@ def _batch_max_norm(diff: np.ndarray) -> float:
 
 
 def stabilizer_covariance_residual(
-    cfg: ModelConfig, S: PoincareMap, region: Region, states: np.ndarray
+    cfg: ModelConfig, S: PoincareMap, region: Region, states: np.ndarray,
+    *, mask: np.ndarray | None = None, position: np.ndarray | None = None,
 ) -> float:
-    """Max residual of conjugation-vs-carried-region on the given states."""
-    lhs = _conjugate_mask(cfg, states, [S], rasterize(cfg, region))
-    carried = S.transform_region(region)
-    rhs = _to_momentum(_to_position(states) * rasterize(cfg, carried))
-    return _batch_max_norm(lhs - rhs)
+    """Max residual of conjugation-vs-carried-region on the given states; a
+    caller looping over elements may pass ``rasterize(cfg, region)`` as
+    ``mask`` and ``_to_position(states)`` as ``position``, computed once."""
+    mask = rasterize(cfg, region) if mask is None else mask
+    position = _to_position(states) if position is None else position
+    lhs = _conjugate_mask(cfg, states, [S], mask)
+    lhs -= _to_momentum(position * rasterize(cfg, S.transform_region(region)))
+    return _batch_max_norm(lhs)
 
 
 def run_stabilizer_suite(
@@ -223,11 +227,12 @@ def run_stabilizer_suite(
     )
     elements = stabilizer_elements(cfg, rng, translations)
     cap = workers if workers is not None else worker_cap()
+    mask, position = rasterize(cfg, region), _to_position(states)
 
     def job(item):
         idx, (name, S) = item
         t0 = time.perf_counter()
-        res = stabilizer_covariance_residual(cfg, S, region, states)
+        res = stabilizer_covariance_residual(cfg, S, region, states, mask=mask, position=position)
         return idx, CheckResult.make(
             f"stabilizer-covariance/{name}", res, tolerance, cfg.N, t0, states=n_states
         )

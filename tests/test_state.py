@@ -1,12 +1,18 @@
 """Lattice states and the unitary spacetime actions."""
 
 import math
+import os
+import subprocess
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import minkabs
 from minkabs.geometry import (
     GeometryError,
     MeasureScalar,
@@ -35,7 +41,12 @@ from minkabs.quantum import (
     rapidity_of,
     signed_permutation_of,
 )
-from minkabs.quantum.state import _apply_poincare_array
+from minkabs.quantum.state import (
+    _apply_perm,
+    _apply_poincare_array,
+    _perm_flat_indices,
+    represent_array,
+)
 
 U0 = normalize_velocity(vector(1, 0, 0, 0))
 E1 = vector(0, 1, 0, 0)
@@ -296,6 +307,18 @@ class TestRotation:
         expected = s.psi[src[..., 0], src[..., 1], src[..., 2]]
         assert np.array_equal(out.psi, expected)
 
+    def test_take_matches_fancy_index_gather(self, cfg):
+        rng = np.random.default_rng(11)
+        batch = rng.normal(size=(3, cfg.N, cfg.N, cfg.N)) + 1j * rng.normal(
+            size=(3, cfg.N, cfg.N, cfg.N)
+        )
+        group = lattice_point_group(U0, cfg.basis)
+        assert len(group) == 48
+        for L in group:
+            idx = _perm_flat_indices(cfg, signed_permutation_of(cfg, L))
+            gathered = batch.reshape(-1, idx.size)[:, idx].reshape(batch.shape)
+            assert np.array_equal(_apply_perm(batch, idx), gathered)
+
     def test_reflection_is_exact_involution(self, cfg):
         s = make_gaussian(
             cfg,
@@ -476,3 +499,72 @@ class TestActionWrappers:
         s = make_gaussian(cfg, width=seconds(1.0))
         with pytest.raises(GeometryError, match="does not permute the lattice"):
             apply_rotation(s, make_boost(U0, boosted(0.2)))
+
+
+def test_hypothesis_exact_path_unitarity(cfg):
+    # point-group element x lattice step x time step on white states:
+    # the exact path keeps every norm and its inverse restores the input
+    group = lattice_point_group(U0, cfg.basis)
+    a = cfg.spacing.value
+    step = st.integers(-cfg.N // 2, cfg.N // 2)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(0, len(group) - 1),
+        st.tuples(step, step, step),
+        st.floats(-4.0, 4.0, allow_nan=False),
+        st.integers(0, 2**32 - 1),
+    )
+    def run(g, steps, dt, seed):
+        rng = np.random.default_rng(seed)
+        shape = (2, cfg.N, cfg.N, cfg.N)
+        arr = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        arr /= np.linalg.norm(arr.reshape(2, -1), axis=1)[:, None, None, None]
+        shift = dt * cfg.observer.as_vector() + sum(
+            s * a * b for s, b in zip(steps, cfg.basis)
+        )
+        P = PoincareMap.from_translation(shift).compose(
+            PoincareMap.from_homogeneous(group[g], cfg.origin)
+        )
+        out, drift = represent_array(cfg, arr, P)
+        assert drift == 0.0
+        norms = np.linalg.norm(out.reshape(2, -1), axis=1)
+        assert np.max(np.abs(norms - 1.0)) <= 1e-13
+        back, _ = represent_array(cfg, out, P.inverse())
+        assert np.max(np.linalg.norm((back - arr).reshape(2, -1), axis=1)) <= 1e-13
+
+    run()
+
+
+def test_cli_import_leaves_ndimage_to_off_axis_boosts():
+    # a fresh interpreter: the spline path imports scipy.ndimage itself
+    script = """
+import math
+import sys
+import minkabs.cli
+from minkabs.geometry import normalize_velocity, seconds, vector
+from minkabs.groups import make_boost
+from minkabs.quantum import ModelConfig, apply_boost, make_gaussian
+
+assert "scipy.ndimage" not in sys.modules
+cfg = ModelConfig(N=16)
+s = make_gaussian(cfg, width=seconds(1.0))
+import scipy.ndimage as ndimage
+calls = []
+original = ndimage.map_coordinates
+def counting(*args, **kwargs):
+    calls.append(1)
+    return original(*args, **kwargs)
+ndimage.map_coordinates = counting
+side = math.sinh(0.25) / math.sqrt(2)  # rapidity 0.25 along (1,1,0)
+u = normalize_velocity(vector(math.cosh(0.25), side, side, 0))
+out = apply_boost(s, make_boost(cfg.observer, u))
+assert calls, "off-axis boost did not interpolate"
+assert abs(out.norm() - 1.0) <= 1e-12
+"""
+    src = Path(minkabs.__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr

@@ -42,6 +42,21 @@ class TestStabilizerCovariance:
         assert all(r.passed for r in results)
         assert max(r.residual for r in results) <= 1e-10
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_suite_matches_standalone_residuals(self, cfg, workers):
+        # the suite's hoisted mask and position amplitudes change no bit
+        results = V.run_stabilizer_suite(
+            cfg, n_states=4, seed=3, translations=2, workers=workers
+        )
+        rng = np.random.default_rng(3)
+        states = V.random_states(cfg, rng, 4)
+        region = V.cell_region(cfg, (-2, -1, -2), (2, 1, 1))
+        elements = V.stabilizer_elements(cfg, rng, 2)
+        expected = [
+            V.stabilizer_covariance_residual(cfg, S, region, states) for _, S in elements
+        ]
+        assert [r.residual for r in results] == expected
+
     def test_threaded_run_matches_serial(self, cfg):
         serial = V.run_stabilizer_suite(cfg, n_states=4, seed=9, translations=1)
         threaded = V.run_stabilizer_suite(
