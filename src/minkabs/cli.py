@@ -142,6 +142,8 @@ def cmd_verify_covariance(config: dict) -> RunReport:
     cfg = build_model(config)
     _require_fit(cfg, (3.0 * cfg.spacing.value, 0.75, 1.0))  # default and witness packets
     seed = int(config["seed"])
+    chi = float(config["rapidity"])
+    witness_chi = float(config["witness_rapidity"])
     report = RunReport("verify-covariance", dict(config, **cfg.echo()))
 
     for check in V.run_stabilizer_suite(
@@ -155,14 +157,7 @@ def cmd_verify_covariance(config: dict) -> RunReport:
     rng = np.random.default_rng(seed)
     white = V.random_states(cfg, rng, min(8, int(config["states"])))
     region = V.cell_region(cfg, (-3, -2, -4), (2, 3, 1))
-
-    t0 = time.perf_counter()
     step = PoincareMap.from_translation(cfg.observer * seconds(0.7))
-    res = V.label_change_residual(cfg, step, region, white[:3])
-    report.add(
-        CheckResult.make("observer-step-label-change", res, 1e-10, cfg.N, t0)
-    )
-
     a = cfg.spacing.value
     rot = PoincareMap.from_homogeneous(
         make_rotation(cfg.observer, cfg.basis[2], np.pi / 2), cfg.origin
@@ -170,90 +165,70 @@ def cmd_verify_covariance(config: dict) -> RunReport:
     shift = PoincareMap.from_translation(
         2 * a * cfg.basis[0] - 3 * a * cfg.basis[1] + a * cfg.basis[2]
     )
-    for name, S in (
-        ("rotation", rot),
-        ("shift", shift),
-        ("composite", shift.compose(rot)),
+
+    def roundtrip_drift():
+        b = make_boost(cfg.observer, V.boosted_velocity(chi))
+        packet = make_gaussian(cfg, width=cfg.spacing * 3.0)
+        _, boost_report = apply_boost(packet, b, return_report=True)
+        return boost_report.norm_drift, {
+            "rapidity": chi,
+            "rapidity_cap": boost_report.rapidity_cap,
+        }
+
+    def convergence():
+        rows = V.boost_convergence_rows(
+            cfg,
+            chi=chi,
+            seeds=tuple(int(s) for s in config["convergence_seeds"]),
+            n_states=2,
+            refinements=1,
+        )
+        report.tables["boost_convergence"] = rows
+        ratios = [r["ratio_to_previous"] for r in rows if r["ratio_to_previous"]]
+        return max(ratios), {"seeds": len(ratios)}
+
+    n = cfg.N
+    report.check(
+        "observer-step-label-change",
+        1e-10,
+        n,
+        lambda: V.label_change_residual(cfg, step, region, white[:3]),
+    )
+    for name, S in (("rotation", rot), ("shift", shift), ("composite", shift.compose(rot))):
+        report.check(
+            f"position-family/{name}",
+            1e-10,
+            n,
+            lambda: V.position_family_stabilizer_residual(cfg, S, white[:4]),
+        )
+    report.check(
+        "fixed-label-not-a-vector", 0.1, n, lambda: V.fixed_label_boost_witness(cfg, chi), False
+    )
+    for name, u2, tolerance, below in (
+        ("own-observer", cfg.observer, 1e-10, True),
+        ("tilted-witness", V.boosted_velocity(witness_chi), 0.05, False),
     ):
-        t0 = time.perf_counter()
-        res = V.position_family_stabilizer_residual(cfg, S, white[:4])
-        report.add(
-            CheckResult.make(f"position-family/{name}", res, 1e-10, cfg.N, t0)
+        report.check(
+            f"space-component/{name}",
+            tolerance,
+            n,
+            lambda: V.space_component_residual(cfg, u2, rot, white[:4]),
+            below,
         )
-
-    chi = float(config["rapidity"])
-    t0 = time.perf_counter()
-    witness = V.fixed_label_boost_witness(cfg, chi=chi)
-    report.add(
-        CheckResult.make(
-            "fixed-label-not-a-vector", witness, 0.1, cfg.N, t0, below=False
-        )
+    report.check("time-variance/own-observer", 0.0, n, lambda: V.own_time_variance(cfg, 100, seed))
+    report.check(
+        "time-variance/tilted-witness",
+        0.01,
+        n,
+        lambda: V.time_variance_witness(cfg, witness_chi),
+        False,
     )
-
-    t0 = time.perf_counter()
-    own = V.space_component_residual(cfg, cfg.observer, rot, white[:4])
-    report.add(CheckResult.make("space-component/own-observer", own, 1e-10, cfg.N, t0))
-    t0 = time.perf_counter()
-    tilted = V.space_component_residual(
-        cfg, V.boosted_velocity(float(config["witness_rapidity"])), rot, white[:4]
-    )
-    report.add(
-        CheckResult.make(
-            "space-component/tilted-witness", tilted, 0.05, cfg.N, t0, below=False
-        )
-    )
-
-    t0 = time.perf_counter()
-    worst_var = V.own_time_variance(cfg, n_states=100, seed=seed)
-    report.add(CheckResult.make("time-variance/own-observer", worst_var, 0.0, cfg.N, t0))
-    t0 = time.perf_counter()
-    witness_var = V.time_variance_witness(
-        cfg, witness_chi=float(config["witness_rapidity"])
-    )
-    report.add(
-        CheckResult.make(
-            "time-variance/tilted-witness", witness_var, 0.01, cfg.N, t0, below=False
-        )
-    )
-
-    t0 = time.perf_counter()
-    b = make_boost(cfg.observer, V.boosted_velocity(chi))
-    packet = make_gaussian(cfg, width=cfg.spacing * 3.0)
-    _, boost_report = apply_boost(packet, b, return_report=True)
     # measured drift of the default packet at quarter rapidity, frozen
     # with headroom; small boxes are wrap-tail dominated
-    drift_bounds = {8: 5e-1, 16: 5e-2, 32: 5e-4}
-    report.add(
-        CheckResult.make(
-            "velocity-roundtrip-drift",
-            boost_report.norm_drift,
-            drift_bounds.get(cfg.N, 1e-6),
-            cfg.N,
-            t0,
-            rapidity=chi,
-            rapidity_cap=boost_report.rapidity_cap,
-        )
-    )
-
-    t0 = time.perf_counter()
-    eq = V.equivariance_residual(cfg, seed=seed)
-    report.add(CheckResult.make("global-equivariance", eq, 1e-10, cfg.N, t0))
-
-    t0 = time.perf_counter()
-    rows = V.boost_convergence_rows(
-        cfg,
-        chi=chi,
-        seeds=tuple(int(s) for s in config["convergence_seeds"]),
-        n_states=2,
-        refinements=1,
-    )
-    report.tables["boost_convergence"] = rows
-    ratios = [r["ratio_to_previous"] for r in rows if r["ratio_to_previous"]]
-    report.add(
-        CheckResult.make(
-            "factorization-convergence-ratio", max(ratios), 0.6, cfg.N, t0, seeds=len(ratios)
-        )
-    )
+    drift_bound = {8: 5e-1, 16: 5e-2, 32: 5e-4}.get(n, 1e-6)
+    report.check("velocity-roundtrip-drift", drift_bound, n, roundtrip_drift)
+    report.check("global-equivariance", 1e-10, n, lambda: V.equivariance_residual(cfg, seed))
+    report.check("factorization-convergence-ratio", 0.6, n, convergence)
     return report
 
 
@@ -299,34 +274,26 @@ def cmd_demo_causality(config: dict) -> RunReport:
                 )
             )
 
-    t0 = time.perf_counter()
-    m1, m2 = (V.causality_experiment(cfg, delta_t=dt, margin=m) for dt, _, m in margins)
-    report.add(
-        CheckResult.make(
-            "leakage/margin-doubling-stable",
-            abs(m1.leakage - m2.leakage),
-            1e-10,
-            cfg.N,
-            t0,
-        )
-    )
+    def margin_change():
+        m1, m2 = (V.causality_experiment(cfg, delta_t=dt, margin=m) for dt, _, m in margins)
+        return abs(m1.leakage - m2.leakage)
 
-    t0 = time.perf_counter()
-    witness = V.commutator_witness(cfg, seed=seed, starts=3, iterations=10)
-    report.add(
-        CheckResult.make(
-            "commutator/cross-instant-witness", witness, 1e-4, cfg.N, t0, below=False
+    def same_instant():
+        reg_a = V.cell_region(cfg, (-5, -2, -2), (-2, 1, 1))
+        reg_b = V.cell_region(cfg, (2, -2, -2), (5, 1, 1))
+        return V.commutator_witness(
+            cfg, region_a=reg_a, region_b=reg_b, seed=seed, starts=1, iterations=4
         )
+
+    report.check("leakage/margin-doubling-stable", 1e-10, cfg.N, margin_change)
+    report.check(
+        "commutator/cross-instant-witness",
+        1e-4,
+        cfg.N,
+        lambda: V.commutator_witness(cfg, seed=seed, starts=3, iterations=10),
+        False,
     )
-    t0 = time.perf_counter()
-    reg_a = V.cell_region(cfg, (-5, -2, -2), (-2, 1, 1))
-    reg_b = V.cell_region(cfg, (2, -2, -2), (5, 1, 1))
-    same = V.commutator_witness(
-        cfg, region_a=reg_a, region_b=reg_b, seed=seed, starts=1, iterations=4
-    )
-    report.add(
-        CheckResult.make("commutator/same-instant-disjoint", same, 1e-12, cfg.N, t0)
-    )
+    report.check("commutator/same-instant-disjoint", 1e-12, cfg.N, same_instant)
     return report
 
 

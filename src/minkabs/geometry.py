@@ -233,9 +233,6 @@ class SpacetimeVector:
     def __neg__(self) -> "SpacetimeVector":
         return SpacetimeVector(-self._c)
 
-    def is_zero(self, rel: float = _REL_TOL) -> bool:
-        return bool(np.all(np.abs(self._c) <= rel * max(1.0, np.max(np.abs(self._c)))))
-
     def coordinates_in_basis(
         self, basis: Sequence["SpacetimeVector"]
     ) -> tuple[float, ...]:

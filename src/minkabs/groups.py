@@ -457,16 +457,6 @@ class Region:
         disjoint.sort(key=lambda b: (tuple(b[0]), tuple(b[1])))
         return disjoint
 
-    @staticmethod
-    def from_bounds(
-        instant: Instant,
-        bounds: Iterable[tuple[Sequence[float], Sequence[float]]],
-        basis: Sequence[SpacetimeVector] | None = None,
-        anchor: SpacetimePoint | None = None,
-    ) -> "Region":
-        boxes = [(np.asarray(lo, float), np.asarray(hi, float)) for lo, hi in bounds]
-        return Region(instant, boxes, basis=basis, anchor=anchor)
-
     def volume(self) -> float:
         return float(sum(np.prod(hi - lo) for lo, hi in self.boxes))
 

@@ -1,11 +1,13 @@
 """Localization projections and the generalized position family.
 
-For the constructing observer and instant, the localization projection
-of a region is realized directly: transform to the position lattice,
-keep the amplitudes whose cells lie in the region, transform back.  For
-any other observer/instant pair the projection is *defined* by
-covariance: conjugate the constructing projection with the represented
-canonical map carrying the constructing labels to the requested ones.
+A localization projection family is labeled by an instant alone: the
+instant is a simultaneity hyperplane of one observer, so it fixes the
+observer too.  For the constructing instant, the projection of a region
+is realized directly: transform to the position lattice, keep the
+amplitudes whose cells lie in the region, transform back.  For any other
+instant the projection is *defined* by covariance: conjugate the
+constructing projection with the represented canonical map carrying the
+constructing instant to the requested one.
 The verification drivers then test that this definition coheres with
 the transform numerics.
 
@@ -61,17 +63,13 @@ _SNAP = 1e-9  # fraction of a lattice spacing
 
 @dataclass(frozen=True)
 class PvmHandle:
-    """Labels of one localization projection family: observer and instant."""
+    """Label of one localization projection family: its instant, which
+    also fixes the observer."""
 
-    observer: Velocity
     instant: Instant
 
-    def __post_init__(self):
-        if not self.observer.approx_eq(self.instant.observer):
-            raise GeometryError("handle instant must belong to the handle observer")
-
     def is_constructing(self, cfg: ModelConfig) -> bool:
-        return self.observer.approx_eq(cfg.observer) and self.instant == cfg.instant
+        return self.instant == cfg.instant
 
 
 @dataclass(frozen=True)
@@ -79,20 +77,12 @@ class NwPosition:
     """Labels of one member of the generalized position family.
 
     The member is the integral of (identity - origin) against the
-    localization projections of its observer/instant pair; on the
-    lattice this is the Newton-Wigner position of that observer.
+    localization projections of its instant; on the lattice this is the
+    Newton-Wigner position of the instant's observer.
     """
 
-    observer: Velocity
     instant: Instant
     origin: SpacetimePoint
-
-    def __post_init__(self):
-        if not self.observer.approx_eq(self.instant.observer):
-            raise GeometryError("position instant must belong to the observer")
-
-    def pvm(self) -> PvmHandle:
-        return PvmHandle(self.observer, self.instant)
 
 
 # ---------------------------------------------------------------------------
@@ -150,15 +140,14 @@ def rasterize(cfg: ModelConfig, region: Region, inflate: float = 0.0) -> np.ndar
 # ---------------------------------------------------------------------------
 
 
-def canonical_map(cfg: ModelConfig, observer: Velocity, instant: Instant) -> PoincareMap:
-    """The canonical affine map from the constructing labels to the given ones.
+def canonical_map(cfg: ModelConfig, instant: Instant) -> PoincareMap:
+    """The canonical affine map from the constructing instant to ``instant``.
 
     Linear part: the canonical velocity-to-velocity transform fixing the
     lattice origin; then a step along the target observer reaches the
     target instant.
     """
-    if not observer.approx_eq(instant.observer):
-        raise GeometryError("instant must belong to the observer")
+    observer = instant.observer
     if observer.approx_eq(cfg.observer):
         linear = LorentzMap.identity()
     else:
@@ -170,15 +159,7 @@ def canonical_map(cfg: ModelConfig, observer: Velocity, instant: Instant) -> Poi
 
 def _pullback_region(cfg: ModelConfig, P: PoincareMap, region: Region) -> Region:
     """Region carried back to the constructing instant by ``P`` inverse."""
-    inv = P.inverse()
-    basis = tuple(inv.linear(b) for b in region.basis)
-    return Region(
-        cfg.instant,
-        [(lo.copy(), hi.copy()) for lo, hi in region.boxes],
-        basis=basis,
-        anchor=inv(region.anchor),
-        _canonical=True,
-    )
+    return P.inverse().transform_region(region)
 
 
 def _conjugate_mask(cfg: ModelConfig, states: np.ndarray, chain, mask: np.ndarray):
@@ -200,7 +181,7 @@ def _project_raw(
 ) -> np.ndarray:
     if handle.is_constructing(cfg):
         return _conjugate_mask(cfg, psi, [], rasterize(cfg, region))
-    carry = canonical_map(cfg, handle.observer, handle.instant)
+    carry = canonical_map(cfg, handle.instant)
     return _conjugate_mask(
         cfg, psi, [carry], rasterize(cfg, _pullback_region(cfg, carry, region))
     )
@@ -210,9 +191,9 @@ def pvm_project(handle: PvmHandle, region: Region, state: LatticeState) -> Latti
     """Apply the localization projection of ``region`` (unnormalized).
 
     The region must sit on the handle's instant.  On the constructing
-    labels this is the exact cell indicator conjugated by the position
+    instant this is the exact cell indicator conjugated by the position
     transform: idempotent, self-adjoint and additive over disjoint
-    regions.  On other labels it is the covariance-pulled version,
+    regions.  On other instants it is the covariance-pulled version,
     exact for lattice-symmetric label changes and convergent for
     velocity changes.
     """
@@ -279,9 +260,9 @@ class NwComponentStats:
 
 def _stats_weights(w: NwPosition, state: LatticeState):
     cfg = state.cfg
-    if w.pvm().is_constructing(cfg):
+    if w.instant == cfg.instant:
         return state.position_probability(), position_multipliers(cfg, w.origin), None
-    carry = canonical_map(cfg, w.observer, w.instant)
+    carry = canonical_map(cfg, w.instant)
     back, _ = represent_array(cfg, state.psi, carry.inverse())
     prob = LatticeState(cfg, back).position_probability()
     mult = position_multipliers(cfg, carry.inverse()(w.origin))

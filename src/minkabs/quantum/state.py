@@ -98,10 +98,6 @@ class LatticeState:
             raise GeometryError("cannot normalize the zero field")
         return LatticeState(self.cfg, self.psi / n)
 
-    def position_amplitudes(self) -> np.ndarray:
-        """Amplitudes on the position lattice (unitary transform)."""
-        return _to_position(self.psi)
-
     def position_probability(self) -> np.ndarray:
         pos = _to_position(self.psi)
         return pos.real**2 + pos.imag**2

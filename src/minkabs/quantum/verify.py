@@ -86,7 +86,6 @@ __all__ = [
     "space_component_residual",
     "own_time_variance",
     "time_variance_witness",
-    "time_variance_dichotomy",
     "causal_shadow",
     "causality_experiment",
     "commutator_witness",
@@ -95,13 +94,13 @@ __all__ = [
 ]
 
 
-def worker_cap(default: int = 1) -> int:
+def worker_cap() -> int:
     """Thread cap for trial fan-out, from MINKABS_THREADS."""
     raw = os.environ.get("MINKABS_THREADS", "")
     try:
         return max(1, int(raw))
     except ValueError:
-        return default
+        return 1
 
 
 # ---------------------------------------------------------------------------
@@ -264,8 +263,7 @@ def label_change_residual(
     if not L.is_orthochronous():
         raise GeometryError("covariance drivers take orthochronous maps")
     carried_region = L.transform_region(region)
-    t2 = L.transform_instant(cfg.instant)
-    handle = PvmHandle(t2.observer, t2)
+    handle = PvmHandle(L.transform_instant(cfg.instant))
     lhs = _conjugate_mask(cfg, states, [L], rasterize(cfg, region))
     rhs = np.empty_like(states)
     batch = states.reshape(-1, cfg.N, cfg.N, cfg.N)
@@ -419,7 +417,7 @@ def space_component_residual(
 def own_time_variance(cfg: ModelConfig, n_states: int = 100, seed: int = 42) -> float:
     """Largest duration variance of the family's own observer over random
     states (must be exactly zero)."""
-    w = NwPosition(cfg.observer, cfg.instant, cfg.origin)
+    w = NwPosition(cfg.instant, cfg.origin)
     rng = np.random.default_rng(seed)
     worst = 0.0
     for one in random_states(cfg, rng, n_states):
@@ -433,25 +431,10 @@ def time_variance_witness(
 ) -> float:
     """Duration variance of a wide packet relative to a tilted observer
     (must be positive)."""
-    w = NwPosition(cfg.observer, cfg.instant, cfg.origin)
+    w = NwPosition(cfg.instant, cfg.origin)
     witness_state = make_gaussian(cfg, width=seconds(witness_width))
     u2 = boosted_velocity(witness_chi)
     return nw_component_stats(w, u2, witness_state).time_variance.value
-
-
-def time_variance_dichotomy(
-    cfg: ModelConfig,
-    n_states: int = 100,
-    seed: int = 42,
-    witness_chi: float = 0.5,
-    witness_width: float = 1.0,
-) -> tuple[float, float]:
-    """The duration-component variance split: ``own_time_variance`` and
-    ``time_variance_witness``."""
-    return (
-        own_time_variance(cfg, n_states, seed),
-        time_variance_witness(cfg, witness_chi, witness_width),
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -487,7 +470,7 @@ def causal_shadow(cfg: ModelConfig, region=None, delta_t=2.0, u2=None, margin=No
     observer2 = cfg.observer if u2 is None else u2
     t2 = Instant(observer2, cfg.origin + cfg.observer * seconds(delta_t))
     shadow = grow_region_causally(region, t2)
-    carry = canonical_map(cfg, observer2, t2)
+    carry = canonical_map(cfg, t2)
     from .pvm import _pullback_region
 
     pulled = _pullback_region(cfg, carry, shadow)
@@ -528,7 +511,7 @@ def causality_experiment(
         float(0.5 * (lo[m] + hi[m])) * b for m, b in enumerate(region.basis)
     )
     packet = make_gaussian(cfg, center=box_center, width=seconds(width))
-    handle0 = PvmHandle(cfg.observer, cfg.instant)
+    handle0 = PvmHandle(cfg.instant)
     phi = pvm_project(handle0, region, packet).normalized()
     localized = localization_probability(handle0, region, phi)
 
@@ -568,8 +551,8 @@ def commutator_witness(
     if region_b is None:
         t2 = Instant(cfg.observer, cfg.origin + cfg.observer * seconds(delta_t))
         region_b = cell_region(cfg, (2, -2, -2), (5, 1, 1), instant=t2)
-    handle_a = PvmHandle(region_a.instant.observer, region_a.instant)
-    handle_b = PvmHandle(region_b.instant.observer, region_b.instant)
+    handle_a = PvmHandle(region_a.instant)
+    handle_b = PvmHandle(region_b.instant)
 
     def commutator(arr):
         ab = _project_arr(cfg, handle_a, region_a, _project_arr(cfg, handle_b, region_b, arr))
@@ -609,8 +592,7 @@ def handle_covariance_residual(
     states: np.ndarray,
 ) -> float:
     """Conjugation-vs-carried-labels residual through arbitrary handles."""
-    t2 = S.transform_instant(handle.instant)
-    carried_handle = PvmHandle(t2.observer, t2)
+    carried_handle = PvmHandle(S.transform_instant(handle.instant))
     carried_region = S.transform_region(region)
     worst = 0.0
     for one in states.reshape(-1, cfg.N, cfg.N, cfg.N):
@@ -650,7 +632,7 @@ def _probe_bundle(
     region = cell_region(cfg, (-3, -2, -4), (2, 3, 1))
     moved_region = ident.transform_region(region)
     t1 = ident.transform_instant(cfg.instant)
-    handle = PvmHandle(t1.observer, t1)
+    handle = PvmHandle(t1)
     out: dict[str, float] = {}
     for i in range(3):
         out[f"localization-{i}"] = localization_probability(
@@ -661,8 +643,8 @@ def _probe_bundle(
     mg_state = LatticeState(cfg, mg)
     out["localization-gauss"] = localization_probability(handle, moved_region, mg_state)
 
-    w = NwPosition(handle.observer, handle.instant, ident(cfg.origin))
-    own = nw_component_stats(w, handle.observer, mg_state)
+    w = NwPosition(t1, ident(cfg.origin))
+    own = nw_component_stats(w, t1.observer, mg_state)
     for m, val in enumerate(own.space_variances):
         out[f"space-variance-{m}"] = val.value
     tilted = ident.linear.transform_velocity(boosted_velocity(0.5))
@@ -682,7 +664,7 @@ def _probe_bundle(
         Instant(cfg.observer, cfg.origin + cfg.observer * seconds(dt))
     )
     shadow = grow_region_causally(moved_region, t2)
-    h2 = PvmHandle(t2.observer, t2)
+    h2 = PvmHandle(t2)
     out["causality-leakage"] = 1.0 - localization_probability(
         h2, shadow, LatticeState(cfg, phi)
     )

@@ -27,6 +27,7 @@ class CheckResult:
     n: int
     seconds: float
     details: dict = field(default_factory=dict)
+    below: bool = True  # the residual must stay at or below the tolerance
 
     @staticmethod
     def make(name, residual, tolerance, n, t0, below=True, **details):
@@ -39,7 +40,8 @@ class CheckResult:
             passed=bool(ok),
             n=n,
             seconds=time.perf_counter() - t0,
-            details=dict(details, bound="upper" if below else "lower"),
+            details=details,
+            below=below,
         )
 
 
@@ -56,6 +58,14 @@ class RunReport:
         self.checks.append(check)
         return check
 
+    def check(self, name, tolerance, n, thunk, below=True) -> CheckResult:
+        """Add the check of ``thunk()``, timed over that call alone: ``thunk``
+        returns the residual, or the residual and a dict of details."""
+        t0 = time.perf_counter()
+        out = thunk()
+        residual, details = out if isinstance(out, tuple) else (out, {})
+        return self.add(CheckResult.make(name, residual, tolerance, n, t0, below, **details))
+
     def all_passed(self) -> bool:
         return all(c.passed for c in self.checks)
 
@@ -69,13 +79,11 @@ class RunReport:
                     "name": c.name,
                     "residual": c.residual,
                     "tolerance": c.tolerance,
-                    "bound": c.details.get("bound", "upper"),
+                    "bound": "upper" if c.below else "lower",
                     "passed": c.passed,
                     "N": c.n,
                     "seconds": c.seconds if include_timings else 0.0,
-                    "details": {
-                        k: v for k, v in c.details.items() if k != "bound"
-                    },
+                    "details": c.details,
                 }
                 for c in self.checks
             ],
@@ -94,7 +102,7 @@ class RunReport:
         lines = []
         for c in self.checks:
             mark = "PASS" if c.passed else "FAIL"
-            rel = "<=" if c.details.get("bound", "upper") == "upper" else ">="
+            rel = "<=" if c.below else ">="
             lines.append(
                 f"{mark} {c.name}: residual {c.residual:.3e} {rel} {c.tolerance:.3e}"
             )

@@ -128,14 +128,22 @@ class TestReport:
     def test_pass_flag_tracks_tolerance(self):
         report = RunReport("demo", {})
         report.add(
-            CheckResult("ok", 1e-12, 1e-10, True, 8, 0.1, {"bound": "upper"})
+            CheckResult("ok", 1e-12, 1e-10, True, 8, 0.1)
         )
         report.add(
-            CheckResult("bad", 1.0, 1e-10, False, 8, 0.1, {"bound": "upper"})
+            CheckResult("bad", 1.0, 1e-10, False, 8, 0.1)
         )
         assert not report.all_passed()
         data = report.to_dict()
         assert data["checks"][0]["passed"] and not data["checks"][1]["passed"]
+
+    def test_timed_check_records_bound_and_details(self):
+        report = RunReport("demo", {})
+        report.check("witness", 0.1, 8, lambda: (0.5, {"seeds": 3}), below=False)
+        data = report.to_dict()["checks"][0]
+        assert data["passed"] and data["bound"] == "lower"
+        assert data["details"] == {"seeds": 3}
+        assert report.summary_lines() == ["PASS witness: residual 5.000e-01 >= 1.000e-01"]
 
     def test_out_file(self, tmp_path, capsys):
         out = tmp_path / "report.json"

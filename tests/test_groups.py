@@ -301,7 +301,7 @@ class TestPoincareApply:
     def test_identity_leaves_objects(self):
         ident = PoincareMap.identity()
         t0 = Instant(U0, ORIGIN)
-        reg = Region.from_bounds(t0, [((0, 0, 0), (1, 1, 1))])
+        reg = Region(t0, [((0, 0, 0), (1, 1, 1))])
         assert ident(ORIGIN).approx_eq(ORIGIN)
         assert ident.transform_instant(t0) == t0
         out = ident.transform_region(reg)
@@ -327,7 +327,7 @@ class TestPoincareApply:
     def test_rotation_of_box_corner_oracle(self):
         # quarter turn about a box corner: corners land where geometry says
         t0 = Instant(U0, ORIGIN)
-        reg = Region.from_bounds(t0, [((0, 0, 0), (1, 1, 1))])
+        reg = Region(t0, [((0, 0, 0), (1, 1, 1))])
         rot = PoincareMap.from_homogeneous(make_rotation(U0, E3, math.pi / 2), ORIGIN)
         out = rot.transform_region(reg)
         assert out.volume() == pytest.approx(1.0, abs=1e-12)
@@ -341,7 +341,7 @@ class TestPoincareApply:
 class TestRegions:
     def test_canonicalization_makes_disjoint(self):
         t0 = Instant(U0, ORIGIN)
-        reg = Region.from_bounds(
+        reg = Region(
             t0,
             [((0, 0, 0), (2, 2, 2)), ((1, 1, 1), (3, 3, 3))],
         )
@@ -354,7 +354,7 @@ class TestRegions:
 
     def test_membership_half_open(self):
         t0 = Instant(U0, ORIGIN)
-        reg = Region.from_bounds(t0, [((0, 0, 0), (1, 1, 1))])
+        reg = Region(t0, [((0, 0, 0), (1, 1, 1))])
         assert reg.contains_point(ORIGIN + vector(0, 0, 0, 0))
         assert not reg.contains_point(ORIGIN + vector(0, 1, 0, 0))
         assert reg.contains_point(ORIGIN + vector(0, 0.999, 0.5, 0.25))
@@ -363,7 +363,7 @@ class TestRegions:
 class TestCausalGrowth:
     def test_zero_interval_returns_region(self):
         t0 = Instant(U0, ORIGIN)
-        reg = Region.from_bounds(t0, [((0, 0, 0), (1, 1, 1))])
+        reg = Region(t0, [((0, 0, 0), (1, 1, 1))])
         out = grow_region_causally(reg, t0)
         assert len(out.boxes) == 1
         lo, hi = out.boxes[0]
@@ -372,7 +372,7 @@ class TestCausalGrowth:
 
     def test_unit_speed_growth(self):
         t0 = Instant(U0, ORIGIN)
-        reg = Region.from_bounds(t0, [((0, 0, 0), (1, 1, 1))])
+        reg = Region(t0, [((0, 0, 0), (1, 1, 1))])
         t1 = Instant(U0, ORIGIN + vector(1, 0, 0, 0))
         out = grow_region_causally(reg, t1)
         lo, hi = out.boxes[0]
@@ -381,7 +381,7 @@ class TestCausalGrowth:
 
     def test_past_instant_is_error(self):
         t0 = Instant(U0, ORIGIN)
-        reg = Region.from_bounds(t0, [((0, 0, 0), (1, 1, 1))])
+        reg = Region(t0, [((0, 0, 0), (1, 1, 1))])
         t_past = Instant(U0, ORIGIN + vector(-1, 0, 0, 0))
         with pytest.raises(GeometryError):
             grow_region_causally(reg, t_past)
@@ -391,7 +391,7 @@ class TestCausalGrowth:
         # causal arrival point on the tilted instant lies in the cover
         rng = np.random.default_rng(53)
         t0 = Instant(U0, ORIGIN)
-        reg = Region.from_bounds(t0, [((-0.5, -0.5, -0.5), (0.5, 0.5, 0.5))])
+        reg = Region(t0, [((-0.5, -0.5, -0.5), (0.5, 0.5, 0.5))])
         u2 = U_BOOSTED
         t2 = Instant(u2, ORIGIN + vector(3.0, 0, 0, 0))
         cover = grow_region_causally(reg, t2)
@@ -416,7 +416,7 @@ class TestCausalGrowth:
         # support in each axis direction is achieved by some cone ray
         rng = np.random.default_rng(59)
         t0 = Instant(U0, ORIGIN)
-        reg = Region.from_bounds(t0, [((-0.5, -0.5, -0.5), (0.5, 0.5, 0.5))])
+        reg = Region(t0, [((-0.5, -0.5, -0.5), (0.5, 0.5, 0.5))])
         u2 = U_BOOSTED
         t2 = Instant(u2, ORIGIN + vector(3.0, 0, 0, 0))
         cover = grow_region_causally(reg, t2)
@@ -460,7 +460,7 @@ def test_hypothesis_region_canonicalization():
     @settings(max_examples=200, deadline=None)
     @given(st.lists(st.tuples(corner, corner), max_size=5), st.lists(probe, max_size=20))
     def run(boxes, probes):
-        reg = Region.from_bounds(t0, boxes)
+        reg = Region(t0, boxes)
         for i, (lo_a, hi_a) in enumerate(reg.boxes):
             for lo_b, hi_b in reg.boxes[i + 1 :]:
                 assert not (np.all(lo_a < hi_b) and np.all(lo_b < hi_a))

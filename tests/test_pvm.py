@@ -19,6 +19,7 @@ from minkabs.quantum import (
     NwPosition,
     PvmHandle,
     apply_translation,
+    canonical_map,
     localization_probability,
     make_gaussian,
     nw_component_stats,
@@ -45,7 +46,7 @@ def cfg32():
 
 
 def handle(cfg):
-    return PvmHandle(cfg.observer, cfg.instant)
+    return PvmHandle(cfg.instant)
 
 
 def cell_box(cfg, lo_cells, hi_cells):
@@ -171,7 +172,7 @@ class TestProjection:
         s = make_gaussian(cfg, width=seconds(0.8))
         dt = 0.75
         later = Instant(U0, ORIGIN + vector(dt, 0, 0, 0))
-        h2 = PvmHandle(U0, later)
+        h2 = PvmHandle(later)
         reg2 = Region(later, [cell_box(cfg, (-2, -2, -2), (1, 1, 1))], anchor=later.anchor)
         p_later = localization_probability(h2, reg2, s)
         reg0 = Region(cfg.instant, [cell_box(cfg, (-2, -2, -2), (1, 1, 1))])
@@ -183,11 +184,25 @@ class TestProjection:
         assert p_later < p_now
 
 
+class TestCanonicalMap:
+    def test_carries_constructing_instant_to_target(self, cfg):
+        u2 = boosted_velocity(0.2)
+        later = Instant(u2, cfg.origin + u2 * seconds(0.75))
+        carry = canonical_map(cfg, later)
+        assert carry.transform_instant(cfg.instant) == later
+        assert not carry.transform_instant(cfg.instant) == cfg.instant
+
+    def test_constructing_instant_gives_identity(self, cfg):
+        carry = canonical_map(cfg, cfg.instant)
+        assert np.array_equal(carry.linear.matrix, np.eye(4))
+        assert carry.approx_eq(PoincareMap.identity(), tol=0.0)
+
+
 class TestPositionFamily:
     def test_expectation_tracks_center(self, cfg32):
         center = ORIGIN + vector(0, 1.0, -0.75, 0.5)
         s = make_gaussian(cfg32, center=center, width=seconds(0.75))
-        w = NwPosition(U0, cfg32.instant, ORIGIN)
+        w = NwPosition(cfg32.instant, ORIGIN)
         mean = nw_expectation(w, s)
         got = np.array(mean.coordinates_in_basis(
             tuple(__import__("minkabs").fiducial_frame())
@@ -195,7 +210,7 @@ class TestPositionFamily:
         assert np.max(np.abs(got - np.array([0, 1.0, -0.75, 0.5]))) <= cfg32.spacing.value
 
     def test_time_variance_vanishes_for_own_observer(self, cfg32):
-        w = NwPosition(U0, cfg32.instant, ORIGIN)
+        w = NwPosition(cfg32.instant, ORIGIN)
         for seed in range(5):
             s = random_state(cfg32, seed)
             stats = nw_component_stats(w, U0, s)
@@ -205,7 +220,7 @@ class TestPositionFamily:
     def test_time_variance_positive_for_other_observer(self, cfg32):
         chi = 0.5
         u2 = normalize_velocity(vector(math.cosh(chi), math.sinh(chi), 0, 0))
-        w = NwPosition(U0, cfg32.instant, ORIGIN)
+        w = NwPosition(cfg32.instant, ORIGIN)
         s = make_gaussian(cfg32, width=seconds(1.0))
         stats = nw_component_stats(w, u2, s)
         assert stats.time_variance.value > 0.01
@@ -213,7 +228,7 @@ class TestPositionFamily:
     def test_space_variance_matches_packet(self, cfg32):
         width = 0.75
         s = make_gaussian(cfg32, width=seconds(width))
-        w = NwPosition(U0, cfg32.instant, ORIGIN)
+        w = NwPosition(cfg32.instant, ORIGIN)
         stats = nw_component_stats(w, U0, s)
         for v in stats.space_variances:
             assert abs(v.value - width**2) <= 0.1 * width**2

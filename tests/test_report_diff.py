@@ -1,0 +1,42 @@
+"""The leaf comparison behind ``tools/report_diff.py``."""
+
+import importlib.util
+from pathlib import Path
+
+_TOOL = Path(__file__).resolve().parent.parent / "tools" / "report_diff.py"
+_spec = importlib.util.spec_from_file_location("report_diff", _TOOL)
+report_diff = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(report_diff)
+
+MISSING = report_diff.MISSING
+
+
+def test_changed_leaf():
+    old = {"config": {"N": 32, "seed": 42}}
+    new = {"config": {"N": 32, "seed": 43}}
+    assert list(report_diff.differences(old, new)) == [(".config.seed", 42, 43)]
+
+
+def test_value_on_one_side_is_missing_on_the_other():
+    old = {"tables": {"rows": [1, 2]}, "gone": True}
+    new = {"tables": {"rows": [1, 2, 3]}, "added": 0.5}
+    assert list(report_diff.differences(old, new)) == [
+        (".tables.rows[2]", MISSING, 3),
+        (".gone", True, MISSING),
+        (".added", MISSING, 0.5),
+    ]
+
+
+def test_list_items_addressed_by_name():
+    old = {"checks": [{"name": "x", "residual": 1.0}, {"name": "y", "residual": 2.0}]}
+    new = {"checks": [{"name": "x", "residual": 1.0}, {"name": "y", "residual": 2.5}]}
+    assert list(report_diff.differences(old, new)) == [(".checks[y].residual", 2.0, 2.5)]
+
+
+def test_csv_lines_compared_in_order():
+    old = "h\n1,0.5\n"
+    new = "h\n1,0.25\n2,1.0\n"
+    assert list(report_diff.csv_differences(old, new)) == [
+        ("line 2", "1,0.5", "1,0.25"),
+        ("line 3", MISSING, "2,1.0"),
+    ]

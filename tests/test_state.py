@@ -45,6 +45,7 @@ from minkabs.quantum.state import (
     _apply_perm,
     _apply_poincare_array,
     _perm_flat_indices,
+    _to_position,
     represent_array,
 )
 
@@ -154,7 +155,7 @@ class TestGaussian:
 
     def test_centered_zero_momentum_is_real_even(self, cfg):
         s = make_gaussian(cfg, width=seconds(1.0))
-        pos = s.position_amplitudes()
+        pos = _to_position(s.psi)
         assert np.max(np.abs(pos.imag)) <= 1e-12
         # even under index negation on the torus
         flipped = pos.copy()
@@ -211,8 +212,8 @@ class TestTranslation:
         s = make_gaussian(cfg, width=seconds(1.0), mean_momentum=(1.0, -0.5, 0))
         a = cfg.spacing.value
         out = apply_translation(s, vector(0, 2 * a, 0, -a))
-        expected = np.roll(s.position_amplitudes(), (2, 0, -1), axis=(0, 1, 2))
-        assert np.max(np.abs(out.position_amplitudes() - expected)) <= 1e-12
+        expected = np.roll(_to_position(s.psi), (2, 0, -1), axis=(0, 1, 2))
+        assert np.max(np.abs(_to_position(out.psi) - expected)) <= 1e-12
 
     def test_norm_preserved(self, cfg):
         s = make_gaussian(cfg, width=seconds(1.0))

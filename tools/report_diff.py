@@ -1,43 +1,59 @@
-"""Reported values that differ between two source trees.
+"""Report digests of one source tree, or the reported values that differ between two.
 
-Runs ``minkabs verify-geometry``, ``verify-covariance`` and
-``demo-causality`` at the default config against the package in each of
-two ``src`` directories, one fresh interpreter per command and tree, and
-prints one line per reported value that differs: the command, the JSON
-path, the old value, the new value and the relative change (``-`` where
-it has none).  List items that carry a ``name`` are addressed by it, and
-a value present on one side only prints as ``<missing>`` on the other.
-A kernel change that moves a reported residual lists the moves with
-this tool.
+Runs ``minkabs verify-geometry``, ``verify-covariance``,
+``demo-causality`` and ``demo-causality --csv`` at the default config
+against the package in each given ``src`` directory, one fresh
+interpreter per command and tree.
+
+With one ``SRC`` (default: the ``src`` directory of this checkout) it
+prints one line per command: the sha256 of stdout, the sha256 of stderr
+and the exit code.  A refactor that claims unchanged reports prints the
+same lines for the parent's ``src`` and its own.
+
+With ``OLD_SRC NEW_SRC`` it prints one line per reported value that
+differs: the command, the JSON path (``line <k>`` for the CSV), the old
+value, the new value and the relative change (``-`` where it has none).
+List items that carry a ``name`` are addressed by it, and a value
+present on one side only prints as ``<missing>`` on the other.  A
+kernel change that moves a reported residual lists the moves with this
+mode.  Exit status: 0 when every output is identical, 1 when a value,
+an exit code or the stderr differs, 2 on bad arguments or output that
+is not JSON.
 
 Usage::
 
+    python3 tools/report_diff.py [SRC]
     python3 tools/report_diff.py OLD_SRC NEW_SRC
 
-Exit status: 0 when every report is identical, 1 when a value, an exit
-code or the stderr differs, 2 on bad arguments or output that is not
-JSON.  Standard library only; ``verify-covariance`` takes about half a
-minute per tree.
+Standard library only; ``verify-covariance`` takes about half a minute
+per tree.
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import subprocess
 import sys
+from itertools import zip_longest
 from pathlib import Path
 
-COMMANDS = ("verify-geometry", "verify-covariance", "demo-causality")
+COMMANDS = (
+    ("verify-geometry",),
+    ("verify-covariance",),
+    ("demo-causality",),
+    ("demo-causality", "--csv"),
+)
 RUN_CLI = "import sys; from minkabs.cli import main; sys.exit(main())"
 MISSING = "<missing>"
 
 
-def run(src: Path, command: str) -> subprocess.CompletedProcess:
+def run(src: Path, command: tuple) -> subprocess.CompletedProcess:
     env = dict(os.environ, PYTHONPATH=str(src))
     return subprocess.run(
-        [sys.executable, "-c", RUN_CLI, command], capture_output=True, text=True, env=env
+        [sys.executable, "-c", RUN_CLI, *command], capture_output=True, env=env
     )
 
 
@@ -62,6 +78,14 @@ def differences(old, new, path: str = ""):
         yield path or ".", old, new
 
 
+def csv_differences(old: str, new: str):
+    """Yield ``(line <k>, old, new)`` for every CSV line that differs."""
+    pairs = zip_longest(old.splitlines(), new.splitlines(), fillvalue=MISSING)
+    for k, (a, b) in enumerate(pairs, start=1):
+        if a != b:
+            yield f"line {k}", a, b
+
+
 def relative_change(old, new) -> str:
     numbers = all(
         isinstance(v, (int, float)) and not isinstance(v, bool) for v in (old, new)
@@ -71,33 +95,60 @@ def relative_change(old, new) -> str:
     return f"{(new - old) / abs(old):+.3e}"
 
 
+def digests(src: Path) -> int:
+    for command in COMMANDS:
+        proc = run(src, command)
+        print(
+            " ".join(command),
+            hashlib.sha256(proc.stdout).hexdigest(),
+            hashlib.sha256(proc.stderr).hexdigest(),
+            proc.returncode,
+            flush=True,
+        )
+    return 0
+
+
+def diff(trees: list[Path]) -> int:
+    changed = False
+    for command in COMMANDS:
+        name = " ".join(command)
+        old, new = (run(src, command) for src in trees)
+        if old.returncode != new.returncode:
+            print(name, "exit", old.returncode, new.returncode, "-", flush=True)
+            changed = True
+        if old.stderr != new.stderr:
+            print(name, "stderr differs", flush=True)
+            changed = True
+        if "--csv" in command:
+            found = csv_differences(old.stdout.decode(), new.stdout.decode())
+        else:
+            try:
+                found = differences(*(json.loads(proc.stdout) for proc in (old, new)))
+            except json.JSONDecodeError as exc:
+                print(f"{name}: output is not JSON ({exc})", file=sys.stderr)
+                return 2
+        for path, a, b in found:
+            print(name, path, a, b, relative_change(a, b), flush=True)
+            changed = True
+    return 1 if changed else 0
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    parser.add_argument("old_src", help="directory holding the old minkabs package")
-    parser.add_argument("new_src", help="directory holding the new minkabs package")
+    parser.add_argument(
+        "src",
+        nargs="*",
+        default=[str(Path(__file__).resolve().parent.parent / "src")],
+        help="SRC, or OLD_SRC NEW_SRC: directories holding the minkabs package",
+    )
     args = parser.parse_args(argv)
-    trees = [Path(p).resolve() for p in (args.old_src, args.new_src)]
+    if len(args.src) > 2:
+        parser.error("give SRC or OLD_SRC NEW_SRC")
+    trees = [Path(p).resolve() for p in args.src]
     for src in trees:
         if not (src / "minkabs" / "cli.py").is_file():
             parser.error(f"no minkabs package under {src}")
-    changed = False
-    for command in COMMANDS:
-        old, new = (run(src, command) for src in trees)
-        if old.returncode != new.returncode:
-            print(command, "exit", old.returncode, new.returncode, "-", flush=True)
-            changed = True
-        if old.stderr != new.stderr:
-            print(command, "stderr differs", flush=True)
-            changed = True
-        try:
-            reports = [json.loads(proc.stdout) for proc in (old, new)]
-        except json.JSONDecodeError as exc:
-            print(f"{command}: output is not JSON ({exc})", file=sys.stderr)
-            return 2
-        for path, a, b in differences(*reports):
-            print(command, path, a, b, relative_change(a, b), flush=True)
-            changed = True
-    return 1 if changed else 0
+    return digests(trees[0]) if len(trees) == 1 else diff(trees)
 
 
 if __name__ == "__main__":
