@@ -15,7 +15,8 @@ command then checks, geometry only, that its packets and inflated causal
 shadows fit the lattice box.  Reports are deterministic JSON on stdout
 (or ``--out``; ``--csv``: the demo-causality sweep table).  Exit codes:
 0 all checks passed, 1 a check failed, 2 usage or configuration error.
-``MINKABS_THREADS`` caps internal trial fan-out.
+``MINKABS_THREADS`` caps internal trial fan-out (default: the CPUs this
+process may run on; 1 runs serially).
 """
 
 from __future__ import annotations

@@ -124,7 +124,12 @@ def rasterize(cfg: ModelConfig, region: Region, inflate: float = 0.0) -> np.ndar
     for lo, hi in _fitted_boxes(cfg, region, inflate):
         box_mask = None
         for m in range(3):
-            c = off[m] + x1 * mat[0, m] + x2 * mat[1, m] + x3 * mat[2, m]
+            # a zero coefficient adds nothing, so an axis-aligned box stays
+            # separable and only the final ``&`` spans the whole lattice
+            c = off[m]
+            for x, coef in zip((x1, x2, x3), mat[:, m]):
+                if coef != 0.0:
+                    c = c + x * coef
             length = hi[m] - lo[m]
             if length >= L:
                 cond = np.ones((cfg.N,) * 3, dtype=bool)
@@ -170,7 +175,11 @@ def _conjugate_mask(cfg: ModelConfig, states: np.ndarray, chain, mask: np.ndarra
     arr = states
     for P in reversed(chain):
         arr, _ = represent_array(cfg, arr, P.inverse())
-    arr = _to_momentum(_to_position(arr) * mask)
+    # the first transform may reuse its input only when the chain made a new
+    # array (an empty or identity chain hands back ``states`` itself); the
+    # masked product is always a new array
+    arr = _to_position(arr, overwrite_x=arr is not states) * mask
+    arr = _to_momentum(arr, overwrite_x=True)
     for P in chain:
         arr, _ = represent_array(cfg, arr, P)
     return arr

@@ -120,12 +120,14 @@ class BoostReport:
 # ---------------------------------------------------------------------------
 
 
-def _to_position(arr: np.ndarray) -> np.ndarray:
-    return scipy.fft.ifftn(arr, axes=(-3, -2, -1), norm="ortho")
+# ``overwrite_x=True`` lets scipy reuse the input's buffer: pass it only
+# for a temporary that nothing else reads.
+def _to_position(arr: np.ndarray, overwrite_x: bool = False) -> np.ndarray:
+    return scipy.fft.ifftn(arr, axes=(-3, -2, -1), norm="ortho", overwrite_x=overwrite_x)
 
 
-def _to_momentum(arr: np.ndarray) -> np.ndarray:
-    return scipy.fft.fftn(arr, axes=(-3, -2, -1), norm="ortho")
+def _to_momentum(arr: np.ndarray, overwrite_x: bool = False) -> np.ndarray:
+    return scipy.fft.fftn(arr, axes=(-3, -2, -1), norm="ortho", overwrite_x=overwrite_x)
 
 
 def _translation_phase(cfg: ModelConfig, v: SpacetimeVector) -> np.ndarray:

@@ -9,11 +9,18 @@ from minkabs.geometry import (
     GeometryError,
     Instant,
     fiducial_origin,
+    lorentz_product,
     normalize_velocity,
     seconds,
     vector,
 )
-from minkabs.groups import PoincareMap, Region, make_boost, make_rotation
+from minkabs.groups import (
+    PoincareMap,
+    Region,
+    lattice_point_group,
+    make_boost,
+    make_rotation,
+)
 from minkabs.quantum import (
     ModelConfig,
     NwPosition,
@@ -28,7 +35,7 @@ from minkabs.quantum import (
     rasterize,
 )
 from minkabs.quantum.pvm import _conjugate_mask, position_multipliers
-from minkabs.quantum.state import LatticeState
+from minkabs.quantum.state import LatticeState, _to_momentum, _to_position
 from minkabs.quantum.verify import boosted_velocity
 
 U0 = normalize_velocity(vector(1, 0, 0, 0))
@@ -84,6 +91,35 @@ class TestRasterize:
         hi = ((n // 2 + 2) - 0.5) * a
         reg = Region(cfg.instant, [((lo, -0.5 * a, -0.5 * a), (hi, 0.5 * a, 0.5 * a))])
         assert rasterize(cfg, reg).sum() == 4
+
+    def test_matches_whole_lattice_coordinates(self, cfg):
+        # reference: every region-frame coordinate summed over the whole
+        # lattice, for the 48 axis-symmetric images of an asymmetric box
+        # (separable coordinates) and for one turned by a non-lattice angle
+        def reference(region):
+            mat = [[lorentz_product(bi, br).value for br in region.basis] for bi in cfg.basis]
+            disp = cfg.origin - region.anchor
+            x = np.meshgrid(cfg.x1d, cfg.x1d, cfg.x1d, indexing="ij")
+            out = np.zeros((cfg.N,) * 3, dtype=bool)
+            for lo, hi in region.boxes:
+                inside = np.ones((cfg.N,) * 3, dtype=bool)
+                for m, br in enumerate(region.basis):
+                    c = lorentz_product(br, disp).value
+                    for i in range(3):
+                        c = c + x[i] * mat[i][m]
+                    snap = 1e-9 * cfg.spacing.value
+                    inside &= np.mod(c - lo[m] + snap, cfg.box_length) < hi[m] - lo[m]
+                out |= inside
+            return out
+
+        box = region_of_cells(cfg, (-3, -1, 0), (2, 1, 4))
+        turn = make_rotation(cfg.observer, cfg.basis[2], 0.3)
+        maps = [PoincareMap.from_homogeneous(R, cfg.origin) for R in lattice_point_group(
+            cfg.observer, cfg.basis
+        )] + [PoincareMap.from_homogeneous(turn, cfg.origin)]
+        for P in maps:
+            region = P.transform_region(box)
+            assert np.array_equal(rasterize(cfg, region), reference(region))
 
 
 class TestProjection:
@@ -254,3 +290,39 @@ class TestConjugateMask:
         single = [_conjugate_mask(cfg, states, [S], mult[mu]) for mu in range(4)]
         assert batched.shape == (2, 4) + (cfg.N,) * 3
         assert np.array_equal(batched, np.stack(single, axis=1))
+
+    # the first transform may reuse its input's buffer only when the chain
+    # made a new array: an empty or identity chain hands over the caller's
+    @pytest.mark.parametrize(
+        "kind", ["empty", "identity", "lattice-shift", "point-group", "shifted-symmetry"]
+    )
+    @pytest.mark.parametrize("stacked", [False, True])
+    def test_leaves_caller_batch_unchanged(self, cfg, kind, stacked):
+        a = cfg.spacing.value
+        shift = PoincareMap.from_translation(2 * a * cfg.basis[0] - a * cfg.basis[2])
+        rot = PoincareMap.from_homogeneous(
+            make_rotation(cfg.observer, cfg.basis[2], np.pi / 2), cfg.origin
+        )
+        chain = {
+            "empty": [],
+            "identity": [PoincareMap.identity()],
+            "lattice-shift": [shift],
+            "point-group": [rot],
+            "shifted-symmetry": [shift.compose(rot)],
+        }[kind]
+        batch = np.stack([random_state(cfg, seed).psi for seed in (5, 6)])
+        before = batch.tobytes()
+        if stacked:
+            # the (4, N, N, N) field stack broadcasts the batch up
+            _conjugate_mask(cfg, batch[:, None], chain, position_multipliers(cfg, cfg.origin))
+        else:
+            mask = rasterize(cfg, region_of_cells(cfg, (-2, -2, -1), (2, 1, 1)))
+            _conjugate_mask(cfg, batch, chain, mask)
+        assert batch.tobytes() == before
+
+    @pytest.mark.parametrize("transform", [_to_position, _to_momentum])
+    def test_transforms_copy_by_default(self, cfg, transform):
+        batch = np.stack([random_state(cfg, seed).psi for seed in (7, 8)])
+        before = batch.tobytes()
+        transform(batch)
+        assert batch.tobytes() == before

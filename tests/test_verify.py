@@ -1,6 +1,8 @@
 """Covariance and causality verification drivers (fast lattice sizes)."""
 
 import math
+import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,7 +10,9 @@ import pytest
 from minkabs.geometry import normalize_velocity, vector
 from minkabs.groups import PoincareMap, make_boost, make_rotation
 from minkabs.quantum import ModelConfig
+import minkabs.quantum.pvm as pvm
 import minkabs.quantum.verify as V
+from minkabs.quantum.state import _to_momentum
 
 U0 = normalize_velocity(vector(1, 0, 0, 0))
 
@@ -44,7 +48,7 @@ class TestStabilizerCovariance:
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_suite_matches_standalone_residuals(self, cfg, workers):
-        # the suite's hoisted mask and position amplitudes change no bit
+        # the suite's hoisted mask and shared carried sides change no bit
         results = V.run_stabilizer_suite(
             cfg, n_states=4, seed=3, translations=2, workers=workers
         )
@@ -56,6 +60,39 @@ class TestStabilizerCovariance:
             V.stabilizer_covariance_residual(cfg, S, region, states) for _, S in elements
         ]
         assert [r.residual for r in results] == expected
+
+    def test_suite_transforms_each_carried_mask_once(self, cfg, monkeypatch):
+        calls = []
+
+        def counting(arr, overwrite_x=False):
+            calls.append(arr.shape)
+            return _to_momentum(arr, overwrite_x=overwrite_x)
+
+        monkeypatch.setattr(V, "_to_momentum", counting)
+        monkeypatch.setattr(pvm, "_to_momentum", counting)
+        V.run_stabilizer_suite(cfg, n_states=8, seed=3, translations=2, workers=1)
+        rng = np.random.default_rng(3)
+        V.random_states(cfg, rng, 8)
+        region = V.cell_region(cfg, (-2, -1, -2), (2, 1, 1))
+        elements = V.stabilizer_elements(cfg, rng, 2)
+        carried = {V.rasterize(cfg, S.transform_region(region)).tobytes() for _, S in elements}
+        assert len(carried) < len(elements)
+        # one transform per element (its left side), one per carried mask
+        assert len(calls) == len(elements) + len(carried)
+
+    def test_serial_suite_holds_one_carried_side(self, cfg):
+        # one right side live at a time peaks near 5.8 batches of states;
+        # keeping every group's right side would take 19 or more.  The
+        # first run fills the permutation cache, which is not per run.
+        batch_bytes = V.random_states(cfg, np.random.default_rng(0), 8).nbytes
+        V.run_stabilizer_suite(cfg, n_states=8, seed=3, translations=2, workers=1)
+        tracemalloc.start()
+        try:
+            V.run_stabilizer_suite(cfg, n_states=8, seed=3, translations=2, workers=1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 7 * batch_bytes
 
     def test_threaded_run_matches_serial(self, cfg):
         serial = V.run_stabilizer_suite(cfg, n_states=4, seed=9, translations=1)
@@ -91,6 +128,16 @@ class TestLabelChanges:
                 c, boost, region, states, rng, shifts=2
             )
         assert residuals[64] <= 0.6 * residuals[32]
+
+    def test_convergence_seeds_fan_out_in_seed_order(self, monkeypatch):
+        rows = {}
+        for threads in ("1", "2"):
+            monkeypatch.setenv("MINKABS_THREADS", threads)
+            rows[threads] = V.boost_convergence_rows(
+                ModelConfig(N=16), chi=0.2, seeds=(6, 5), n_states=1, refinements=1
+            )
+        assert [r["seed"] for r in rows["2"]] == [6, 6, 5, 5]
+        assert rows["2"] == rows["1"]
 
     def test_convergence_rows_shape(self, cfg32):
         rows = V.boost_convergence_rows(
@@ -223,3 +270,16 @@ class TestEquivariance:
         moved_handle = PvmHandle(carry.transform_instant(cfg32.instant))
         p1 = localization_probability(moved_handle, moved_region, represent(phi, carry))
         assert abs(p1 - p0) <= 1e-2  # boost-tolerance scale at N=32
+
+
+class TestWorkerCap:
+    @pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="no CPU affinity call")
+    def test_defaults_to_available_cpus(self, monkeypatch):
+        monkeypatch.delenv("MINKABS_THREADS", raising=False)
+        assert V.worker_cap() == len(os.sched_getaffinity(0))
+
+    def test_variable_sets_the_cap(self, monkeypatch):
+        monkeypatch.setenv("MINKABS_THREADS", "1")
+        assert V.worker_cap() == 1
+        monkeypatch.setenv("MINKABS_THREADS", "3")
+        assert V.worker_cap() == 3
