@@ -159,13 +159,10 @@ def cmd_verify_covariance(config: dict) -> RunReport:
     white = V.random_states(cfg, rng, min(8, int(config["states"])))
     region = V.cell_region(cfg, (-3, -2, -4), (2, 3, 1))
     step = PoincareMap.from_translation(cfg.observer * seconds(0.7))
-    a = cfg.spacing.value
     rot = PoincareMap.from_homogeneous(
         make_rotation(cfg.observer, cfg.basis[2], np.pi / 2), cfg.origin
     )
-    shift = PoincareMap.from_translation(
-        2 * a * cfg.basis[0] - 3 * a * cfg.basis[1] + a * cfg.basis[2]
-    )
+    shift = PoincareMap.from_translation(cfg.lattice_vector((2, -3, 1)))
 
     def roundtrip_drift():
         b = make_boost(cfg.observer, V.boosted_velocity(chi))

@@ -189,7 +189,26 @@ def _as_components(values: Iterable[float]) -> np.ndarray:
     return c
 
 
-class SpacetimeVector:
+def _within(gap, rel: float, *points: np.ndarray) -> bool:
+    """Whether the largest component of ``gap`` is at most ``rel`` times the
+    largest component of ``points``, or ``rel`` when those are below one."""
+    scale = max(1.0, *[abs(p).max() for p in points])
+    return bool(np.abs(gap).max() <= rel * scale)
+
+
+class _Components:
+    """Four components relative to the hidden orthonormal fiducial frame."""
+
+    __slots__ = ("_c",)
+
+    def __init__(self, components: Iterable[float]):
+        self._c = _as_components(components)
+
+    def approx_eq(self, other, rel: float = _REL_TOL) -> bool:
+        return _within(self._c - other._c, rel, self._c, other._c)
+
+
+class SpacetimeVector(_Components):
     """A displacement between spacetime points, semantically in seconds.
 
     Components are stored relative to a hidden orthonormal fiducial frame;
@@ -197,10 +216,7 @@ class SpacetimeVector:
     splittings and :meth:`coordinates_in_basis`.
     """
 
-    __slots__ = ("_c",)
-
-    def __init__(self, components: Iterable[float]):
-        self._c = _as_components(components)
+    __slots__ = ()
 
     def __add__(self, other):
         if isinstance(other, SpacetimeVector):
@@ -246,21 +262,17 @@ class SpacetimeVector:
             raise GeometryError("basis vectors are linearly dependent") from exc
         return tuple(float(v) for v in coeffs)
 
-    def approx_eq(self, other: "SpacetimeVector", rel: float = _REL_TOL) -> bool:
-        scale = max(1.0, np.max(np.abs(self._c)), np.max(np.abs(other._c)))
-        return bool(np.max(np.abs(self._c - other._c)) <= rel * scale)
-
     def __repr__(self) -> str:
         return f"SpacetimeVector({tuple(self._c)!r} sec)"
 
 
-class SpacetimePoint:
-    """An event: element of the affine space over spacetime vectors."""
+class SpacetimePoint(_Components):
+    """An event: element of the affine space over spacetime vectors.
 
-    __slots__ = ("_c",)
+    Its components are the displacement from the fiducial origin.
+    """
 
-    def __init__(self, displacement_from_fiducial_origin: Iterable[float]):
-        self._c = _as_components(displacement_from_fiducial_origin)
+    __slots__ = ()
 
     def __sub__(self, other):
         if isinstance(other, SpacetimePoint):
@@ -275,10 +287,6 @@ class SpacetimePoint:
         return NotImplemented
 
     __radd__ = __add__
-
-    def approx_eq(self, other: "SpacetimePoint", rel: float = _REL_TOL) -> bool:
-        scale = max(1.0, np.max(np.abs(self._c)), np.max(np.abs(other._c)))
-        return bool(np.max(np.abs(self._c - other._c)) <= rel * scale)
 
     def __repr__(self) -> str:
         return f"SpacetimePoint({tuple(self._c)!r})"
@@ -436,7 +444,34 @@ def space_part(u: Velocity, x: SpacetimeVector) -> SpacetimeVector:
 # ---------------------------------------------------------------------------
 
 
-class Instant:
+class _ObserverLabel:
+    """An inertial observer plus an anchor event.
+
+    Two labels of the same kind and observer compare equal when the
+    ``_gap`` of their anchor difference vanishes to relative 1e-12.
+    """
+
+    __slots__ = ("observer", "anchor")
+
+    def __init__(self, observer: Velocity, anchor: SpacetimePoint):
+        self.observer = observer
+        self.anchor = anchor
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        if not self.observer.approx_eq(other.observer):
+            return False
+        gap = self._gap(self.anchor - other.anchor)
+        return _within(gap, _REL_TOL, self.anchor._c, other.anchor._c)
+
+    __hash__ = None  # tolerance-based equality
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}(observer={self.observer!r}, anchor={self.anchor!r})"
+
+
+class Instant(_ObserverLabel):
     """A simultaneity hyperplane of an inertial observer.
 
     Stored as the observer plus any anchor event on the hyperplane; two
@@ -444,70 +479,30 @@ class Instant:
     simultaneous for that observer.
     """
 
-    __slots__ = ("observer", "anchor")
+    __slots__ = ()
 
-    def __init__(self, observer: Velocity, anchor: SpacetimePoint):
-        self.observer = observer
-        self.anchor = anchor
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Instant):
-            return NotImplemented
-        if not self.observer.approx_eq(other.observer):
-            return False
-        gap = time_part(self.observer, self.anchor - other.anchor).value
-        scale = max(
-            1.0,
-            float(np.max(np.abs(self.anchor._c))),
-            float(np.max(np.abs(other.anchor._c))),
-        )
-        return abs(gap) <= _REL_TOL * scale
-
-    __hash__ = None  # tolerance-based equality
+    def _gap(self, x: SpacetimeVector) -> float:
+        return time_part(self.observer, x).value
 
     def contains(self, p: SpacetimePoint, rel: float = 1e-9) -> bool:
-        gap = time_part(self.observer, p - self.anchor).value
-        scale = max(1.0, float(np.max(np.abs(p._c))), float(np.max(np.abs(self.anchor._c))))
-        return abs(gap) <= rel * scale
+        return _within(self._gap(p - self.anchor), rel, p._c, self.anchor._c)
 
     def spatial_basis(self) -> tuple[SpacetimeVector, SpacetimeVector, SpacetimeVector]:
         """Deterministic orthonormal basis of the hyperplane's direction space."""
         return spatial_basis_for(self.observer)
 
-    def __repr__(self) -> str:
-        return f"Instant(observer={self.observer!r}, anchor={self.anchor!r})"
 
-
-class SpacePoint:
+class SpacePoint(_ObserverLabel):
     """A point of an inertial observer's space: a straight world line.
 
     Two space points of the same observer compare equal when their
     anchors differ by a multiple of the observer velocity.
     """
 
-    __slots__ = ("observer", "anchor")
+    __slots__ = ()
 
-    def __init__(self, observer: Velocity, anchor: SpacetimePoint):
-        self.observer = observer
-        self.anchor = anchor
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, SpacePoint):
-            return NotImplemented
-        if not self.observer.approx_eq(other.observer):
-            return False
-        gap = space_part(self.observer, self.anchor - other.anchor)
-        scale = max(
-            1.0,
-            float(np.max(np.abs(self.anchor._c))),
-            float(np.max(np.abs(other.anchor._c))),
-        )
-        return bool(np.max(np.abs(gap._c)) <= _REL_TOL * scale)
-
-    __hash__ = None
-
-    def __repr__(self) -> str:
-        return f"SpacePoint(observer={self.observer!r}, anchor={self.anchor!r})"
+    def _gap(self, x: SpacetimeVector) -> np.ndarray:
+        return space_part(self.observer, x)._c
 
 
 def instant_subtract(t1: Instant, t2: Instant) -> MeasureScalar:
@@ -531,6 +526,29 @@ def space_subtract(q1: SpacePoint, q2: SpacePoint) -> SpacetimeVector:
     return space_part(q1.observer, q1.anchor - q2.anchor)
 
 
+def _complete_frame(u: np.ndarray, basis: list[np.ndarray]) -> list[np.ndarray]:
+    """Extend an orthonormal ``u``-simultaneous ``basis`` to three vectors.
+
+    Gram-Schmidt over the projections of the fiducial spatial axes, in
+    fixed order, skipping an axis whose remainder (nearly) vanishes.
+    """
+    basis = list(basis)
+    for i in (1, 2, 3):
+        if len(basis) == 3:
+            break
+        cand = np.zeros(4)
+        cand[i] = 1.0
+        v = cand + _product(u, cand) * u  # project off u
+        for b in basis:
+            v = v - _product(b, v) * b
+        n = _product(v, v)
+        if n > 1e-12:
+            basis.append(v / math.sqrt(n))
+    if len(basis) < 3:
+        raise GeometryError("degenerate spatial projection")
+    return basis
+
+
 def spatial_basis_for(
     u: Velocity,
 ) -> tuple[SpacetimeVector, SpacetimeVector, SpacetimeVector]:
@@ -541,15 +559,4 @@ def spatial_basis_for(
     For the fiducial rest observer this returns the fiducial spatial axes
     exactly.
     """
-    basis: list[np.ndarray] = []
-    for i in (1, 2, 3):
-        cand = np.zeros(4)
-        cand[i] = 1.0
-        v = cand + _product(u._c, cand) * u._c  # project off u
-        for b in basis:
-            v = v - _product(b, v) * b
-        n = _product(v, v)
-        if n <= 0.0:
-            raise GeometryError("degenerate spatial projection")
-        basis.append(v / math.sqrt(n))
-    return tuple(SpacetimeVector(b) for b in basis)
+    return tuple(SpacetimeVector(b) for b in _complete_frame(u._c, []))

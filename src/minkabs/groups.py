@@ -15,6 +15,7 @@ localization.
 
 from __future__ import annotations
 
+import itertools
 import math
 from typing import Iterable, Sequence
 
@@ -28,7 +29,7 @@ from .geometry import (
     Velocity,
     spatial_basis_for,
 )
-from .geometry import _METRIC, _product  # shared internal frame
+from .geometry import _METRIC, _complete_frame, _product, _within  # shared internal frame
 
 __all__ = [
     "LorentzMap",
@@ -169,23 +170,8 @@ def make_rotation(
         raise GeometryError("rotation axis must be a nonzero spacelike vector")
     if abs(_product(u._c, axis._c)) > 1e-10 * max(1.0, math.sqrt(n2)):
         raise GeometryError("rotation axis must be simultaneous for the observer")
-    n = axis._c / math.sqrt(n2)
-
     # complete (u, n) to an orthonormal frame, deterministically
-    comp: list[np.ndarray] = []
-    for i in (1, 2, 3):
-        cand = np.zeros(4)
-        cand[i] = 1.0
-        v = cand + _product(u._c, cand) * u._c
-        v = v - _product(n, v) * n
-        for b in comp:
-            v = v - _product(b, v) * b
-        vn = _product(v, v)
-        if vn > 1e-12:
-            comp.append(v / math.sqrt(vn))
-        if len(comp) == 2:
-            break
-    a, b = comp
+    n, a, b = _complete_frame(u._c, [axis._c / math.sqrt(n2)])
     # right-handed orientation of (a, b, n) with u first
     if np.linalg.det(np.column_stack([u._c, a, b, n])) < 0.0:
         a, b = b, a
@@ -231,23 +217,18 @@ def space_inversion(u: Velocity) -> LorentzMap:
     return LorentzMap(-np.eye(4) - 2.0 * _outer_dual(u._c, u._c), check=False)
 
 
-_SIGNED_PERMS: list[np.ndarray] | None = None
+def _signed_perm(perm, signs) -> np.ndarray:
+    m = np.zeros((3, 3))
+    for i, (p, s) in enumerate(zip(perm, signs)):
+        m[p, i] = s
+    return m
 
 
-def _signed_perm_matrices() -> list[np.ndarray]:
-    global _SIGNED_PERMS
-    if _SIGNED_PERMS is None:
-        import itertools
-
-        mats = []
-        for perm in itertools.permutations(range(3)):
-            for signs in itertools.product((1.0, -1.0), repeat=3):
-                m = np.zeros((3, 3))
-                for i, (p, s) in enumerate(zip(perm, signs)):
-                    m[p, i] = s
-                mats.append(m)
-        _SIGNED_PERMS = mats
-    return _SIGNED_PERMS
+_SIGNED_PERMS = tuple(
+    _signed_perm(perm, signs)
+    for perm in itertools.permutations(range(3))
+    for signs in itertools.product((1.0, -1.0), repeat=3)
+)
 
 
 def lattice_point_group(
@@ -261,7 +242,7 @@ def lattice_point_group(
     """
     if basis is None:
         basis = spatial_basis_for(u)
-    return [frame_map(u, basis, s) for s in _signed_perm_matrices()]
+    return [frame_map(u, basis, s) for s in _SIGNED_PERMS]
 
 
 # ---------------------------------------------------------------------------
@@ -341,9 +322,7 @@ class PoincareMap:
 
 def fixes_point(P: PoincareMap, o: SpacetimePoint) -> bool:
     """Whether the affine map leaves the event ``o`` in place."""
-    image = P(o)
-    scale = max(1.0, float(np.max(np.abs(o._c))))
-    return bool(np.max(np.abs(image._c - o._c)) <= _MEMBER_TOL * scale)
+    return _within(P(o)._c - o._c, _MEMBER_TOL, o._c)
 
 
 def stabilizes_instant(P: PoincareMap, t: Instant) -> bool:
@@ -460,18 +439,15 @@ class Region:
     def volume(self) -> float:
         return float(sum(np.prod(hi - lo) for lo, hi in self.boxes))
 
+    def _box_corners(self, lo: np.ndarray, hi: np.ndarray) -> list[np.ndarray]:
+        """Fiducial components of the eight corners of the box ``[lo, hi)``."""
+        cols = [b._c for b in self.basis]
+        coords = (np.where([(mask >> ax) & 1 for ax in range(3)], hi, lo) for mask in range(8))
+        return [self.anchor._c + sum(c[i] * cols[i] for i in range(3)) for c in coords]
+
     def corners(self) -> list[SpacetimePoint]:
         """World events at all box corners."""
-        pts = []
-        cols = [b._c for b in self.basis]
-        for lo, hi in self.boxes:
-            for mask in range(8):
-                coord = np.where(
-                    [(mask >> ax) & 1 for ax in range(3)], hi, lo
-                )
-                disp = sum(coord[i] * cols[i] for i in range(3))
-                pts.append(SpacetimePoint(self.anchor._c + disp))
-        return pts
+        return [SpacetimePoint(p) for lo, hi in self.boxes for p in self._box_corners(lo, hi)]
 
     def coordinates_of(self, p: SpacetimePoint) -> np.ndarray:
         """Coordinates of an event of the instant in this region's frame."""
@@ -509,10 +485,7 @@ def grow_region_causally(region: Region, t2: Instant) -> Region:
     for lo, hi in region.boxes:
         b_lo = np.full(3, np.inf)
         b_hi = np.full(3, -np.inf)
-        cols = [b._c for b in region.basis]
-        for mask in range(8):
-            coord = np.where([(mask >> ax) & 1 for ax in range(3)], hi, lo)
-            p = region.anchor._c + sum(coord[i] * cols[i] for i in range(3))
+        for p in region._box_corners(lo, hi):
             arrival_time = -_product(u2._c, t2.anchor._c - p)
             if arrival_time < -1e-12 * max(1.0, float(np.max(np.abs(p)))):
                 raise GeometryError("instant is not in the region's future")

@@ -17,6 +17,7 @@ from ..geometry import (
     Instant,
     MeasureScalar,
     SpacetimePoint,
+    SpacetimeVector,
     Velocity,
     fiducial_origin,
     normalize_velocity,
@@ -26,6 +27,11 @@ from ..geometry import (
 )
 
 __all__ = ["ModelConfig"]
+
+
+def axis_views(v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A 1-D lattice array as broadcast views along the three lattice axes."""
+    return v[:, None, None], v[None, :, None], v[None, None, :]
 
 
 class ModelConfig:
@@ -103,9 +109,7 @@ class ModelConfig:
         self.k1d = self.signed_index * self.dk
         self.x1d = self.signed_index * a
         self.box_length = n * a
-        k1 = self.k1d[:, None, None]
-        k2 = self.k1d[None, :, None]
-        k3 = self.k1d[None, None, :]
+        k1, k2, k3 = axis_views(self.k1d)
         self.omega = np.sqrt(mass.value**2 + k1**2 + k2**2 + k3**2)
         self.cutoff = math.pi / a
 
@@ -125,6 +129,11 @@ class ModelConfig:
             origin=self.origin,
             pad=self.pad,
         )
+
+    def lattice_vector(self, steps) -> SpacetimeVector:
+        """The spatial displacement of integer ``steps`` along the lattice axes."""
+        a = self.spacing.value
+        return sum(int(s) * a * b for s, b in zip(steps, self.basis))
 
     def echo(self) -> dict:
         """Configuration summary for reports."""

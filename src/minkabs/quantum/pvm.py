@@ -37,7 +37,7 @@ from ..geometry import (
 )
 from ..geometry import _METRIC
 from ..groups import LorentzMap, PoincareMap, Region, make_boost
-from .config import ModelConfig
+from .config import ModelConfig, axis_views
 from .state import (
     LatticeState,
     _to_momentum,
@@ -115,9 +115,7 @@ def rasterize(cfg: ModelConfig, region: Region, inflate: float = 0.0) -> np.ndar
     )
     off_vec = cfg.origin - region.anchor
     off = np.array([lorentz_product(br, off_vec).value for br in region.basis])
-    x1 = cfg.x1d[:, None, None]
-    x2 = cfg.x1d[None, :, None]
-    x3 = cfg.x1d[None, None, :]
+    xs = axis_views(cfg.x1d)
     L = cfg.box_length
     snap = _SNAP * cfg.spacing.value
     mask = np.zeros((cfg.N,) * 3, dtype=bool)
@@ -127,7 +125,7 @@ def rasterize(cfg: ModelConfig, region: Region, inflate: float = 0.0) -> np.ndar
             # a zero coefficient adds nothing, so an axis-aligned box stays
             # separable and only the final ``&`` spans the whole lattice
             c = off[m]
-            for x, coef in zip((x1, x2, x3), mat[:, m]):
+            for x, coef in zip(xs, mat[:, m]):
                 if coef != 0.0:
                     c = c + x * coef
             length = hi[m] - lo[m]

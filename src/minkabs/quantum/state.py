@@ -54,7 +54,7 @@ from ..geometry import (
 )
 from ..geometry import _METRIC
 from ..groups import LorentzMap, PoincareMap, in_O_u, is_orthochronous, time_inversion
-from .config import ModelConfig
+from .config import ModelConfig, axis_views
 
 __all__ = [
     "LatticeState",
@@ -134,9 +134,7 @@ def _translation_phase(cfg: ModelConfig, v: SpacetimeVector) -> np.ndarray:
     dt = time_part(cfg.observer, v).value
     spatial = space_part(cfg.observer, v)
     d = np.array([lorentz_product(b, spatial).value for b in cfg.basis])
-    k1 = cfg.k1d[:, None, None]
-    k2 = cfg.k1d[None, :, None]
-    k3 = cfg.k1d[None, None, :]
+    k1, k2, k3 = axis_views(cfg.k1d)
     return np.exp(-1j * (cfg.omega * dt + k1 * d[0] + k2 * d[1] + k3 * d[2]))
 
 
@@ -174,17 +172,15 @@ def _perm_flat_indices(cfg: ModelConfig, r3: np.ndarray) -> np.ndarray:
     if cached is not None:
         return cached
     n = cfg.N
-    s = cfg.signed_index
-    s1 = s[:, None, None]
-    s2 = s[None, :, None]
-    s3 = s[None, None, :]
+    s1, s2, s3 = axis_views(cfg.signed_index)
     rt = r3.T  # inverse of a signed permutation
     src = []
     for i in range(3):
         lab = rt[i, 0] * s1 + rt[i, 1] * s2 + rt[i, 2] * s3
         src.append(np.mod(lab, n))
     flat = (src[0] * n + src[1]) * n + src[2]
-    flat = np.ascontiguousarray(np.broadcast_to(flat, (n, n, n))).reshape(-1)
+    # int32 halves the cache (48 maps per lattice size) and gathers alike
+    flat = np.broadcast_to(flat, (n, n, n)).astype(np.int32).reshape(-1)
     _PERM_CACHE[key] = flat
     return flat
 
@@ -226,8 +222,7 @@ class _PullbackPlan:
 def _moving_axis(cfg: ModelConfig, q: np.ndarray) -> int | None:
     """The one lattice axis whose labels leave the lattice, or ``None``."""
     free = []
-    for i in range(3):
-        own = np.expand_dims(cfg.signed_index, [j for j in range(3) if j != i])
+    for i, own in enumerate(axis_views(cfg.signed_index)):
         if np.max(np.abs(q[..., i] / cfg.dk - own)) > _LABEL_TOL:
             free.append(i)
     return free[0] if len(free) == 1 else None
@@ -238,9 +233,7 @@ def _build_plan(cfg: ModelConfig, L: LorentzMap) -> _PullbackPlan:
     li = L.inverse().matrix
     u = cfg.observer._c
     bmat = np.stack([b._c for b in cfg.basis])  # (3, 4)
-    k1 = cfg.k1d[:, None, None]
-    k2 = cfg.k1d[None, :, None]
-    k3 = cfg.k1d[None, None, :]
+    k1, k2, k3 = axis_views(cfg.k1d)
     four = (
         cfg.omega[..., None] * u
         - k1[..., None] * bmat[0]
@@ -451,9 +444,7 @@ def make_gaussian(
         raise GeometryError("packet center too close to the lattice boundary")
 
     sigma = width.value
-    k1 = cfg.k1d[:, None, None]
-    k2 = cfg.k1d[None, :, None]
-    k3 = cfg.k1d[None, None, :]
+    k1, k2, k3 = axis_views(cfg.k1d)
     envelope = np.exp(
         -(sigma**2)
         * ((k1 - kbar[0]) ** 2 + (k2 - kbar[1]) ** 2 + (k3 - kbar[2]) ** 2)

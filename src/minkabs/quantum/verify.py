@@ -15,7 +15,7 @@ the same labeled projection, ``shift then transform`` against
 and differ on the lattice only by interpolation error.
 
 Drivers are deterministic given a seed; trial fan-out may run on
-threads (capped by the caller) and results merge in trial order.
+threads (capped by ``worker_cap()``) and results merge in trial order.
 """
 
 from __future__ import annotations
@@ -63,7 +63,7 @@ from .state import (
     LatticeState,
     make_gaussian,
     represent_array,
-    _to_momentum,
+    _to_momentum,  # no caller here; perfbench/layers.py traces this binding
     _to_position,
 )
 
@@ -192,10 +192,8 @@ def stabilizer_elements(cfg: ModelConfig, rng: np.random.Generator, translations
     elements = []
     for i, L in enumerate(group):
         elements.append((f"axis-symmetry-{i:02d}", PoincareMap.from_homogeneous(L, cfg.origin)))
-    a = cfg.spacing.value
     for j in range(translations):
-        steps = rng.integers(-cfg.N // 4, cfg.N // 4 + 1, 3)
-        shift = sum(int(s) * a * b for s, b in zip(steps, cfg.basis))
+        shift = cfg.lattice_vector(rng.integers(-cfg.N // 4, cfg.N // 4 + 1, 3))
         t = PoincareMap.from_translation(shift)
         elements.append((f"lattice-shift-{j}", t))
         r = group[int(rng.integers(0, len(group)))]
@@ -223,24 +221,14 @@ def stabilizer_covariance_residual(
     """
     mask = rasterize(cfg, region) if mask is None else mask
     if carried is None:
-        carried = _carried_side(states, rasterize(cfg, S.transform_region(region)))
+        carried = _conjugate_mask(cfg, states, [], rasterize(cfg, S.transform_region(region)))
     lhs = _conjugate_mask(cfg, states, [S], mask)
     lhs -= carried
     return _batch_max_norm(lhs)
 
 
-def _carried_side(states: np.ndarray, carried_mask: np.ndarray) -> np.ndarray:
-    """The right side: the constructing projection of ``carried_mask``."""
-    return _to_momentum(_to_position(states) * carried_mask, overwrite_x=True)
-
-
 def run_stabilizer_suite(
-    cfg: ModelConfig,
-    n_states: int = 50,
-    seed: int = 42,
-    tolerance: float = 1e-10,
-    translations: int = 4,
-    workers: int | None = None,
+    cfg: ModelConfig, n_states: int = 50, seed: int = 42, translations: int = 4
 ) -> list[CheckResult]:
     """Covariance of the localization family under every lattice-preserving
     stabilizer element, on white random states.
@@ -250,9 +238,10 @@ def run_stabilizer_suite(
     masks; at the default config all 56 elements share 20).  Each group
     computes its right side once and passes it as ``carried`` to every
     member, then drops it before the next group, so at most one right
-    side per worker is live.  The groups fan out over ``workers`` threads
-    (default ``worker_cap()``); results come back in element order, and
-    each group's first check is also timed over its right side.
+    side per worker is live.  The groups fan out over ``worker_cap()``
+    threads; results come back in element order, and each group's first
+    check is also timed over its right side.  Every check must stay at or
+    below 1e-10.
     """
     rng = np.random.default_rng(seed)
     states = random_states(cfg, rng, n_states)
@@ -260,7 +249,6 @@ def run_stabilizer_suite(
         cfg, (-cfg.N // 8, -cfg.N // 8 + 1, -2), (cfg.N // 8, cfg.N // 8 - 1, 1)
     )
     elements = stabilizer_elements(cfg, rng, translations)
-    cap = workers if workers is not None else worker_cap()
     mask = rasterize(cfg, region)
     groups: dict[bytes, tuple[np.ndarray, list]] = {}
     for idx, (name, S) in enumerate(elements):
@@ -270,18 +258,18 @@ def run_stabilizer_suite(
     def job(group):
         carried_mask, members = group
         t0 = time.perf_counter()
-        rhs = _carried_side(states, carried_mask)
+        rhs = _conjugate_mask(cfg, states, [], carried_mask)
         out = []
         for idx, name, S in members:
             res = stabilizer_covariance_residual(cfg, S, region, states, mask=mask, carried=rhs)
             check = CheckResult.make(
-                f"stabilizer-covariance/{name}", res, tolerance, cfg.N, t0, states=n_states
+                f"stabilizer-covariance/{name}", res, 1e-10, cfg.N, t0, states=n_states
             )
             out.append((idx, check))
             t0 = time.perf_counter()
         return out
 
-    done = _fan_out(job, groups.values(), cap)
+    done = _fan_out(job, groups.values(), worker_cap())
     results = sorted((pair for part in done for pair in part), key=lambda pair: pair[0])
     return [r for _, r in results]
 
@@ -320,9 +308,9 @@ def factorization_residual(
     region: Region,
     states: np.ndarray,
     rng: np.random.Generator,
-    shifts: int = 2,
 ) -> float:
-    """Factorization coherence of one labeled projection.
+    """Factorization coherence of one labeled projection, worst over two
+    random lattice steps.
 
     For a velocity change ``B`` and a lattice step ``T_d``, the two
     factorizations ``B T_d`` and ``T_{B d} B`` carry the same region to
@@ -335,11 +323,9 @@ def factorization_residual(
     hom = PoincareMap.from_homogeneous(linear, cfg.origin)
     # the first leg of every shift-then-transform side
     back, _ = represent_array(cfg, states, hom.inverse())
-    a = cfg.spacing.value
     worst = 0.0
-    for _ in range(shifts):
-        steps = rng.integers(1, max(2, cfg.N // 8) + 1, 3) * rng.choice([-1, 1], 3)
-        d = sum(int(s) * a * b for s, b in zip(steps, cfg.basis))
+    for _ in range(2):
+        d = cfg.lattice_vector(rng.integers(1, max(2, cfg.N // 8) + 1, 3) * rng.choice([-1, 1], 3))
         t_d = PoincareMap.from_translation(d)
         t_bd = PoincareMap.from_translation(linear(d))
         # the same map factored two ways: shift-then-transform equals
@@ -372,7 +358,7 @@ def boost_convergence_rows(
             states = smooth_states(cfg, rng, n_states)
             region = cell_region(cfg, (-3, -3, -3), (2, 2, 2))
             boost = make_boost(cfg.observer, u2)
-            res = factorization_residual(cfg, boost, region, states, rng, shifts=2)
+            res = factorization_residual(cfg, boost, region, states, rng)
             rows.append(
                 {
                     "seed": int(seed),
@@ -429,19 +415,17 @@ def position_family_stabilizer_residual(
     return _family_residual(cfg, S, states, mult, mult_carried, S.linear.inverse().matrix)
 
 
-def fixed_label_boost_witness(
-    cfg: ModelConfig, chi: float = 0.25, width: float = 0.75
-) -> float:
+def fixed_label_boost_witness(cfg: ModelConfig, chi: float = 0.25) -> float:
     """Residual of the fixed-label transformation guess under a velocity
     change: conjugation against plainly mixing the components.
 
     The family member with frozen labels is not a spacetime-vector
     operator, so this residual is bounded away from zero on the
-    standard packet.
+    standard packet (width 0.75 s).
     """
     boost = make_boost(cfg.observer, boosted_velocity(chi))
     hom = PoincareMap.from_homogeneous(boost, cfg.origin)
-    s = make_gaussian(cfg, width=seconds(width)).psi
+    s = make_gaussian(cfg, width=seconds(0.75)).psi
     mult = position_multipliers(cfg, cfg.origin)
     return _family_residual(cfg, hom, s, mult, mult, boost.matrix)
 
@@ -473,13 +457,11 @@ def own_time_variance(cfg: ModelConfig, n_states: int = 100, seed: int = 42) -> 
     return worst
 
 
-def time_variance_witness(
-    cfg: ModelConfig, witness_chi: float = 0.5, witness_width: float = 1.0
-) -> float:
-    """Duration variance of a wide packet relative to a tilted observer
-    (must be positive)."""
+def time_variance_witness(cfg: ModelConfig, witness_chi: float = 0.5) -> float:
+    """Duration variance of a wide packet (width 1 s) relative to a tilted
+    observer (must be positive)."""
     w = NwPosition(cfg.instant, cfg.origin)
-    witness_state = make_gaussian(cfg, width=seconds(witness_width))
+    witness_state = make_gaussian(cfg, width=seconds(1.0))
     u2 = boosted_velocity(witness_chi)
     return nw_component_stats(w, u2, witness_state).time_variance.value
 
@@ -502,16 +484,16 @@ class CausalityResult:
     margin: float
 
 
-def causal_shadow(cfg: ModelConfig, region=None, delta_t=2.0, u2=None, margin=None):
+def causal_shadow(cfg: ModelConfig, delta_t=2.0, u2=None, margin=None):
     """The geometry of one trial of ``causality_experiment``, with its defaults:
-    region, margin, the carry to the later labels, the causal shadow pulled
-    back to the constructing instant and its inflation.  No transform and
-    no rasterization; raises ``GeometryError`` where ``rasterize`` would."""
+    region (cells -2..1 per axis), margin, the carry to the later labels, the
+    causal shadow pulled back to the constructing instant and its inflation.
+    No transform and no rasterization; raises ``GeometryError`` where
+    ``rasterize`` would."""
     if delta_t < 0.0:
         raise GeometryError("the later instant must not precede the region")
     a = cfg.spacing.value
-    if region is None:
-        region = cell_region(cfg, (-2, -2, -2), (1, 1, 1))
+    region = cell_region(cfg, (-2, -2, -2), (1, 1, 1))
     if margin is None:
         margin = 0.2 * a
     observer2 = cfg.observer if u2 is None else u2
@@ -528,25 +510,21 @@ def causal_shadow(cfg: ModelConfig, region=None, delta_t=2.0, u2=None, margin=No
 
 def causality_experiment(
     cfg: ModelConfig,
-    region: Region | None = None,
     delta_t: float = 2.0,
     u2: Velocity | None = None,
     margin: float | None = None,
-    width: float | None = None,
 ) -> CausalityResult:
     """Prepare a localized state, then measure how much of it escapes the
     causal shadow of its region on a later instant.
 
-    The state is a packet projected into the region and renormalized, so
-    it is localized there exactly.  The shadow is the causally grown
-    region, rasterized conservatively: every cell within half a spacing
-    (plus ``margin``) of the cover counts as inside, so leakage can only
-    be under-reported.  Any strictly positive leakage exhibits
-    superluminal spreading of this localization notion.
+    The state is a packet three spacings wide projected into the region
+    and renormalized, so it is localized there exactly.  The shadow is
+    the causally grown region, rasterized conservatively: every cell
+    within half a spacing (plus ``margin``) of the cover counts as inside,
+    so leakage can only be under-reported.  Any strictly positive leakage
+    exhibits superluminal spreading of this localization notion.
     """
-    region, margin, carry, pulled, inflate = causal_shadow(cfg, region, delta_t, u2, margin)
-    if width is None:
-        width = 3.0 * cfg.spacing.value
+    region, margin, carry, pulled, inflate = causal_shadow(cfg, delta_t, u2, margin)
     chi = (
         0.0
         if u2 is None
@@ -557,7 +535,7 @@ def causality_experiment(
     box_center = region.anchor + sum(
         float(0.5 * (lo[m] + hi[m])) * b for m, b in enumerate(region.basis)
     )
-    packet = make_gaussian(cfg, center=box_center, width=seconds(width))
+    packet = make_gaussian(cfg, center=box_center, width=cfg.spacing * 3.0)
     handle0 = PvmHandle(cfg.instant)
     phi = pvm_project(handle0, region, packet).normalized()
     localized = localization_probability(handle0, region, phi)
@@ -580,7 +558,6 @@ def commutator_witness(
     cfg: ModelConfig,
     region_a: Region | None = None,
     region_b: Region | None = None,
-    delta_t: float = 0.5,
     seed: int = 42,
     starts: int = 3,
     iterations: int = 12,
@@ -596,7 +573,7 @@ def commutator_witness(
     if region_a is None:
         region_a = cell_region(cfg, (-5, -2, -2), (-2, 1, 1))
     if region_b is None:
-        t2 = Instant(cfg.observer, cfg.origin + cfg.observer * seconds(delta_t))
+        t2 = Instant(cfg.observer, cfg.origin + cfg.observer * seconds(0.5))
         region_b = cell_region(cfg, (2, -2, -2), (5, 1, 1), instant=t2)
     handle_a = PvmHandle(region_a.instant)
     handle_b = PvmHandle(region_b.instant)
@@ -654,9 +631,7 @@ def handle_covariance_residual(
 def _random_lattice_map(cfg: ModelConfig, rng: np.random.Generator) -> PoincareMap:
     group = lattice_point_group(cfg.observer, cfg.basis)
     R = group[int(rng.integers(0, len(group)))]
-    a = cfg.spacing.value
-    steps = rng.integers(-cfg.N // 8, cfg.N // 8 + 1, 3)
-    shift = sum(int(s) * a * b for s, b in zip(steps, cfg.basis))
+    shift = cfg.lattice_vector(rng.integers(-cfg.N // 8, cfg.N // 8 + 1, 3))
     shift = shift + cfg.observer * seconds(float(rng.uniform(-1.0, 1.0)))
     return PoincareMap.from_translation(shift).compose(
         PoincareMap.from_homogeneous(R, cfg.origin)

@@ -43,6 +43,8 @@ from .report import CheckResult
 
 __all__ = ["run_geometry_suite"]
 
+_HEAVY_SAMPLES = 10_000  # random inputs of the observer-splitting checks
+
 
 def _random_velocity(rng, max_rapidity=1.5):
     chi = rng.uniform(0, max_rapidity)
@@ -64,7 +66,7 @@ def _random_map(rng, depth=3):
     return m
 
 
-def run_geometry_suite(seed: int = 42, heavy_samples: int = 10_000) -> list[CheckResult]:
+def run_geometry_suite(seed: int = 42) -> list[CheckResult]:
     """All geometry and group invariants at their stated tolerances."""
     rng = np.random.default_rng(seed)
     results = []
@@ -75,7 +77,7 @@ def run_geometry_suite(seed: int = 42, heavy_samples: int = 10_000) -> list[Chec
     worst_split = 0.0
     worst_orth = 0.0
     orth_s = 0.0
-    for _ in range(heavy_samples):
+    for _ in range(_HEAVY_SAMPLES):
         u = _random_velocity(rng)
         x = vector(*rng.uniform(-10, 10, 4))
         tp = time_part(u, x)
@@ -94,7 +96,7 @@ def run_geometry_suite(seed: int = 42, heavy_samples: int = 10_000) -> list[Chec
         ("splitting-reconstruction", worst_split, t0 + orth_s),
         ("splitting-orthogonality", worst_orth, t_orth),
     ):
-        results.append(CheckResult.make(name, worst, 1e-12, 0, start, samples=heavy_samples))
+        results.append(CheckResult.make(name, worst, 1e-12, 0, start, samples=_HEAVY_SAMPLES))
 
     # product preservation under composed maps
     t0 = time.perf_counter()

@@ -313,6 +313,20 @@ class TestSpacePoints:
             space_subtract(q1, q2)
 
 
+class TestObserverLabels:
+    def test_instant_never_equals_space_point(self):
+        u, o = test_velocities[1], fiducial_origin()
+        assert Instant(u, o) != SpacePoint(u, o)
+        assert SpacePoint(u, o) != Instant(u, o)
+
+    def test_containment_is_looser_than_equality(self):
+        # contains() keeps its 1e-9 tolerance, == keeps 1e-12
+        u, o = test_velocities[1], fiducial_origin()
+        near = o + u * seconds(1e-10)
+        assert Instant(u, o).contains(near)
+        assert Instant(u, o) != Instant(u, near)
+
+
 class TestSpatialBasis:
     @pytest.mark.parametrize("u", test_velocities)
     def test_orthonormal_and_simultaneous(self, u):

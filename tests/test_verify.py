@@ -11,6 +11,7 @@ from minkabs.geometry import normalize_velocity, vector
 from minkabs.groups import PoincareMap, make_boost, make_rotation
 from minkabs.quantum import ModelConfig
 import minkabs.quantum.pvm as pvm
+import minkabs.quantum.state as state
 import minkabs.quantum.verify as V
 from minkabs.quantum.state import _to_momentum
 
@@ -46,12 +47,11 @@ class TestStabilizerCovariance:
         assert all(r.passed for r in results)
         assert max(r.residual for r in results) <= 1e-10
 
-    @pytest.mark.parametrize("workers", [1, 2])
-    def test_suite_matches_standalone_residuals(self, cfg, workers):
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_suite_matches_standalone_residuals(self, cfg, threads, monkeypatch):
         # the suite's hoisted mask and shared carried sides change no bit
-        results = V.run_stabilizer_suite(
-            cfg, n_states=4, seed=3, translations=2, workers=workers
-        )
+        monkeypatch.setenv("MINKABS_THREADS", threads)
+        results = V.run_stabilizer_suite(cfg, n_states=4, seed=3, translations=2)
         rng = np.random.default_rng(3)
         states = V.random_states(cfg, rng, 4)
         region = V.cell_region(cfg, (-2, -1, -2), (2, 1, 1))
@@ -68,9 +68,9 @@ class TestStabilizerCovariance:
             calls.append(arr.shape)
             return _to_momentum(arr, overwrite_x=overwrite_x)
 
-        monkeypatch.setattr(V, "_to_momentum", counting)
         monkeypatch.setattr(pvm, "_to_momentum", counting)
-        V.run_stabilizer_suite(cfg, n_states=8, seed=3, translations=2, workers=1)
+        monkeypatch.setenv("MINKABS_THREADS", "1")
+        V.run_stabilizer_suite(cfg, n_states=8, seed=3, translations=2)
         rng = np.random.default_rng(3)
         V.random_states(cfg, rng, 8)
         region = V.cell_region(cfg, (-2, -1, -2), (2, 1, 1))
@@ -80,27 +80,36 @@ class TestStabilizerCovariance:
         # one transform per element (its left side), one per carried mask
         assert len(calls) == len(elements) + len(carried)
 
-    def test_serial_suite_holds_one_carried_side(self, cfg):
+    def test_serial_suite_holds_one_carried_side(self, cfg, monkeypatch):
         # one right side live at a time peaks near 5.8 batches of states;
         # keeping every group's right side would take 19 or more.  The
         # first run fills the permutation cache, which is not per run.
+        monkeypatch.setenv("MINKABS_THREADS", "1")
         batch_bytes = V.random_states(cfg, np.random.default_rng(0), 8).nbytes
-        V.run_stabilizer_suite(cfg, n_states=8, seed=3, translations=2, workers=1)
+        V.run_stabilizer_suite(cfg, n_states=8, seed=3, translations=2)
         tracemalloc.start()
         try:
-            V.run_stabilizer_suite(cfg, n_states=8, seed=3, translations=2, workers=1)
+            V.run_stabilizer_suite(cfg, n_states=8, seed=3, translations=2)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert peak < 7 * batch_bytes
 
-    def test_threaded_run_matches_serial(self, cfg):
-        serial = V.run_stabilizer_suite(cfg, n_states=4, seed=9, translations=1)
-        threaded = V.run_stabilizer_suite(
-            cfg, n_states=4, seed=9, translations=1, workers=4
-        )
+    def test_threaded_run_matches_serial(self, cfg, monkeypatch):
+        runs = {}
+        for threads in ("1", "4"):
+            monkeypatch.setenv("MINKABS_THREADS", threads)
+            runs[threads] = V.run_stabilizer_suite(cfg, n_states=4, seed=9, translations=1)
+        serial, threaded = runs["1"], runs["4"]
         assert [r.name for r in serial] == [r.name for r in threaded]
         assert [r.residual for r in serial] == [r.residual for r in threaded]
+
+    def test_permutation_cache_holds_int32_indices(self, cfg, monkeypatch):
+        # 48 point-group maps, one 4-byte index per lattice point each
+        monkeypatch.setenv("MINKABS_THREADS", "1")
+        V.run_stabilizer_suite(cfg, n_states=2, seed=3, translations=1)
+        held = sum(v.nbytes for (n, _), v in state._PERM_CACHE.items() if n == cfg.N)
+        assert 0 < held <= 48 * cfg.N**3 * 4
 
 
 class TestLabelChanges:
@@ -124,9 +133,7 @@ class TestLabelChanges:
             states = V.smooth_states(c, rng, 2)
             region = V.cell_region(c, (-3, -3, -3), (2, 2, 2))
             boost = make_boost(c.observer, V.boosted_velocity(0.25))
-            residuals[n] = V.factorization_residual(
-                c, boost, region, states, rng, shifts=2
-            )
+            residuals[n] = V.factorization_residual(c, boost, region, states, rng)
         assert residuals[64] <= 0.6 * residuals[32]
 
     def test_convergence_seeds_fan_out_in_seed_order(self, monkeypatch):
