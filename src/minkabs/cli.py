@@ -141,7 +141,7 @@ def cmd_verify_geometry(config: dict) -> RunReport:
 
 def cmd_verify_covariance(config: dict) -> RunReport:
     cfg = build_model(config)
-    _require_fit(cfg, (3.0 * cfg.spacing.value, 0.75, 1.0))  # default and witness packets
+    _require_fit(cfg, (3.0 * cfg.spacing.value, V.STANDARD_PACKET_WIDTH, V.WIDE_PACKET_WIDTH))
     seed = int(config["seed"])
     chi = float(config["rapidity"])
     witness_chi = float(config["witness_rapidity"])

@@ -181,10 +181,10 @@ def seconds(value: float) -> MeasureScalar:
 
 
 def _as_components(values: Iterable[float]) -> np.ndarray:
-    c = np.asarray(tuple(values), dtype=float)
+    # one float copy of an array; any other iterable goes through a tuple
+    c = np.array(values if isinstance(values, np.ndarray) else tuple(values), dtype=float)
     if c.shape != (4,):
         raise GeometryError("expected four components")
-    c = c.copy()
     c.flags.writeable = False
     return c
 
@@ -414,7 +414,7 @@ def normalize_velocity(x: SpacetimeVector) -> Velocity:
     """The absolute velocity along a future-directed timelike vector."""
     if causal_class(x) is not CausalClass.TIMELIKE:
         raise GeometryError("only a timelike vector defines a velocity")
-    if not is_future_directed(x):
+    if _product(x._c, _FUTURE) >= 0.0:  # is_future_directed, timelike known
         raise GeometryError("velocity must be future directed")
     s = _product(x._c, x._c)
     return Velocity(x._c / math.sqrt(-s))

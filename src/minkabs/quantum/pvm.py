@@ -40,6 +40,8 @@ from ..groups import LorentzMap, PoincareMap, Region, make_boost
 from .config import ModelConfig, axis_views
 from .state import (
     LatticeState,
+    _apply_prepared,
+    _prepare_represent,
     _to_momentum,
     _to_position,
     represent_array,
@@ -165,33 +167,49 @@ def _pullback_region(cfg: ModelConfig, P: PoincareMap, region: Region) -> Region
     return P.inverse().transform_region(region)
 
 
+class _Conjugation:
+    """U M U^-1 on raw amplitudes, built once, applied by calling it: M is the
+    position-space multiplier ``mask`` (any real field broadcasting against the
+    amplitudes), U represents the composite of ``chain`` (first element acts
+    first).  The mask and both directions' prepared maps are read-only."""
+
+    def __init__(self, cfg: ModelConfig, chain, mask: np.ndarray):
+        self.cfg = cfg
+        self.mask = np.asarray(mask).view()
+        self.mask.flags.writeable = False
+        self.back = [_prepare_represent(cfg, P.inverse()) for P in reversed(chain)]
+        self.forth = [_prepare_represent(cfg, P) for P in chain]
+
+    def __call__(self, states: np.ndarray) -> np.ndarray:
+        arr = states
+        for prepared in self.back:
+            arr, _ = _apply_prepared(self.cfg, arr, prepared)
+        # reuse the input only if the chain made it (an identity chain hands
+        # back ``states``); the masked product is always a new array
+        arr = _to_position(arr, overwrite_x=arr is not states) * self.mask
+        arr = _to_momentum(arr, overwrite_x=True)
+        for prepared in self.forth:
+            arr, _ = _apply_prepared(self.cfg, arr, prepared, overwrite_x=True)
+        return arr
+
+
 def _conjugate_mask(cfg: ModelConfig, states: np.ndarray, chain, mask: np.ndarray):
-    """Apply U M U^-1 to raw amplitudes, M the position-space multiplier
-    ``mask`` (any real field that broadcasts against the amplitudes) and U
-    representing the composite of ``chain`` in application order (first
-    element acts on spacetime first)."""
-    arr = states
-    for P in reversed(chain):
-        arr, _ = represent_array(cfg, arr, P.inverse())
-    # the first transform may reuse its input only when the chain made a new
-    # array (an empty or identity chain hands back ``states`` itself); the
-    # masked product is always a new array
-    arr = _to_position(arr, overwrite_x=arr is not states) * mask
-    arr = _to_momentum(arr, overwrite_x=True)
-    for P in chain:
-        arr, _ = represent_array(cfg, arr, P)
-    return arr
+    """Apply U M U^-1 once (see ``_Conjugation``)."""
+    return _Conjugation(cfg, chain, mask)(states)
+
+
+def _projection(handle: PvmHandle, region: Region, cfg: ModelConfig) -> _Conjugation:
+    """The localization projection of ``region`` through ``handle``, built once."""
+    if handle.is_constructing(cfg):
+        return _Conjugation(cfg, [], rasterize(cfg, region))
+    carry = canonical_map(cfg, handle.instant)
+    return _Conjugation(cfg, [carry], rasterize(cfg, _pullback_region(cfg, carry, region)))
 
 
 def _project_raw(
     handle: PvmHandle, region: Region, psi: np.ndarray, cfg: ModelConfig
 ) -> np.ndarray:
-    if handle.is_constructing(cfg):
-        return _conjugate_mask(cfg, psi, [], rasterize(cfg, region))
-    carry = canonical_map(cfg, handle.instant)
-    return _conjugate_mask(
-        cfg, psi, [carry], rasterize(cfg, _pullback_region(cfg, carry, region))
-    )
+    return _projection(handle, region, cfg)(psi)
 
 
 def pvm_project(handle: PvmHandle, region: Region, state: LatticeState) -> LatticeState:

@@ -377,20 +377,26 @@ def _apply_linear(
     return out, chi, max(drift for _, drift in pieces)
 
 
-def _apply_poincare_array(
-    cfg: ModelConfig, arr: np.ndarray, P: PoincareMap
-) -> tuple[np.ndarray, float]:
-    """Apply an affine map to raw amplitudes (batch axes allowed).
-
-    Factorization: the homogeneous part at the lattice origin, then the
-    translation carrying the origin to its image.  Returns the result
-    and the worst norm drift of any interpolation step (0 for exact
-    paths).
-    """
-    out, _, drift = _apply_linear(cfg, arr, P.linear)
+def _prepare_poincare(cfg: ModelConfig, P: PoincareMap) -> tuple[LorentzMap, np.ndarray | None]:
+    """The state-independent part of an affine map: its homogeneous part at the
+    lattice origin, and the read-only phase of its shift of the origin or ``None``."""
     shift = P(cfg.origin) - cfg.origin
-    if not np.all(shift._c == 0.0):
-        out = out * _translation_phase(cfg, shift)
+    if np.all(shift._c == 0.0):
+        return P.linear, None
+    phase = _translation_phase(cfg, shift)
+    phase.flags.writeable = False
+    return P.linear, phase
+
+
+def _apply_prepared(cfg: ModelConfig, arr: np.ndarray, prepared, overwrite_x: bool = False):
+    """Apply a prepared affine map to raw amplitudes (batch axes allowed): the
+    result and the worst norm drift of any interpolation step.  Pass
+    ``overwrite_x=True`` only for a complex temporary ``arr``: the phase
+    multiply may then reuse its buffer."""
+    linear, phase = prepared
+    out, _, drift = _apply_linear(cfg, arr, linear)
+    if phase is not None:
+        out = np.multiply(out, phase, out=out if overwrite_x else None)
     return out, drift
 
 
@@ -493,7 +499,7 @@ def apply_boost(state: LatticeState, L: LorentzMap, return_report: bool = False)
 def apply_poincare(state: LatticeState, P: PoincareMap) -> LatticeState:
     """Apply an affine map: homogeneous part at the lattice origin, then
     the translation carrying the origin to its image."""
-    out, _ = _apply_poincare_array(state.cfg, state.psi, P)
+    out, _ = _apply_prepared(state.cfg, state.psi, _prepare_poincare(state.cfg, P))
     return LatticeState(state.cfg, out)
 
 
@@ -523,7 +529,12 @@ def represent_array(cfg: ModelConfig, arr: np.ndarray, P: PoincareMap):
     inverse, so localization probabilities at later instants see the
     spread packet.
     """
-    return _apply_poincare_array(cfg, arr, _time_twist(cfg, P))
+    return _apply_prepared(cfg, arr, _prepare_represent(cfg, P))
+
+
+def _prepare_represent(cfg: ModelConfig, P: PoincareMap):
+    """The state-independent part of ``represent_array``: twist, shift, phase."""
+    return _prepare_poincare(cfg, _time_twist(cfg, P))
 
 
 def represent(state: LatticeState, P: PoincareMap) -> LatticeState:

@@ -52,6 +52,7 @@ from .pvm import (
     PvmHandle,
     _conjugate_mask,
     _fitted_boxes,
+    _projection,
     canonical_map,
     localization_probability,
     nw_component_stats,
@@ -92,6 +93,10 @@ __all__ = [
     "handle_covariance_residual",
     "equivariance_residual",
 ]
+
+# widths (s) of the standard and the time-variance witness packets; cli checks both fit
+STANDARD_PACKET_WIDTH = 0.75
+WIDE_PACKET_WIDTH = 1.0
 
 
 def worker_cap() -> int:
@@ -291,15 +296,12 @@ def label_change_residual(
     """
     if not L.is_orthochronous():
         raise GeometryError("covariance drivers take orthochronous maps")
-    carried_region = L.transform_region(region)
     handle = PvmHandle(L.transform_instant(cfg.instant))
+    carried = _projection(handle, L.transform_region(region), cfg)
     lhs = _conjugate_mask(cfg, states, [L], rasterize(cfg, region))
-    rhs = np.empty_like(states)
-    batch = states.reshape(-1, cfg.N, cfg.N, cfg.N)
-    out = rhs.reshape(-1, cfg.N, cfg.N, cfg.N)
-    for i, one in enumerate(batch):
-        out[i] = pvm_project(handle, carried_region, LatticeState(cfg, one)).psi
-    return _batch_max_norm(lhs - rhs)
+    # one state at a time: the batched transform rounds differently
+    rhs = np.stack([carried(one) for one in states.reshape(-1, cfg.N, cfg.N, cfg.N)])
+    return _batch_max_norm(lhs - rhs.reshape(states.shape))
 
 
 def factorization_residual(
@@ -421,11 +423,11 @@ def fixed_label_boost_witness(cfg: ModelConfig, chi: float = 0.25) -> float:
 
     The family member with frozen labels is not a spacetime-vector
     operator, so this residual is bounded away from zero on the
-    standard packet (width 0.75 s).
+    standard packet (``STANDARD_PACKET_WIDTH``).
     """
     boost = make_boost(cfg.observer, boosted_velocity(chi))
     hom = PoincareMap.from_homogeneous(boost, cfg.origin)
-    s = make_gaussian(cfg, width=seconds(0.75)).psi
+    s = make_gaussian(cfg, width=seconds(STANDARD_PACKET_WIDTH)).psi
     mult = position_multipliers(cfg, cfg.origin)
     return _family_residual(cfg, hom, s, mult, mult, boost.matrix)
 
@@ -458,10 +460,10 @@ def own_time_variance(cfg: ModelConfig, n_states: int = 100, seed: int = 42) -> 
 
 
 def time_variance_witness(cfg: ModelConfig, witness_chi: float = 0.5) -> float:
-    """Duration variance of a wide packet (width 1 s) relative to a tilted
-    observer (must be positive)."""
+    """Duration variance of the wide packet (``WIDE_PACKET_WIDTH``) relative
+    to a tilted observer (must be positive)."""
     w = NwPosition(cfg.instant, cfg.origin)
-    witness_state = make_gaussian(cfg, width=seconds(1.0))
+    witness_state = make_gaussian(cfg, width=seconds(WIDE_PACKET_WIDTH))
     u2 = boosted_velocity(witness_chi)
     return nw_component_stats(w, u2, witness_state).time_variance.value
 
@@ -575,13 +577,12 @@ def commutator_witness(
     if region_b is None:
         t2 = Instant(cfg.observer, cfg.origin + cfg.observer * seconds(0.5))
         region_b = cell_region(cfg, (2, -2, -2), (5, 1, 1), instant=t2)
-    handle_a = PvmHandle(region_a.instant)
-    handle_b = PvmHandle(region_b.instant)
+    # each projection is built once, then applied by the power iteration
+    proj_a = _projection(PvmHandle(region_a.instant), region_a, cfg)
+    proj_b = _projection(PvmHandle(region_b.instant), region_b, cfg)
 
     def commutator(arr):
-        ab = _project_arr(cfg, handle_a, region_a, _project_arr(cfg, handle_b, region_b, arr))
-        ba = _project_arr(cfg, handle_b, region_b, _project_arr(cfg, handle_a, region_a, arr))
-        return ab - ba
+        return proj_a(proj_b(arr)) - proj_b(proj_a(arr))
 
     rng = np.random.default_rng(seed)
     best = 0.0
@@ -660,7 +661,7 @@ def _probe_bundle(
         out[f"localization-{i}"] = localization_probability(
             handle, moved_region, LatticeState(cfg, moved_states[i])
         )
-    gauss = make_gaussian(cfg, width=seconds(0.75))
+    gauss = make_gaussian(cfg, width=seconds(STANDARD_PACKET_WIDTH))
     mg, _ = represent_array(cfg, gauss.psi, ident)
     mg_state = LatticeState(cfg, mg)
     out["localization-gauss"] = localization_probability(handle, moved_region, mg_state)

@@ -202,6 +202,17 @@ class TestConfigValidation:
         assert out.out == ""
         assert out.err.startswith("configuration error: ")
 
+    def test_witness_widths_are_the_drivers_widths(self, tmp_path, capsys, monkeypatch):
+        # the fit check reads the width the time-variance witness packet
+        # uses, so widening it past a quarter box (1 s at N=16) is exit 2
+        from minkabs.quantum import verify
+
+        monkeypatch.setattr(verify, "WIDE_PACKET_WIDTH", 1.25)
+        assert main(["verify-covariance", "--config", small_config(tmp_path)]) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err.startswith("configuration error: packet too wide")
+
     def test_negative_rapidity_is_capped(self):
         # a negative rapidity boosts along the opposite axis direction
         config = load_config(None, {})

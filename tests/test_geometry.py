@@ -14,6 +14,7 @@ from minkabs.geometry import (
     Instant,
     MeasureScalar,
     SpacePoint,
+    SpacetimeVector,
     causal_class,
     fiducial_frame,
     fiducial_origin,
@@ -130,6 +131,31 @@ class TestLorentzProduct:
             lhs = lorentz_product(a * x + z, y).value
             rhs = a * lorentz_product(x, y).value + lorentz_product(z, y).value
             assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(lhs), abs(rhs))
+
+
+class TestComponents:
+    # a vector owns one read-only float copy of exactly four components
+    def test_copy_of_the_source_array(self):
+        src = np.array([1.0, 2.0, 3.0, 4.0])
+        x = SpacetimeVector(src)
+        src[0] = 9.0
+        assert x._c.tolist() == [1.0, 2.0, 3.0, 4.0]
+
+    def test_components_are_read_only(self):
+        x = SpacetimeVector(np.array([1.0, 2.0, 3.0, 4.0]))
+        assert not x._c.flags.writeable
+        with pytest.raises(ValueError):
+            x._c[0] = 0.0
+
+    def test_int_array_becomes_float(self):
+        x = SpacetimeVector(np.array([1, 2, 3, 4]))
+        assert x._c.dtype == np.float64
+        assert x._c.tolist() == [1.0, 2.0, 3.0, 4.0]
+
+    @pytest.mark.parametrize("shape", [(3,), (2, 2)])
+    def test_wrong_shape_rejected(self, shape):
+        with pytest.raises(GeometryError, match="four components"):
+            SpacetimeVector(np.ones(shape))
 
 
 class TestCausalClass:

@@ -34,8 +34,13 @@ from minkabs.quantum import (
     pvm_project,
     rasterize,
 )
-from minkabs.quantum.pvm import _conjugate_mask, position_multipliers
-from minkabs.quantum.state import LatticeState, _to_momentum, _to_position
+from minkabs.quantum.pvm import _conjugate_mask, _projection, position_multipliers
+from minkabs.quantum.state import (
+    LatticeState,
+    _to_momentum,
+    _to_position,
+    represent_array,
+)
 from minkabs.quantum.verify import boosted_velocity
 
 U0 = normalize_velocity(vector(1, 0, 0, 0))
@@ -326,3 +331,46 @@ class TestConjugateMask:
         before = batch.tobytes()
         transform(batch)
         assert batch.tobytes() == before
+
+
+class TestPreparedProjection:
+    # a projection built once must act like the one-shot definition (carry
+    # back, mask, carry forward) and must not change between applications
+    @staticmethod
+    def labels(cfg, kind):
+        if kind == "constructing":
+            return cfg.instant
+        u2 = U0 if kind == "later" else boosted_velocity(0.2)
+        return Instant(u2, cfg.origin + u2 * seconds(0.5))
+
+    @pytest.mark.parametrize("kind", ["constructing", "later", "boosted"])
+    def test_matches_one_shot_definition(self, cfg, kind):
+        inst = self.labels(cfg, kind)
+        reg = Region(inst, [cell_box(cfg, (-2, -2, -2), (1, 1, 1))], anchor=inst.anchor)
+        carry = canonical_map(cfg, inst)
+        mask = rasterize(cfg, carry.inverse().transform_region(reg))
+        proj = _projection(PvmHandle(inst), reg, cfg)
+        for seed in (11, 12):
+            psi = random_state(cfg, seed).psi
+            back, _ = represent_array(cfg, psi, carry.inverse())
+            ref, _ = represent_array(cfg, _to_momentum(_to_position(back) * mask), carry)
+            assert np.max(np.abs(proj(psi) - ref)) <= 1e-15
+
+    @pytest.mark.parametrize("kind", ["constructing", "later", "boosted"])
+    def test_repeated_application_is_identical(self, cfg, kind):
+        inst = self.labels(cfg, kind)
+        reg = Region(inst, [cell_box(cfg, (-2, -2, -2), (1, 1, 1))], anchor=inst.anchor)
+        proj = _projection(PvmHandle(inst), reg, cfg)
+        stored = [proj.mask] + [
+            phase for _, phase in proj.back + proj.forth if phase is not None
+        ]
+        assert len(stored) == (1 if kind == "constructing" else 3)
+        before = [a.tobytes() for a in stored]
+        batch = np.stack([random_state(cfg, seed).psi for seed in (13, 14)])
+        first = proj(batch)
+        assert np.array_equal(first, proj(batch))
+        assert [a.tobytes() for a in stored] == before
+        for a in stored:
+            assert not a.flags.writeable
+            with pytest.raises(ValueError):
+                a *= 1

@@ -43,8 +43,9 @@ from minkabs.quantum import (
 )
 from minkabs.quantum.state import (
     _apply_perm,
-    _apply_poincare_array,
+    _apply_prepared,
     _perm_flat_indices,
+    _prepare_poincare,
     _to_position,
     represent_array,
 )
@@ -491,7 +492,7 @@ class TestActionWrappers:
         P = PoincareMap.from_homogeneous(L, cfg.origin)
         out, report = apply_boost(s, L, return_report=True)
         assert np.array_equal(out.psi, apply_poincare(s, P).psi)
-        _, drift = _apply_poincare_array(cfg, s.psi, P)
+        _, drift = _apply_prepared(cfg, s.psi, _prepare_poincare(cfg, P))
         assert drift > 0.0
         assert report.norm_drift == drift
         assert report.rapidity == rapidity_of(cfg, L)
