@@ -320,8 +320,9 @@ def fiducial_origin() -> SpacetimePoint:
 _FUTURE = np.array([1.0, 0.0, 0.0, 0.0])
 
 
-def _product(a: np.ndarray, b: np.ndarray) -> float:
-    return float(np.dot(a * _METRIC, b))
+def _product(a: np.ndarray, b: np.ndarray):
+    # 4-vectors or (..., 4) stacks; vecdot rounds each row as np.dot does
+    return np.vecdot(a * _METRIC, b)
 
 
 def lorentz_product(x: SpacetimeVector, y: SpacetimeVector) -> MeasureScalar:
@@ -361,7 +362,7 @@ def is_future_directed(x: SpacetimeVector) -> bool:
     cls = causal_class(x)
     if cls not in (CausalClass.TIMELIKE, CausalClass.LIGHTLIKE):
         raise GeometryError(f"not causal: {cls.value} vector has no time arrow")
-    return _product(x._c, _FUTURE) < 0.0
+    return bool(_product(x._c, _FUTURE) < 0.0)
 
 
 class Velocity:
@@ -374,13 +375,7 @@ class Velocity:
     __slots__ = ("_c",)
 
     def __init__(self, components: Iterable[float]):
-        c = _as_components(components)
-        norm = _product(c, c)
-        if abs(norm + 1.0) > 1e-12 * max(1.0, float(np.dot(c, c))):
-            raise GeometryError("velocity is not unit timelike")
-        if _product(c, _FUTURE) >= 0.0:
-            raise GeometryError("velocity is not future directed")
-        self._c = c
+        self._c = _check_velocity(_as_components(components))
 
     def __mul__(self, scalar):
         # velocity times a duration is a displacement
@@ -410,14 +405,32 @@ class Velocity:
         return f"Velocity({tuple(self._c)!r})"
 
 
+def _check_velocity(c: np.ndarray) -> np.ndarray:
+    """``c`` (a 4-vector or a ``(..., 4)`` stack) once every row is a velocity."""
+    if (abs(_product(c, c) + 1.0) > 1e-12 * np.maximum(1.0, np.vecdot(c, c))).any():
+        raise GeometryError("velocity is not unit timelike")
+    if (_product(c, _FUTURE) >= 0.0).any():
+        raise GeometryError("velocity is not future directed")
+    return c
+
+
+def _normalize(c: np.ndarray) -> np.ndarray:
+    """Each row of ``c`` over its Lorentz length, once every row is timelike."""
+    s = _product(c, c)
+    if not ((s < 0.0) & (abs(s) > _REL_TOL * np.vecdot(c, c))).all():  # as causal_class
+        raise GeometryError("only a timelike vector defines a velocity")
+    return c / np.sqrt(-s)[..., None]
+
+
+def _split(u: np.ndarray, x: np.ndarray):
+    """The time part of ``x`` for ``u`` and its ``u``-simultaneous rest, row by row."""
+    t = -_product(u, x)
+    return t, x - t[..., None] * u
+
+
 def normalize_velocity(x: SpacetimeVector) -> Velocity:
     """The absolute velocity along a future-directed timelike vector."""
-    if causal_class(x) is not CausalClass.TIMELIKE:
-        raise GeometryError("only a timelike vector defines a velocity")
-    if _product(x._c, _FUTURE) >= 0.0:  # is_future_directed, timelike known
-        raise GeometryError("velocity must be future directed")
-    s = _product(x._c, x._c)
-    return Velocity(x._c / math.sqrt(-s))
+    return Velocity(_normalize(x._c))
 
 
 def time_part(u: Velocity, x: SpacetimeVector) -> MeasureScalar:
@@ -426,7 +439,7 @@ def time_part(u: Velocity, x: SpacetimeVector) -> MeasureScalar:
     This is the coefficient of ``u`` in the unique splitting of ``x``
     into a part along ``u`` plus a part simultaneous for ``u``.
     """
-    return MeasureScalar(-_product(u._c, x._c), 1)
+    return MeasureScalar(_split(u._c, x._c)[0], 1)
 
 
 def space_part(u: Velocity, x: SpacetimeVector) -> SpacetimeVector:
@@ -435,8 +448,7 @@ def space_part(u: Velocity, x: SpacetimeVector) -> SpacetimeVector:
     Satisfies ``time_part(u, x) * u + space_part(u, x) == x`` and is
     orthogonal to ``u`` in the Lorentz product.
     """
-    t = -_product(u._c, x._c)
-    return SpacetimeVector(x._c - t * u._c)
+    return SpacetimeVector(_split(u._c, x._c)[1])
 
 
 # ---------------------------------------------------------------------------

@@ -52,6 +52,9 @@ __all__ = [
 
 _MEMBER_TOL = 1e-9
 
+_GRAM = np.diag(_METRIC)  # the Gram matrix that every Lorentz map preserves
+_GRAM.flags.writeable = False
+
 
 def _rel_scale(m: np.ndarray) -> float:
     return max(1.0, float(np.max(np.abs(m))) ** 2)
@@ -110,8 +113,8 @@ class LorentzMap:
 def is_lorentz(candidate) -> bool:
     """Whether a map (or raw matrix) preserves the product to 1e-9."""
     m = candidate.matrix if isinstance(candidate, LorentzMap) else np.asarray(candidate, float)
-    gram = m.T @ np.diag(_METRIC) @ m
-    return bool(np.max(np.abs(gram - np.diag(_METRIC))) <= _MEMBER_TOL * _rel_scale(m))
+    gram = m.T @ _GRAM @ m
+    return bool(np.max(np.abs(gram - _GRAM)) <= _MEMBER_TOL * _rel_scale(m))
 
 
 def is_orthochronous(L: LorentzMap) -> bool:

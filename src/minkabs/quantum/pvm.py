@@ -177,25 +177,37 @@ class _Conjugation:
         self.cfg = cfg
         self.mask = np.asarray(mask).view()
         self.mask.flags.writeable = False
-        self.back = [_prepare_represent(cfg, P.inverse()) for P in reversed(chain)]
-        self.forth = [_prepare_represent(cfg, P) for P in chain]
+        self.back, self.forth = map(list, _prepared_chain(cfg, chain))
 
     def __call__(self, states: np.ndarray) -> np.ndarray:
-        arr = states
-        for prepared in self.back:
-            arr, _ = _apply_prepared(self.cfg, arr, prepared)
-        # reuse the input only if the chain made it (an identity chain hands
-        # back ``states``); the masked product is always a new array
-        arr = _to_position(arr, overwrite_x=arr is not states) * self.mask
-        arr = _to_momentum(arr, overwrite_x=True)
-        for prepared in self.forth:
-            arr, _ = _apply_prepared(self.cfg, arr, prepared, overwrite_x=True)
-        return arr
+        return _conjugate(self.cfg, states, self.back, self.forth, self.mask)
+
+
+def _prepared_chain(cfg: ModelConfig, chain):
+    """Generators of the prepared maps of U^-1 and of U, in order of application."""
+    back = (_prepare_represent(cfg, P.inverse()) for P in reversed(chain))
+    return back, (_prepare_represent(cfg, P) for P in chain)
+
+
+def _conjugate(cfg: ModelConfig, states: np.ndarray, back, forth, mask: np.ndarray):
+    """U M U^-1 from iterables of the prepared maps of U^-1 and of U; each map is
+    dropped once applied, so generators keep one map's phase alive at a time."""
+    arr = states
+    for prepared in back:
+        # reuse only arrays the chain made (an identity map hands back ``states``)
+        arr, _ = _apply_prepared(cfg, arr, prepared, overwrite_x=arr is not states)
+        del prepared
+    arr = _to_position(arr, overwrite_x=arr is not states) * mask  # always a new array
+    arr = _to_momentum(arr, overwrite_x=True)
+    for prepared in forth:
+        arr, _ = _apply_prepared(cfg, arr, prepared, overwrite_x=True)
+        del prepared
+    return arr
 
 
 def _conjugate_mask(cfg: ModelConfig, states: np.ndarray, chain, mask: np.ndarray):
-    """Apply U M U^-1 once (see ``_Conjugation``)."""
-    return _Conjugation(cfg, chain, mask)(states)
+    """Apply U M U^-1 once, preparing each map of ``chain`` when it is reached."""
+    return _conjugate(cfg, states, *_prepared_chain(cfg, chain), mask)
 
 
 def _projection(handle: PvmHandle, region: Region, cfg: ModelConfig) -> _Conjugation:

@@ -30,6 +30,7 @@ from minkabs.geometry import (
     time_part,
     vector,
 )
+from minkabs.geometry import _METRIC, _check_velocity, _normalize, _product, _split
 
 test_velocities = [
     normalize_velocity(vector(1, 0, 0, 0)),
@@ -268,6 +269,64 @@ class TestSplitting:
             v = space_part(u, vector(*rng.uniform(-10, 10, 4)))
             if not v.approx_eq(vector(0, 0, 0, 0), rel=1e-14):
                 assert lorentz_product(v, v).value > 0.0
+
+
+class TestStackKernel:
+    # the component kernel on a (n, 4) stack must give, row for row, exactly
+    # the single-vector result and the np.dot form it replaced
+    ROWS = 10_000
+
+    @pytest.fixture(scope="class")
+    def stacks(self):
+        rng = np.random.default_rng(17)
+        chi = rng.uniform(0, 1.5, self.ROWS)
+        d = rng.normal(size=(self.ROWS, 3))
+        d /= np.linalg.norm(d, axis=1)[:, None]
+        # future timelike rows of assorted lengths
+        c = np.column_stack([np.cosh(chi), np.sinh(chi)[:, None] * d])
+        c *= rng.uniform(0.1, 10.0, (self.ROWS, 1))
+        return c, rng.uniform(-10, 10, (self.ROWS, 4))
+
+    def test_product(self, stacks):
+        a, b = stacks
+        got = _product(a, b)
+        assert got.shape == (self.ROWS,)
+        assert got.tolist() == [_product(x, y) for x, y in zip(a, b)]
+        assert got.tolist() == [float(np.dot(x * _METRIC, y)) for x, y in zip(a, b)]
+
+    def test_split(self, stacks):
+        c, x = stacks
+        u = c / np.sqrt(-_product(c, c))[:, None]
+        t, space = _split(u, x)
+        for i in range(self.ROWS):
+            ti, si = _split(u[i], x[i])
+            ref = -float(np.dot(u[i] * _METRIC, x[i]))
+            assert t[i] == ti == ref
+            assert space[i].tolist() == si.tolist() == (x[i] - ref * u[i]).tolist()
+
+    def test_normalize(self, stacks):
+        c, _ = stacks
+        u = _check_velocity(_normalize(c))
+        for i in range(self.ROWS):
+            ref = c[i] / math.sqrt(-float(np.dot(c[i] * _METRIC, c[i])))
+            assert u[i].tolist() == _normalize(c[i]).tolist() == ref.tolist()
+            assert u[i].tolist() == normalize_velocity(vector(*c[i]))._c.tolist()
+
+    @pytest.mark.parametrize(
+        "row, match",
+        [((0.0, 2.0, 0.0, 0.0), "timelike"), ((-2.0, 0.5, 0.0, 0.0), "future")],
+    )
+    def test_one_bad_row_rejects_the_stack(self, stacks, row, match):
+        c = stacks[0][:100].copy()
+        c[37] = row
+        with pytest.raises(GeometryError, match=match):
+            _check_velocity(_normalize(c))
+        # the guard of Velocity on rows that are unit but past directed or
+        # not unit at all
+        u = _normalize(stacks[0][:100])
+        u[37] = -u[37] if match == "future" else 2.0 * u[37]
+        with pytest.raises(GeometryError, match=match):
+            _check_velocity(u)
 
 
 # ---------------------------------------------------------------------------

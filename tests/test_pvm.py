@@ -1,6 +1,7 @@
 """Localization projections and position-family statistics."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -34,7 +35,12 @@ from minkabs.quantum import (
     pvm_project,
     rasterize,
 )
-from minkabs.quantum.pvm import _conjugate_mask, _projection, position_multipliers
+from minkabs.quantum.pvm import (
+    _Conjugation,
+    _conjugate_mask,
+    _projection,
+    position_multipliers,
+)
 from minkabs.quantum.state import (
     LatticeState,
     _to_momentum,
@@ -299,7 +305,8 @@ class TestConjugateMask:
     # the first transform may reuse its input's buffer only when the chain
     # made a new array: an empty or identity chain hands over the caller's
     @pytest.mark.parametrize(
-        "kind", ["empty", "identity", "lattice-shift", "point-group", "shifted-symmetry"]
+        "kind",
+        ["empty", "identity", "lattice-shift", "point-group", "shifted-symmetry", "two-maps"],
     )
     @pytest.mark.parametrize("stacked", [False, True])
     def test_leaves_caller_batch_unchanged(self, cfg, kind, stacked):
@@ -314,6 +321,7 @@ class TestConjugateMask:
             "lattice-shift": [shift],
             "point-group": [rot],
             "shifted-symmetry": [shift.compose(rot)],
+            "two-maps": [shift, rot],
         }[kind]
         batch = np.stack([random_state(cfg, seed).psi for seed in (5, 6)])
         before = batch.tobytes()
@@ -324,6 +332,30 @@ class TestConjugateMask:
             mask = rasterize(cfg, region_of_cells(cfg, (-2, -2, -1), (2, 1, 1)))
             _conjugate_mask(cfg, batch, chain, mask)
         assert batch.tobytes() == before
+
+    # applied once, a chain is prepared map by map: the phases of its other
+    # maps are not alive at the same time, so two shifts cost no more than
+    # one N^3 complex array over no map at all
+    def test_one_shot_holds_one_phase_at_a_time(self, cfg):
+        a = cfg.spacing.value
+        chain = [
+            PoincareMap.from_translation(2 * a * cfg.basis[0]),
+            PoincareMap.from_translation(-a * cfg.basis[1] + 3 * a * cfg.basis[2]),
+        ]
+        psi = random_state(cfg, 9).psi
+        mask = rasterize(cfg, region_of_cells(cfg, (-2, -2, -1), (2, 1, 1)))
+
+        def peak(chain):
+            tracemalloc.start()
+            try:
+                _conjugate_mask(cfg, psi, chain, mask)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(chain) <= peak([]) + psi.nbytes
+        once = _conjugate_mask(cfg, psi, chain, mask)
+        assert np.array_equal(once, _Conjugation(cfg, chain, mask)(psi))
 
     @pytest.mark.parametrize("transform", [_to_position, _to_momentum])
     def test_transforms_copy_by_default(self, cfg, transform):
