@@ -439,7 +439,7 @@ def time_part(u: Velocity, x: SpacetimeVector) -> MeasureScalar:
     This is the coefficient of ``u`` in the unique splitting of ``x``
     into a part along ``u`` plus a part simultaneous for ``u``.
     """
-    return MeasureScalar(_split(u._c, x._c)[0], 1)
+    return MeasureScalar(-_product(u._c, x._c), 1)
 
 
 def space_part(u: Velocity, x: SpacetimeVector) -> SpacetimeVector:
