@@ -10,9 +10,10 @@ Configuration is a flat JSON object (all keys optional); command-line
 flags override file values.  ``build_model`` checks the whole config
 before any work starts: finite numbers, non-empty lists, 0.0 in
 ``rapidity_sweep``, the bounds of ``MINIMUM`` (seeds and intervals >= 0,
-``states`` >= 1) and the band-limit cap on every rapidity; each quantum
-command then checks, geometry only, that its packets and inflated causal
-shadows fit the lattice box.  Reports are deterministic JSON on stdout
+``states`` >= 1), the band-limit cap on every rapidity and a buildable
+witness velocity at ``witness_rapidity``; each quantum command then
+checks, geometry only, that its packets and inflated causal shadows fit
+the lattice box.  Reports are deterministic JSON on stdout
 (or ``--out``; ``--csv``: the demo-causality sweep table).  Exit codes:
 0 all checks passed, 1 a check failed, 2 usage or configuration error.
 ``MINKABS_THREADS`` caps internal trial fan-out (default: the CPUs this
@@ -111,6 +112,11 @@ def build_model(config: dict) -> ModelConfig:
     chi = max(abs(c) for c in [config["rapidity"], *config["rapidity_sweep"]])
     if chi > cfg.chi_max:
         raise ConfigError(f"rapidity {chi} exceeds the band-limit cap {cfg.chi_max:.4f}")
+    # the witnesses sit above the cap on purpose; their velocity must exist
+    try:
+        V.boosted_velocity(float(config["witness_rapidity"]))
+    except (GeometryError, OverflowError) as exc:
+        raise ConfigError(f"witness_rapidity has no velocity: {exc}") from exc
     return cfg
 
 

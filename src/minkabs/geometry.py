@@ -318,6 +318,7 @@ def fiducial_origin() -> SpacetimePoint:
 
 # The stored future vector fixing the arrow orientation.
 _FUTURE = np.array([1.0, 0.0, 0.0, 0.0])
+_AXES = np.eye(4)[1:]  # the fiducial spatial axes
 
 
 def _product(a: np.ndarray, b: np.ndarray):
@@ -539,26 +540,33 @@ def space_subtract(q1: SpacePoint, q2: SpacePoint) -> SpacetimeVector:
 
 
 def _complete_frame(u: np.ndarray, basis: list[np.ndarray]) -> list[np.ndarray]:
-    """Extend an orthonormal ``u``-simultaneous ``basis`` to three vectors.
+    """Extend an orthonormal ``u``-simultaneous ``basis`` to three vectors,
+    row by row for ``(..., 4)`` stacks.
 
     Gram-Schmidt over the projections of the fiducial spatial axes, in
-    fixed order, skipping an axis whose remainder (nearly) vanishes.
+    fixed order; each row skips an axis whose remainder (nearly) vanishes.
     """
-    basis = list(basis)
-    for i in (1, 2, 3):
-        if len(basis) == 3:
+    u, *basis = np.broadcast_arrays(u, *basis)
+    frame = np.stack(basis + [np.zeros(u.shape)] * (3 - len(basis)), axis=-2)
+    filled = np.full(u.shape[:-1], len(basis))
+    for cand in _AXES:
+        if (filled == 3).all():
             break
-        cand = np.zeros(4)
-        cand[i] = 1.0
-        v = cand + _product(u, cand) * u  # project off u
-        for b in basis:
-            v = v - _product(b, v) * b
+        v = cand + _product(u, cand)[..., None] * u  # project off u
+        for k in range(2):  # a row with three vectors takes no more
+            if not (filled > k).any():
+                break
+            b = frame[..., k, :]
+            v = np.where((filled > k)[..., None], v - _product(b, v)[..., None] * b, v)
         n = _product(v, v)
-        if n > 1e-12:
-            basis.append(v / math.sqrt(n))
-    if len(basis) < 3:
+        take = (filled < 3) & (n > 1e-12)
+        unit = v / np.sqrt(np.where(take, n, 1.0))[..., None]
+        slot = take[..., None] & (filled[..., None] == np.arange(3))
+        frame = np.where(slot[..., None], unit[..., None, :], frame)
+        filled = filled + take
+    if (filled < 3).any():
         raise GeometryError("degenerate spatial projection")
-    return basis
+    return [frame[..., k, :] for k in range(3)]
 
 
 def spatial_basis_for(

@@ -56,8 +56,19 @@ _GRAM = np.diag(_METRIC)  # the Gram matrix that every Lorentz map preserves
 _GRAM.flags.writeable = False
 
 
-def _rel_scale(m: np.ndarray) -> float:
-    return max(1.0, float(np.max(np.abs(m))) ** 2)
+def _lorentz_rows(m: np.ndarray) -> np.ndarray:
+    """Whether each matrix of a ``(..., 4, 4)`` stack preserves the product to 1e-9."""
+    gram = np.swapaxes(m, -1, -2) @ _GRAM @ m
+    # float_power squares with the C pow as Python's ``**`` does
+    scale = np.maximum(1.0, np.float_power(np.abs(m).max(axis=(-2, -1)), 2))
+    return np.abs(gram - _GRAM).max(axis=(-2, -1)) <= _MEMBER_TOL * scale
+
+
+def _checked(m: np.ndarray) -> np.ndarray:
+    """``m`` once every matrix of the stack preserves the product."""
+    if not _lorentz_rows(m).all():
+        raise GeometryError("matrix does not preserve the Lorentz product")
+    return m
 
 
 class LorentzMap:
@@ -73,8 +84,8 @@ class LorentzMap:
         m = np.asarray(matrix, dtype=float)
         if m.shape != (4, 4):
             raise GeometryError("a Lorentz map needs a 4x4 matrix")
-        if check and not is_lorentz(m):
-            raise GeometryError("matrix does not preserve the Lorentz product")
+        if check:
+            _checked(m)
         m = m.copy()
         m.flags.writeable = False
         self.matrix = m
@@ -113,8 +124,7 @@ class LorentzMap:
 def is_lorentz(candidate) -> bool:
     """Whether a map (or raw matrix) preserves the product to 1e-9."""
     m = candidate.matrix if isinstance(candidate, LorentzMap) else np.asarray(candidate, float)
-    gram = m.T @ _GRAM @ m
-    return bool(np.max(np.abs(gram - _GRAM)) <= _MEMBER_TOL * _rel_scale(m))
+    return bool(_lorentz_rows(m))
 
 
 def is_orthochronous(L: LorentzMap) -> bool:
@@ -134,8 +144,8 @@ def in_O_u(L: LorentzMap, u: Velocity) -> bool:
 
 
 def _outer_dual(out_vec: np.ndarray, in_vec: np.ndarray) -> np.ndarray:
-    # rank-one map x -> (in_vec . x) out_vec, with the metric pairing
-    return np.outer(out_vec, _METRIC * in_vec)
+    # rank-one map x -> (in_vec . x) out_vec, with the metric pairing, row by row
+    return out_vec[..., :, None] * (_METRIC * in_vec)[..., None, :]
 
 
 def frame_map(
@@ -159,34 +169,46 @@ def frame_map(
     return LorentzMap(m)
 
 
-def make_rotation(
-    u: Velocity, axis: SpacetimeVector, angle: float
-) -> LorentzMap:
+def _rotations(u: np.ndarray, axis: np.ndarray, angle) -> np.ndarray:
+    """The matrices of :func:`make_rotation`, row by row over ``(..., 4)``
+    stacks of observers and axes and ``(...)`` angles."""
+    n2 = _product(axis, axis)
+    if (n2 <= 0.0).any():
+        raise GeometryError("rotation axis must be a nonzero spacelike vector")
+    if (abs(_product(u, axis)) > 1e-10 * np.maximum(1.0, np.sqrt(n2))).any():
+        raise GeometryError("rotation axis must be simultaneous for the observer")
+    u = np.broadcast_to(u, axis.shape)
+    # complete (u, n) to an orthonormal frame, deterministically
+    n, a, b = _complete_frame(u, [axis / np.sqrt(n2)[..., None]])
+    # right-handed orientation of (a, b, n) with u first
+    flip = (np.linalg.det(np.stack([u, a, b, n], axis=-1)) < 0.0)[..., None]
+    a, b = np.where(flip, b, a), np.where(flip, a, b)
+    # one math call per angle: numpy's cos and sin round some angles differently
+    c, s = (np.vectorize(f, otypes=[float])(angle)[..., None] for f in (math.cos, math.sin))
+    m = (
+        _outer_dual(u, -u)
+        + _outer_dual(n, n)
+        + _outer_dual(c * a + s * b, a)
+        + _outer_dual(-s * a + c * b, b)
+    )
+    return _checked(m)
+
+
+def make_rotation(u: Velocity, axis: SpacetimeVector, angle: float) -> LorentzMap:
     """Rotation by ``angle`` about ``axis`` inside the space of observer ``u``.
 
     ``axis`` must be a nonzero vector simultaneous for ``u`` (orthogonal
     to it within 1e-10).  The result fixes ``u`` and restricts to the
     familiar right-handed rotation on the observer's space.
     """
-    n2 = _product(axis._c, axis._c)
-    if n2 <= 0.0:
-        raise GeometryError("rotation axis must be a nonzero spacelike vector")
-    if abs(_product(u._c, axis._c)) > 1e-10 * max(1.0, math.sqrt(n2)):
-        raise GeometryError("rotation axis must be simultaneous for the observer")
-    # complete (u, n) to an orthonormal frame, deterministically
-    n, a, b = _complete_frame(u._c, [axis._c / math.sqrt(n2)])
-    # right-handed orientation of (a, b, n) with u first
-    if np.linalg.det(np.column_stack([u._c, a, b, n])) < 0.0:
-        a, b = b, a
+    return LorentzMap(_rotations(u._c, axis._c, angle), check=False)
 
-    c, s = math.cos(angle), math.sin(angle)
-    m = (
-        _outer_dual(u._c, -u._c)
-        + _outer_dual(n, n)
-        + _outer_dual(c * a + s * b, a)
-        + _outer_dual(-s * a + c * b, b)
-    )
-    return LorentzMap(m)
+
+def _boosts(u: np.ndarray, u2: np.ndarray) -> np.ndarray:
+    """The matrices of :func:`make_boost`, row by row over ``(..., 4)`` stacks."""
+    one_g = (1.0 - _product(u, u2))[..., None, None]  # 1 + g, with g = -u.u2
+    w = u + u2
+    return _checked(np.eye(4) - 2.0 * _outer_dual(u2, u) + _outer_dual(w, w) / one_g)
 
 
 def make_boost(u: Velocity, u2: Velocity) -> LorentzMap:
@@ -200,14 +222,7 @@ def make_boost(u: Velocity, u2: Velocity) -> LorentzMap:
     with g = -u.u2 >= 1, which never degenerates on future-directed unit
     velocities.
     """
-    g = -_product(u._c, u2._c)
-    w = u._c + u2._c
-    m = (
-        np.eye(4)
-        - 2.0 * _outer_dual(u2._c, u._c)
-        + _outer_dual(w, w) / (1.0 + g)
-    )
-    return LorentzMap(m)
+    return LorentzMap(_boosts(u._c, u2._c), check=False)
 
 
 def time_inversion(u: Velocity) -> LorentzMap:

@@ -79,10 +79,14 @@ class ModelConfig:
             raise GeometryError("mass must be positive")
         if pad < 1 or pad != int(pad):
             raise GeometryError("pad factor must be a positive integer")
-        if math.pi / spacing.value < 8.0 * mass.value:
+        cutoff = math.pi / spacing.value
+        if cutoff < 8.0 * mass.value:
             raise GeometryError(
                 "momentum cutoff pi/spacing must be at least eight masses"
             )
+        # the largest lattice energy squared, 3 cutoff^2 + mass^2, is below 4 cutoff^2
+        if not math.isfinite(4.0 * cutoff * cutoff):
+            raise GeometryError("spacing too small: lattice energies overflow a float")
 
         self.N = int(N)
         self.spacing = spacing

@@ -175,6 +175,9 @@ class TestConfigValidation:
             ("demo-causality", {}),
             ("verify-covariance", {"spacing_sec": 0.3}),
             ("demo-causality", {"delta_t_sweep": [0.0]}),
+            ("verify-geometry", {"spacing_sec": 1e-300}),
+            ("verify-geometry", {"witness_rapidity": 40}),
+            ("verify-geometry", {"witness_rapidity": 1000}),
         ],
         ids=[
             "non-numeric",
@@ -193,6 +196,9 @@ class TestConfigValidation:
             "causality-shadow-wider-than-box",
             "witness-packet-under-three-spacings",
             "boosted-instant-not-in-the-future",
+            "spacing-energies-overflow",
+            "witness-velocity-not-timelike",
+            "witness-velocity-overflows",
         ],
     )
     def test_rejected_with_exit_2(self, tmp_path, capsys, command, extra):

@@ -35,6 +35,7 @@ from minkabs.groups import (
     stabilizes_instant,
     time_inversion,
 )
+from minkabs.groups import _boosts, _checked, _lorentz_rows, _rotations
 
 U0 = normalize_velocity(vector(1, 0, 0, 0))
 U_BOOSTED = normalize_velocity(vector(math.cosh(0.5), math.sinh(0.5), 0, 0))
@@ -145,6 +146,53 @@ class TestBoosts:
         b = make_boost(U0, U_BOOSTED)
         assert is_orthochronous(b)
         assert is_proper(b)
+
+
+class TestStacks:
+    """The stack helpers behind the constructors, row for row."""
+
+    def observers_axes_angles(self):
+        rng = np.random.default_rng(3)
+        # along E1 the frame skips the first fiducial axis, for both observers
+        return [
+            (U0, E1, 0.9),
+            (U0, E3 * -2.0, 4.0),
+            (U0, vector(0, *rng.normal(size=3)), rng.uniform(0, 2 * math.pi)),
+            (U_BOOSTED, space_part(U_BOOSTED, vector(0, 0, 1, 1)), 0.7),
+            (U_BOOSTED, space_part(U_BOOSTED, E1), 2.5),
+        ]
+
+    def test_rotation_rows_equal_make_rotation(self):
+        rows = self.observers_axes_angles()
+        stack = _rotations(
+            np.array([u._c for u, _, _ in rows]),
+            np.array([axis._c for _, axis, _ in rows]),
+            np.array([angle for _, _, angle in rows]),
+        )
+        for m, (u, axis, angle) in zip(stack, rows):
+            assert m.tobytes() == make_rotation(u, axis, angle).matrix.tobytes()
+
+    def test_boost_rows_equal_make_boost(self):
+        pairs = [(U0, U_BOOSTED), (U_BOOSTED, U0), (U_BOOSTED, U_BOOSTED), (U0, U0)]
+        stack = _boosts(np.array([u._c for u, _ in pairs]), np.array([v._c for _, v in pairs]))
+        for m, (u, v) in zip(stack, pairs):
+            assert m.tobytes() == make_boost(u, v).matrix.tobytes()
+
+    def test_lorentz_rows_equal_is_lorentz(self):
+        rng = np.random.default_rng(8)
+        stack = np.array(
+            [make_boost(U0, U_BOOSTED).matrix, rng.normal(size=(4, 4)), np.eye(4), -np.eye(4)]
+        )
+        expected = [True, False, True, True]
+        assert list(_lorentz_rows(stack)) == [is_lorentz(m) for m in stack] == expected
+
+    def test_one_bad_row_fails_the_stack(self):
+        good = make_boost(U0, U_BOOSTED).matrix
+        with pytest.raises(GeometryError):
+            _checked(np.array([good, good, 1.001 * good]))
+        axes = np.array([E1._c, E2._c, (E2 + 1e-6 * E0)._c])
+        with pytest.raises(GeometryError):
+            _rotations(U0._c, axes, np.zeros(3))
 
 
 class TestInversions:

@@ -16,25 +16,48 @@ from minkabs.geometry import (
     time_part,
     vector,
 )
+from minkabs.groups import (
+    LorentzMap,
+    is_lorentz,
+    is_orthochronous,
+    make_boost,
+    make_rotation,
+    time_inversion,
+)
 
 SAMPLES = 1000
+U0 = normalize_velocity(vector(1, 0, 0, 0))
+
+
+def random_velocity(rng, max_rapidity=1.5):
+    chi = rng.uniform(0, max_rapidity)
+    d = rng.normal(size=3)
+    d /= np.linalg.norm(d)
+    return normalize_velocity(vector(math.cosh(chi), *(math.sinh(chi) * d)))
+
+
+def random_map(rng, depth=3):
+    """One random composite map, built factor by factor through the public
+    constructors on the suite's draws in the suite's order."""
+    m = LorentzMap.identity()
+    for _ in range(rng.integers(1, depth + 1)):
+        if rng.random() < 0.5:
+            m = make_boost(U0, random_velocity(rng, 1.0)).compose(m)
+        else:
+            c = rng.normal(size=3)
+            axis = c[0] * vector(0, 1, 0, 0) + c[1] * vector(0, 0, 1, 0) + c[2] * vector(0, 0, 0, 1)
+            m = make_rotation(U0, axis, rng.uniform(0, 2 * math.pi)).compose(m)
+    return m
 
 
 def reference_residuals(seed):
-    """The three observer-splitting residuals, one sample at a time through
-    the public kernel, on the suite's draws in the suite's order."""
+    """The splitting and map residuals, one sample at a time through the
+    public kernel, on the suite's draws in the suite's order."""
     rng = np.random.default_rng(seed)
-
-    def random_velocity():
-        chi = rng.uniform(0, 1.5)
-        d = rng.normal(size=3)
-        d /= np.linalg.norm(d)
-        return normalize_velocity(vector(math.cosh(chi), *(math.sinh(chi) * d)))
-
     worst_split = 0.0
     worst_orth = 0.0
     for _ in range(SAMPLES):
-        u = random_velocity()
+        u = random_velocity(rng)
         x = vector(*rng.uniform(-10, 10, 4))
         tp = time_part(u, x)
         sp = space_part(u, x)
@@ -45,21 +68,46 @@ def reference_residuals(seed):
             worst_orth,
             abs(lorentz_product(u.as_vector(), sp).value) / max(1.0, tp.value**2),
         )
-    # the product-preservation check draws between the two
+    worst_product = 0.0
     for _ in range(1000):
-        suites._random_map(rng)
-        rng.uniform(-5, 5, 4)
-        rng.uniform(-5, 5, 4)
+        m = random_map(rng)
+        x = vector(*rng.uniform(-5, 5, 4))
+        y = vector(*rng.uniform(-5, 5, 4))
+        before = lorentz_product(x, y).value
+        after = lorentz_product(m(x), m(y)).value
+        scale = max(1.0, abs(lorentz_product(x, x).value), abs(lorentz_product(y, y).value))
+        worst_product = max(worst_product, abs(after - before) / scale)
     min_norm = math.inf
     for _ in range(1000):
-        u = random_velocity()
+        u = random_velocity(rng)
         v = space_part(u, vector(*rng.uniform(-10, 10, 4)))
         if float(np.max(np.abs(v._c))) > 1e-10:
             min_norm = min(min_norm, lorentz_product(v, v).value)
+    # the causal-partition check draws between the two
+    for _ in range(1000):
+        rng.uniform(-3, 3, 4)
+    worst_laws = 0.0
+    for _ in range(100):
+        a, b, c = random_map(rng), random_map(rng), random_map(rng)
+        if not is_lorentz(a.compose(b)):
+            worst_laws = 1.0
+        ident = a.compose(a.inverse())
+        worst_laws = max(worst_laws, float(np.max(np.abs(ident.matrix - np.eye(4)))))
+        assoc = a.compose(b).compose(c).matrix - a.compose(b.compose(c)).matrix
+        worst_laws = max(worst_laws, float(np.max(np.abs(assoc))))
+    bad = 0
+    for _ in range(50):
+        a, b = random_map(rng), random_map(rng)
+        bad += not is_orthochronous(a.compose(b))
+    bad += is_orthochronous(time_inversion(U0))
+    bad += is_orthochronous(time_inversion(random_velocity(rng)).compose(random_map(rng)))
     return {
         "splitting-reconstruction": worst_split,
         "splitting-orthogonality": worst_orth,
+        "product-preservation": worst_product,
         "simultaneous-space-positive": min_norm,
+        "group-laws": worst_laws,
+        "orientation-characters": float(bad),
     }
 
 
@@ -71,6 +119,17 @@ def test_stacked_checks_equal_the_per_sample_loop(monkeypatch, seed):
         assert got[name].residual == residual, name
         assert got[name].passed
     assert got["splitting-reconstruction"].details == {"samples": SAMPLES}
+
+
+@pytest.mark.parametrize("seed", [5, 42])
+def test_stacked_maps_equal_the_per_sample_maps(seed):
+    rng = np.random.default_rng(seed)
+    draws = [suites._draw_map(rng) for _ in range(300)]
+    rng = np.random.default_rng(seed)
+    reference = np.array([random_map(rng).matrix for _ in range(300)])
+    stacked = suites._maps(draws)
+    # byte equality also tells signed zeros apart
+    assert stacked.tobytes() == reference.tobytes()
 
 
 def test_each_splitting_check_timed_over_its_own_batch(capsys):

@@ -1,9 +1,10 @@
 """Report digests of one source tree, or the reported values that differ between two.
 
 Runs ``minkabs verify-geometry``, ``verify-covariance``,
-``demo-causality`` and ``demo-causality --csv`` at the default config
-against the package in each given ``src`` directory, one fresh
-interpreter per command and tree.
+``demo-causality`` and ``demo-causality --csv`` at the default config,
+plus ``verify-geometry --seed 5`` for a second draw sequence, against
+the package in each given ``src`` directory, one fresh interpreter per
+command and tree.
 
 With one ``SRC`` (default: the ``src`` directory of this checkout) it
 prints one line per command: the sha256 of stdout, the sha256 of stderr
@@ -42,6 +43,7 @@ from pathlib import Path
 
 COMMANDS = (
     ("verify-geometry",),
+    ("verify-geometry", "--seed", "5"),
     ("verify-covariance",),
     ("demo-causality",),
     ("demo-causality", "--csv"),
