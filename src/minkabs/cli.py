@@ -53,7 +53,7 @@ DEFAULTS = {
     "witness_rapidity": 0.5,
 }
 # lower bounds of the keys that have one (of each entry, for lists)
-MINIMUM = {"seed": 0, "states": 1, "convergence_seeds": 0, "delta_t_sweep": 0.0}
+MINIMUM = {"seed": 0, "states": 1, "translations": 0, "convergence_seeds": 0, "delta_t_sweep": 0.0}
 
 
 class ConfigError(ValueError):
@@ -96,6 +96,9 @@ def build_model(config: dict) -> ModelConfig:
         values = value if isinstance(default, list) else [value]
         if not all(map(_is_number, values)):
             raise ConfigError(f"{key} must hold finite numbers")
+        kind = default[0] if isinstance(default, list) else default
+        if isinstance(kind, int) and not all(float(v).is_integer() for v in values):
+            raise ConfigError(f"{key} must hold integers")  # int() would drop the fraction
         if min(values) < MINIMUM.get(key, -math.inf):
             raise ConfigError(f"{key} must be >= {MINIMUM[key]}")
     if 0.0 not in config["rapidity_sweep"]:

@@ -500,10 +500,6 @@ class Instant(_ObserverLabel):
     def contains(self, p: SpacetimePoint, rel: float = 1e-9) -> bool:
         return _within(self._gap(p - self.anchor), rel, p._c, self.anchor._c)
 
-    def spatial_basis(self) -> tuple[SpacetimeVector, SpacetimeVector, SpacetimeVector]:
-        """Deterministic orthonormal basis of the hyperplane's direction space."""
-        return spatial_basis_for(self.observer)
-
 
 class SpacePoint(_ObserverLabel):
     """A point of an inertial observer's space: a straight world line.

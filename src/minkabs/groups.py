@@ -54,6 +54,7 @@ _MEMBER_TOL = 1e-9
 
 _GRAM = np.diag(_METRIC)  # the Gram matrix that every Lorentz map preserves
 _GRAM.flags.writeable = False
+_CORNER_BITS = (np.arange(8)[:, None] >> np.arange(3)) & 1 == 1  # box corner k: hi on k's set bits
 
 
 def _lorentz_rows(m: np.ndarray) -> np.ndarray:
@@ -323,7 +324,6 @@ class PoincareMap:
             [(lo.copy(), hi.copy()) for lo, hi in region.boxes],
             basis=new_basis,
             anchor=self(region.anchor),
-            _canonical=True,
         )
 
     def is_orthochronous(self) -> bool:
@@ -390,12 +390,13 @@ class Region:
 
     Boxes are stored as coordinate intervals ``[lo, hi)`` relative to an
     anchor event on the instant, in an orthonormal basis of the
-    instant's direction space.  The stored list is canonical: boxes are
-    pairwise disjoint and sorted, so equal unions have equal
-    representations up to floating-point splitting.
+    instant's direction space, kept also as the ``(3, 4)`` stack ``axes``.
+    The stored list is canonical: boxes are pairwise disjoint and sorted,
+    so equal unions have equal representations up to floating-point
+    splitting.
     """
 
-    __slots__ = ("instant", "basis", "anchor", "boxes")
+    __slots__ = ("instant", "basis", "axes", "anchor", "boxes")
 
     def __init__(
         self,
@@ -403,23 +404,18 @@ class Region:
         boxes: Iterable[tuple[np.ndarray, np.ndarray]],
         basis: Sequence[SpacetimeVector] | None = None,
         anchor: SpacetimePoint | None = None,
-        _canonical: bool = False,
     ):
         self.instant = instant
+        self.basis = spatial_basis_for(instant.observer) if basis is None else tuple(basis)
+        if len(self.basis) != 3:
+            raise GeometryError("a region basis needs three vectors")
+        self.axes = np.stack([b._c for b in self.basis])
+        self.axes.flags.writeable = False
         if basis is not None:
-            self.basis = tuple(basis)
-            if len(self.basis) != 3:
-                raise GeometryError("a region basis needs three vectors")
-            u = instant.observer._c
-            for i, b in enumerate(self.basis):
-                if abs(_product(u, b._c)) > 1e-9:
-                    raise GeometryError("region basis must lie in the instant")
-                for j, c in enumerate(self.basis):
-                    want = 1.0 if i == j else 0.0
-                    if abs(_product(b._c, c._c) - want) > 1e-9:
-                        raise GeometryError("region basis must be orthonormal")
-        else:
-            self.basis = instant.spatial_basis()
+            if (abs(_product(self.axes, instant.observer._c)) > 1e-9).any():
+                raise GeometryError("region basis must lie in the instant")
+            if (abs(_product(self.axes[:, None], self.axes) - np.eye(3)) > 1e-9).any():
+                raise GeometryError("region basis must be orthonormal")
         self.anchor = anchor if anchor is not None else instant.anchor
         if not instant.contains(self.anchor):
             raise GeometryError("region anchor must lie on the instant")
@@ -430,15 +426,11 @@ class Region:
             if np.any(hi <= lo):
                 continue
             cleaned.append((lo, hi))
-        if _canonical:
-            # already disjoint (image of a canonical list); keep sorted
-            cleaned.sort(key=lambda b: (tuple(b[0]), tuple(b[1])))
-            self.boxes = cleaned
-        else:
-            self.boxes = self._canonicalize(cleaned)
+        self.boxes = self._canonicalize(cleaned)
 
     @staticmethod
     def _canonicalize(boxes):
+        """Disjoint boxes covering ``boxes``, sorted; a disjoint sorted list comes back as is."""
         disjoint: list[tuple[np.ndarray, np.ndarray]] = []
         for lo, hi in boxes:
             pending = [(lo, hi)]
@@ -457,11 +449,11 @@ class Region:
     def volume(self) -> float:
         return float(sum(np.prod(hi - lo) for lo, hi in self.boxes))
 
-    def _box_corners(self, lo: np.ndarray, hi: np.ndarray) -> list[np.ndarray]:
-        """Fiducial components of the eight corners of the box ``[lo, hi)``."""
-        cols = [b._c for b in self.basis]
-        coords = (np.where([(mask >> ax) & 1 for ax in range(3)], hi, lo) for mask in range(8))
-        return [self.anchor._c + sum(c[i] * cols[i] for i in range(3)) for c in coords]
+    def _box_corners(self, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+        """Fiducial components of the eight corners of the box ``[lo, hi)``,
+        as an ``(8, 4)`` stack."""
+        c = np.where(_CORNER_BITS, hi, lo)
+        return self.anchor._c + sum(c[:, i, None] * self.axes[i] for i in range(3))
 
     def corners(self) -> list[SpacetimePoint]:
         """World events at all box corners."""
@@ -469,8 +461,7 @@ class Region:
 
     def coordinates_of(self, p: SpacetimePoint) -> np.ndarray:
         """Coordinates of an event of the instant in this region's frame."""
-        d = p._c - self.anchor._c
-        return np.array([_product(b._c, d) for b in self.basis])
+        return _product(self.axes, p._c - self.anchor._c)
 
     def contains_point(self, p: SpacetimePoint, snap: float = 0.0) -> bool:
         c = self.coordinates_of(p)
@@ -496,23 +487,15 @@ def grow_region_causally(region: Region, t2: Instant) -> Region:
 
     ``t2`` must not precede any part of the region.
     """
-    u2 = t2.observer
-    basis2 = t2.spatial_basis()
-    cols2 = [b._c for b in basis2]
+    u2, o2 = t2.observer._c, t2.anchor._c
+    axes2 = np.stack(_complete_frame(u2, []))  # the basis of spatial_basis_for(t2.observer)
     out_boxes = []
     for lo, hi in region.boxes:
-        b_lo = np.full(3, np.inf)
-        b_hi = np.full(3, -np.inf)
-        for p in region._box_corners(lo, hi):
-            arrival_time = -_product(u2._c, t2.anchor._c - p)
-            if arrival_time < -1e-12 * max(1.0, float(np.max(np.abs(p)))):
-                raise GeometryError("instant is not in the region's future")
-            arrival_time = max(arrival_time, 0.0)
-            center = p + arrival_time * u2._c
-            ccoord = np.array(
-                [_product(c, center - t2.anchor._c) for c in cols2]
-            )
-            b_lo = np.minimum(b_lo, ccoord - arrival_time)
-            b_hi = np.maximum(b_hi, ccoord + arrival_time)
-        out_boxes.append((b_lo, b_hi))
-    return Region(t2, out_boxes, basis=basis2, anchor=t2.anchor)
+        p = region._box_corners(lo, hi)
+        arrival = -_product(u2, o2 - p)
+        if (arrival < -1e-12 * np.maximum(1.0, np.abs(p).max(axis=1))).any():
+            raise GeometryError("instant is not in the region's future")
+        arrival = np.where(0.0 > arrival, 0.0, arrival)[:, None]  # as max(t, 0.0), -0.0 kept
+        coords = _product((p + arrival * u2)[:, None] - o2, axes2)
+        out_boxes.append(((coords - arrival).min(axis=0), (coords + arrival).max(axis=0)))
+    return Region(t2, out_boxes, anchor=t2.anchor)

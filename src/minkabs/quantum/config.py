@@ -104,6 +104,8 @@ class ModelConfig:
         if not self.instant.contains(self.origin):
             raise GeometryError("lattice origin must lie on the constructing instant")
         self.basis = spatial_basis_for(self.observer)
+        self.axes = np.stack([b._c for b in self.basis])  # (3, 4), read-only as each b._c
+        self.axes.flags.writeable = False
 
         a = spacing.value
         n = self.N

@@ -31,11 +31,10 @@ from ..geometry import (
     SpacetimePoint,
     SpacetimeVector,
     Velocity,
-    lorentz_product,
     spatial_basis_for,
     time_part,
 )
-from ..geometry import _METRIC
+from ..geometry import _METRIC, _product
 from ..groups import LorentzMap, PoincareMap, Region, make_boost
 from .config import ModelConfig, axis_views
 from .state import (
@@ -112,11 +111,8 @@ def rasterize(cfg: ModelConfig, region: Region, inflate: float = 0.0) -> np.ndar
     if not region.instant == cfg.instant:
         raise GeometryError("region instant differs from the constructing instant")
     # affine map from lattice coordinates to the region frame
-    mat = np.array(
-        [[lorentz_product(bi, br).value for br in region.basis] for bi in cfg.basis]
-    )
-    off_vec = cfg.origin - region.anchor
-    off = np.array([lorentz_product(br, off_vec).value for br in region.basis])
+    mat = _product(cfg.axes[:, None], region.axes)
+    off = region.coordinates_of(cfg.origin)
     xs = axis_views(cfg.x1d)
     L = cfg.box_length
     snap = _SNAP * cfg.spacing.value
@@ -263,7 +259,7 @@ def position_multipliers(cfg: ModelConfig, origin: SpacetimePoint) -> np.ndarray
     about the origin conjugate these multipliers exactly.
     """
     disp = cfg.origin - origin
-    base = np.array([lorentz_product(b, disp).value for b in cfg.basis])
+    base = _product(cfg.axes, disp._c)
     L = cfg.box_length
     seam = _SNAP * cfg.spacing.value
     wrapped = []
@@ -273,14 +269,13 @@ def position_multipliers(cfg: ModelConfig, origin: SpacetimePoint) -> np.ndarray
         wrapped.append(w)
     tau0 = time_part(cfg.observer, disp).value
     u = cfg.observer._c
-    b = [v._c for v in cfg.basis]
     out = np.empty((4, cfg.N, cfg.N, cfg.N))
     for mu in range(4):
         out[mu] = (
             tau0 * u[mu]
-            + wrapped[0][:, None, None] * b[0][mu]
-            + wrapped[1][None, :, None] * b[1][mu]
-            + wrapped[2][None, None, :] * b[2][mu]
+            + wrapped[0][:, None, None] * cfg.axes[0, mu]
+            + wrapped[1][None, :, None] * cfg.axes[1, mu]
+            + wrapped[2][None, None, :] * cfg.axes[2, mu]
         )
     return out
 

@@ -48,11 +48,8 @@ from ..geometry import (
     MeasureScalar,
     SpacetimePoint,
     SpacetimeVector,
-    lorentz_product,
-    space_part,
-    time_part,
 )
-from ..geometry import _METRIC
+from ..geometry import _METRIC, _product, _split
 from ..groups import LorentzMap, PoincareMap, in_O_u, is_orthochronous, time_inversion
 from .config import ModelConfig, axis_views
 
@@ -131,9 +128,8 @@ def _to_momentum(arr: np.ndarray, overwrite_x: bool = False) -> np.ndarray:
 
 
 def _translation_phase(cfg: ModelConfig, v: SpacetimeVector) -> np.ndarray:
-    dt = time_part(cfg.observer, v).value
-    spatial = space_part(cfg.observer, v)
-    d = np.array([lorentz_product(b, spatial).value for b in cfg.basis])
+    dt, spatial = _split(cfg.observer._c, v._c)
+    d = _product(cfg.axes, spatial)
     k1, k2, k3 = axis_views(cfg.k1d)
     return np.exp(-1j * (cfg.omega * dt + k1 * d[0] + k2 * d[1] + k3 * d[2]))
 
@@ -146,11 +142,8 @@ def signed_permutation_of(cfg: ModelConfig, L: LorentzMap) -> np.ndarray | None:
     """
     if not in_O_u(L, cfg.observer):
         return None
-    r = np.empty((3, 3))
-    for j, bj in enumerate(cfg.basis):
-        image = L(bj)
-        for i, bi in enumerate(cfg.basis):
-            r[i, j] = lorentz_product(bi, image).value
+    images = np.stack([L.matrix @ b for b in cfg.axes])
+    r = _product(cfg.axes[:, None], images)  # r[i, j] = b_i . L(b_j)
     rounded = np.round(r)
     if np.max(np.abs(r - rounded)) > 1e-10:
         return None
@@ -232,16 +225,15 @@ def _build_plan(cfg: ModelConfig, L: LorentzMap) -> _PullbackPlan:
     # labels of the inverse image of each on-shell four-momentum
     li = L.inverse().matrix
     u = cfg.observer._c
-    bmat = np.stack([b._c for b in cfg.basis])  # (3, 4)
     k1, k2, k3 = axis_views(cfg.k1d)
     four = (
         cfg.omega[..., None] * u
-        - k1[..., None] * bmat[0]
-        - k2[..., None] * bmat[1]
-        - k3[..., None] * bmat[2]
+        - k1[..., None] * cfg.axes[0]
+        - k2[..., None] * cfg.axes[1]
+        - k3[..., None] * cfg.axes[2]
     )
     pulled = four @ li.T
-    q = -(pulled @ (bmat * _METRIC).T)
+    q = -(pulled @ (cfg.axes * _METRIC).T)
     omega_q = np.sqrt(cfg.mass.value**2 + np.sum(q * q, axis=-1))
     weight = np.sqrt(omega_q / cfg.omega)
 
@@ -443,8 +435,7 @@ def make_gaussian(
         raise GeometryError("band limit violated: mean momentum beyond half cutoff")
     if not cfg.instant.contains(center):
         raise GeometryError("packet center must lie on the constructing instant")
-    disp = center - cfg.origin
-    c = np.array([lorentz_product(b, disp).value for b in cfg.basis])
+    c = _product(cfg.axes, center._c - cfg.origin._c)
     half = 0.5 * cfg.box_length
     if np.any(np.abs(c) > half - width.value):
         raise GeometryError("packet center too close to the lattice boundary")

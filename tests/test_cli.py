@@ -178,6 +178,10 @@ class TestConfigValidation:
             ("verify-geometry", {"spacing_sec": 1e-300}),
             ("verify-geometry", {"witness_rapidity": 40}),
             ("verify-geometry", {"witness_rapidity": 1000}),
+            ("verify-geometry", {"seed": 5.5}),
+            ("verify-geometry", {"convergence_seeds": [42, 43.5]}),
+            ("verify-geometry", {"N": 32.5}),
+            ("verify-geometry", {"translations": -3}),
         ],
         ids=[
             "non-numeric",
@@ -199,6 +203,10 @@ class TestConfigValidation:
             "spacing-energies-overflow",
             "witness-velocity-not-timelike",
             "witness-velocity-overflows",
+            "fractional-seed",
+            "fractional-convergence-seed",
+            "fractional-lattice-size",
+            "negative-translations",
         ],
     )
     def test_rejected_with_exit_2(self, tmp_path, capsys, command, extra):
@@ -218,6 +226,12 @@ class TestConfigValidation:
         out = capsys.readouterr()
         assert out.out == ""
         assert out.err.startswith("configuration error: packet too wide")
+
+    def test_integral_floats_are_integers(self):
+        # JSON 32.0 names the same lattice as 32; only a fraction is refused
+        config = load_config(None, {})
+        config.update(N=32.0, seed=5.0, convergence_seeds=[42.0, 43])
+        assert build_model(config).N == 32
 
     def test_negative_rapidity_is_capped(self):
         # a negative rapidity boosts along the opposite axis direction

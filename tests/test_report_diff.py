@@ -40,3 +40,13 @@ def test_csv_lines_compared_in_order():
         ("line 2", "1,0.5", "1,0.25"),
         ("line 3", MISSING, "2,1.0"),
     ]
+
+
+def test_thread_environments(monkeypatch):
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "4")
+    monkeypatch.setenv("MINKABS_THREADS", "3")
+    unset = report_diff.environment(Path("/src"), "unset")
+    pinned = report_diff.environment(Path("/src"), "1")
+    assert unset["PYTHONPATH"] == pinned["PYTHONPATH"] == str(Path("/src"))
+    assert not set(report_diff.THREAD_VARIABLES) & set(unset)
+    assert all(pinned[k] == "1" for k in report_diff.THREAD_VARIABLES)

@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from minkabs.geometry import normalize_velocity, vector
+from minkabs.geometry import Instant, normalize_velocity, point, seconds, vector
 from minkabs.groups import PoincareMap, make_boost, make_rotation
 from minkabs.quantum import ModelConfig
 import minkabs.quantum.pvm as pvm
@@ -277,6 +277,35 @@ class TestEquivariance:
         moved_handle = PvmHandle(carry.transform_instant(cfg32.instant))
         p1 = localization_probability(moved_handle, moved_region, represent(phi, carry))
         assert abs(p1 - p0) <= 1e-2  # boost-tolerance scale at N=32
+
+
+class TestMovingLatticeFrame:
+    """A lattice drawn on a boosted observer's instant, off the fiducial
+    origin: its basis products round, unlike the fiducial frame's, so the
+    frame reads of ``state`` and ``pvm`` are exercised with real rounding."""
+
+    @pytest.fixture(scope="class")
+    def moving(self):
+        u = V.boosted_velocity(0.3, (1, 2, -0.5))
+        return ModelConfig(N=16, observer=u, instant=Instant(u, point(0.7, 0.1, -0.2, 0.3)))
+
+    def test_stabilizer_suite(self, moving):
+        results = V.run_stabilizer_suite(moving, n_states=2, seed=3, translations=2)
+        assert len(results) == 48 + 4
+        assert max(r.residual for r in results) <= 1e-10
+
+    def test_equivariance(self, moving):
+        assert V.equivariance_residual(moving, 3) <= 1e-10
+
+    def test_own_time_variance(self, moving):
+        # rounding level, not the exact 0.0 of the fiducial frame
+        assert V.own_time_variance(moving, 5, 3) <= 1e-25
+
+    def test_observer_step_label_change(self, moving):
+        white = V.random_states(moving, np.random.default_rng(3), 3)
+        region = V.cell_region(moving, (-3, -2, -4), (2, 3, 1))
+        step = PoincareMap.from_translation(moving.observer * seconds(0.7))
+        assert V.label_change_residual(moving, step, region, white) <= 1e-10
 
 
 class TestWorkerCap:

@@ -4,15 +4,21 @@ Runs ``minkabs verify-geometry``, ``verify-covariance``,
 ``demo-causality`` and ``demo-causality --csv`` at the default config,
 plus ``verify-geometry --seed 5`` for a second draw sequence, against
 the package in each given ``src`` directory, one fresh interpreter per
-command and tree.
+command and tree.  Every command runs in two thread environments, and
+each output line starts with its label: ``threads=unset`` with
+``OPENBLAS_NUM_THREADS`` and ``MINKABS_THREADS`` removed from the
+environment, and ``threads=1`` with both set to 1, as ``perfbench``
+runs.  The quantum reports can differ between the two: OpenBLAS
+splits its reductions of N >= 24 fields over its threads.
 
 With one ``SRC`` (default: the ``src`` directory of this checkout) it
-prints one line per command: the sha256 of stdout, the sha256 of stderr
-and the exit code.  A refactor that claims unchanged reports prints the
-same lines for the parent's ``src`` and its own.
+prints one line per environment and command: the sha256 of stdout, the
+sha256 of stderr and the exit code.  A refactor that claims unchanged
+reports prints the same lines for the parent's ``src`` and its own.
 
-With ``OLD_SRC NEW_SRC`` it prints one line per reported value that
-differs: the command, the JSON path (``line <k>`` for the CSV), the old
+With ``OLD_SRC NEW_SRC`` it compares the two trees within each
+environment and prints one line per reported value that differs: the
+label, the command, the JSON path (``line <k>`` for the CSV), the old
 value, the new value and the relative change (``-`` where it has none).
 List items that carry a ``name`` are addressed by it, and a value
 present on one side only prints as ``<missing>`` on the other.  A
@@ -27,7 +33,7 @@ Usage::
     python3 tools/report_diff.py OLD_SRC NEW_SRC
 
 Standard library only; ``verify-covariance`` takes about half a minute
-per tree.
+per tree and environment.
 """
 
 from __future__ import annotations
@@ -38,7 +44,7 @@ import json
 import os
 import subprocess
 import sys
-from itertools import zip_longest
+from itertools import product, zip_longest
 from pathlib import Path
 
 COMMANDS = (
@@ -48,14 +54,26 @@ COMMANDS = (
     ("demo-causality",),
     ("demo-causality", "--csv"),
 )
+THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "MINKABS_THREADS")
+THREADS = ("unset", "1")  # the value of both THREAD_VARIABLES, or removed
 RUN_CLI = "import sys; from minkabs.cli import main; sys.exit(main())"
 MISSING = "<missing>"
 
 
-def run(src: Path, command: tuple) -> subprocess.CompletedProcess:
-    env = dict(os.environ, PYTHONPATH=str(src))
+def environment(src: Path, threads: str) -> dict:
+    """The caller's environment with ``PYTHONPATH=src`` and both thread
+    variables removed (``"unset"``) or set to ``threads``."""
+    env = {k: v for k, v in os.environ.items() if k not in THREAD_VARIABLES}
+    if threads != "unset":
+        env.update(dict.fromkeys(THREAD_VARIABLES, threads))
+    return dict(env, PYTHONPATH=str(src))
+
+
+def run(src: Path, command: tuple, threads: str) -> subprocess.CompletedProcess:
     return subprocess.run(
-        [sys.executable, "-c", RUN_CLI, *command], capture_output=True, env=env
+        [sys.executable, "-c", RUN_CLI, *command],
+        capture_output=True,
+        env=environment(src, threads),
     )
 
 
@@ -98,9 +116,10 @@ def relative_change(old, new) -> str:
 
 
 def digests(src: Path) -> int:
-    for command in COMMANDS:
-        proc = run(src, command)
+    for threads, command in product(THREADS, COMMANDS):
+        proc = run(src, command, threads)
         print(
+            f"threads={threads}",
             " ".join(command),
             hashlib.sha256(proc.stdout).hexdigest(),
             hashlib.sha256(proc.stderr).hexdigest(),
@@ -112,9 +131,9 @@ def digests(src: Path) -> int:
 
 def diff(trees: list[Path]) -> int:
     changed = False
-    for command in COMMANDS:
-        name = " ".join(command)
-        old, new = (run(src, command) for src in trees)
+    for threads, command in product(THREADS, COMMANDS):
+        name = f"threads={threads} " + " ".join(command)
+        old, new = (run(src, command, threads) for src in trees)
         if old.returncode != new.returncode:
             print(name, "exit", old.returncode, new.returncode, "-", flush=True)
             changed = True
