@@ -9,6 +9,7 @@ quantum of action are 1, so masses and momenta carry inverse seconds.
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
 
@@ -18,7 +19,6 @@ from ..geometry import (
     MeasureScalar,
     SpacetimePoint,
     SpacetimeVector,
-    Velocity,
     fiducial_origin,
     normalize_velocity,
     seconds,
@@ -46,12 +46,12 @@ class ModelConfig:
     mass:
         Particle mass in inverse seconds (dim -1).  The momentum cutoff
         ``pi/spacing`` must be at least eight masses so wave packets stay
-        band limited.
-    observer, instant, origin:
-        The constructing observer, the instant carrying the spatial
-        lattice, and the lattice origin event.  The origin must lie on
-        the instant.  Defaults: the fiducial rest observer through the
-        fiducial origin.
+        band limited, and its square must not underflow a float.
+    instant, origin:
+        The instant carrying the spatial lattice (its observer is the
+        constructing observer) and the lattice origin event, which must
+        lie on it.  Defaults: the fiducial rest observer's instant through
+        ``origin``; the instant's anchor, else the fiducial origin.
     pad:
         Oversampling factor for spectral interpolation in velocity
         transforms off the lattice axes.
@@ -62,7 +62,6 @@ class ModelConfig:
         N: int = 32,
         spacing: MeasureScalar = seconds(0.25),
         mass: MeasureScalar = MeasureScalar(1.0, -1),
-        observer: Velocity | None = None,
         instant: Instant | None = None,
         origin: SpacetimePoint | None = None,
         pad: int = 2,
@@ -77,6 +76,8 @@ class ModelConfig:
             raise GeometryError("mass must carry sec^-1")
         if mass.value <= 0:
             raise GeometryError("mass must be positive")
+        if mass.value**2 < sys.float_info.min:
+            raise GeometryError("mass too small: its square underflows a float")
         if pad < 1 or pad != int(pad):
             raise GeometryError("pad factor must be a positive integer")
         cutoff = math.pi / spacing.value
@@ -92,15 +93,13 @@ class ModelConfig:
         self.spacing = spacing
         self.mass = mass
         self.pad = int(pad)
-        self.observer = observer if observer is not None else normalize_velocity(
-            vector(1, 0, 0, 0)
-        )
         if origin is None:
             origin = instant.anchor if instant is not None else fiducial_origin()
         self.origin = origin
-        self.instant = instant if instant is not None else Instant(self.observer, origin)
-        if not self.observer.approx_eq(self.instant.observer):
-            raise GeometryError("instant must belong to the constructing observer")
+        if instant is None:
+            instant = Instant(normalize_velocity(vector(1, 0, 0, 0)), origin)
+        self.instant = instant
+        self.observer = instant.observer
         if not self.instant.contains(self.origin):
             raise GeometryError("lattice origin must lie on the constructing instant")
         self.basis = spatial_basis_for(self.observer)
@@ -130,7 +129,6 @@ class ModelConfig:
             N=self.N * factor,
             spacing=self.spacing,
             mass=self.mass,
-            observer=self.observer,
             instant=self.instant,
             origin=self.origin,
             pad=self.pad,

@@ -315,7 +315,8 @@ def nw_component_stats(
     """Statistics of the duration and space components relative to ``u2``.
 
     When ``u2`` is the family observer every cell shares the instant's
-    duration coordinate, so the duration variance vanishes identically;
+    duration coordinate, so the duration variance vanishes (exactly on the
+    fiducial lattice frame, to a few ulps on a lattice on a moving instant);
     for other observers it is generally positive.  Space components are
     taken in the deterministic basis attached to ``u2`` (carried to the
     constructing frame for non-constructing labels).

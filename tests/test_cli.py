@@ -92,12 +92,16 @@ class TestDeterminism:
         assert all(c["seconds"] == 0.0 for c in report["checks"])
 
 
-@pytest.fixture(scope="module")
-def report():
+def sweep_config():
     config = load_config(None, {"N": 16})
     config["delta_t_sweep"] = [0.5, 1.0]
     config["rapidity_sweep"] = [0.0, 0.1]
-    return cmd_demo_causality(config)
+    return config
+
+
+@pytest.fixture(scope="module")
+def report():
+    return cmd_demo_causality(sweep_config())
 
 
 class TestDemoCausality:
@@ -122,6 +126,46 @@ class TestDemoCausality:
 
     def test_all_checks_pass(self, report):
         assert report.all_passed()
+
+    def test_each_trial_runs_once_and_matches_the_per_trial_loop(self, report, monkeypatch):
+        from minkabs.quantum import verify as V
+
+        experiment = V.causality_experiment
+        calls = []
+
+        def counted(cfg, **kwargs):
+            calls.append(tuple(sorted((k, repr(v)) for k, v in kwargs.items())))
+            return experiment(cfg, **kwargs)
+
+        monkeypatch.setattr(V, "causality_experiment", counted)
+        config = sweep_config()
+        again = cmd_demo_causality(config)
+        # the zero interval, 2 x 2 sweep trials and the 0.4-spacing margin
+        assert len(calls) == 6 and len(set(calls)) == 6
+
+        # reference: one experiment per table row, then both margin trials
+        cfg = build_model(config)
+        chis = config["rapidity_sweep"]
+        observer = {c: V.boosted_velocity(float(c)) if c else None for c in chis}
+        sweep = [(float(dt), c) for dt in config["delta_t_sweep"] for c in chis]
+        rows = []
+        for dt, chi in [(0.0, 0.0), *sweep]:
+            res = experiment(cfg, delta_t=dt, u2=observer[chi])
+            rows.append(
+                {"delta_t_sec": dt, "rapidity": float(chi), "leakage": res.leakage, "N": 16}
+            )
+        m1, m2 = (
+            experiment(cfg, delta_t=1.0, margin=m * cfg.spacing.value).leakage for m in (0.2, 0.4)
+        )
+        want = {
+            "leakage/zero-interval": rows[0]["leakage"],
+            "leakage/strictly-positive": min(r["leakage"] for r in rows[1:] if not r["rapidity"]),
+            "leakage/strictly-positive-boosted": min(r["leakage"] for r in rows if r["rapidity"]),
+            "leakage/margin-doubling-stable": abs(m1 - m2),
+        }
+        for got in (again, report):
+            assert got.tables["leakage_sweep"] == rows
+            assert {c.name: c.residual for c in got.checks if c.name in want} == want
 
 
 class TestReport:
@@ -182,6 +226,8 @@ class TestConfigValidation:
             ("verify-geometry", {"convergence_seeds": [42, 43.5]}),
             ("verify-geometry", {"N": 32.5}),
             ("verify-geometry", {"translations": -3}),
+            ("verify-geometry", {"mass_inv_sec": 1e-170}),
+            ("verify-geometry", {"mass_inv_sec": 3e-162}),
         ],
         ids=[
             "non-numeric",
@@ -207,6 +253,8 @@ class TestConfigValidation:
             "fractional-convergence-seed",
             "fractional-lattice-size",
             "negative-translations",
+            "mass-square-underflows",
+            "mass-square-subnormal",
         ],
     )
     def test_rejected_with_exit_2(self, tmp_path, capsys, command, extra):

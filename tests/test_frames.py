@@ -136,7 +136,7 @@ def test_causal_growth_matches_the_loop(seed):
 def test_signed_permutations_match_the_loop(seed):
     rng = np.random.default_rng(seed)
     instant, _ = random_frame(rng)
-    cfg = ModelConfig(N=8, observer=instant.observer, instant=instant)
+    cfg = ModelConfig(N=8, instant=instant)
     for L in lattice_point_group(cfg.observer, cfg.basis):
         got, want = signed_permutation_of(cfg, L), signed_permutation_reference(cfg, L)
         assert want is not None

@@ -287,7 +287,7 @@ class TestMovingLatticeFrame:
     @pytest.fixture(scope="class")
     def moving(self):
         u = V.boosted_velocity(0.3, (1, 2, -0.5))
-        return ModelConfig(N=16, observer=u, instant=Instant(u, point(0.7, 0.1, -0.2, 0.3)))
+        return ModelConfig(N=16, instant=Instant(u, point(0.7, 0.1, -0.2, 0.3)))
 
     def test_stabilizer_suite(self, moving):
         results = V.run_stabilizer_suite(moving, n_states=2, seed=3, translations=2)

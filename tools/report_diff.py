@@ -32,8 +32,9 @@ Usage::
     python3 tools/report_diff.py [SRC]
     python3 tools/report_diff.py OLD_SRC NEW_SRC
 
-Standard library only; ``verify-covariance`` takes about half a minute
-per tree and environment.
+Standard library only.  On a 2-core Xeon, ``verify-covariance`` takes
+10-11 s per tree at ``threads=unset`` and 13-15 s at ``threads=1``; one
+tree's digests take about 35 s, and a diff of two trees about 75 s.
 """
 
 from __future__ import annotations
