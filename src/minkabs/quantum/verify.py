@@ -64,7 +64,8 @@ from .state import (
     LatticeState,
     make_gaussian,
     represent_array,
-    _to_momentum,  # no caller here; perfbench/layers.py traces this binding
+    _apply_prepared,
+    _to_momentum,
     _to_position,
 )
 
@@ -559,34 +560,126 @@ def commutator_witness(
 
     Defaults: two boxes on instants half a second apart, displaced so
     every pair of their points is separated faster than light.  Power
-    iteration from random states maximizes the commutator norm; a
-    strictly positive value exhibits the failure of local commutativity
-    for this localization family.
+    iteration from random states maximizes ``|[Pa, Pb] v|``; a strictly
+    positive value exhibits the failure of local commutativity for this
+    localization family.
+
+    The commutator vanishes off the sum of the two ranges, and there it
+    is fixed by their overlap, so the iteration runs on cell coordinates
+    instead of N^3 fields.  ``A`` and ``B`` hold the images of the cell
+    deltas of each projection's mask under its carry; a vector is
+    ``A alpha + B beta``, with ``Pa x = A(alpha + G beta)`` and
+    ``Pb x = B(G^H alpha + beta)`` for the overlap ``G = A^H B``.  Each
+    random start enters as ``(A^H v, B^H v)``.  The found vector is
+    rebuilt as a field and its commutator norm taken through both
+    projections on the full lattice; a start that never normalizes
+    reports ``|[Pa, Pb] v0|`` from its coordinates, which is exactly 0
+    when ``G`` is 0 or the identity.
+
+    Both regions must lie on instants of the constructing observer, so
+    every carry is a time step (a pure phase, which keeps the cell bases
+    orthonormal), and ``|a| * |b| <= N^3``, so ``G`` is no larger than
+    one field; otherwise ``GeometryError``.
     """
     if region_a is None:
         region_a = cell_region(cfg, (-5, -2, -2), (-2, 1, 1))
     if region_b is None:
         t2 = Instant(cfg.observer, cfg.origin + cfg.observer * seconds(0.5))
         region_b = cell_region(cfg, (2, -2, -2), (5, 1, 1), instant=t2)
-    # each projection is built once, then applied by the power iteration
+    if not all(r.instant.observer.approx_eq(cfg.observer) for r in (region_a, region_b)):
+        raise GeometryError("commutator witness needs instants of the constructing observer")
     proj_a = _projection(PvmHandle(region_a.instant), region_a, cfg)
     proj_b = _projection(PvmHandle(region_b.instant), region_b, cfg)
+    G = _overlap(cfg, proj_a, proj_b)
+    GH = G.T.conj()
 
-    def commutator(arr):
-        return proj_a(proj_b(arr)) - proj_b(proj_a(arr))
+    def commutator(p, q):
+        # coordinates of [Pa, Pb] v from v's (A^H v, B^H v) = (p, q)
+        return _matvec(G, q), -_matvec(GH, p)
+
+    def dual(alpha, beta):
+        # (A^H x, B^H x) of x = A alpha + B beta
+        return alpha + _matvec(G, beta), _matvec(GH, alpha) + beta
 
     rng = np.random.default_rng(seed)
     best = 0.0
     for _ in range(starts):
         v = random_states(cfg, rng, 1)[0]
+        pq = (_cells(cfg, proj_a, v), _cells(cfg, proj_b, v))
+        del v  # the field is read once; only its cell coordinates iterate
+        found = None  # v is the random start until a normalization succeeds
         for _ in range(iterations):
-            w = -commutator(commutator(v))  # adjoint-square of the skew map
-            n = np.linalg.norm(w)
+            w = [-c for c in commutator(*dual(*commutator(*pq)))]  # adjoint-square of the skew map
+            w_pq = dual(*w)
+            # |w|^2 = Re <w, (A^H w, B^H w)>, which rounds below 0 where w cancels as a field
+            n = math.sqrt(max(0.0, _re_inner(w[0], w_pq[0]) + _re_inner(w[1], w_pq[1])))
             if n == 0.0:
                 break
-            v = w / n
-        best = max(best, float(np.linalg.norm(commutator(v))))
+            found = [c / n for c in w]
+            pq = [c / n for c in w_pq]
+        if found is None:
+            alpha, beta = commutator(*pq)
+            c = _field(cfg, proj_a, alpha) + _field(cfg, proj_b, beta)
+        else:
+            x = _field(cfg, proj_a, found[0]) + _field(cfg, proj_b, found[1])
+            c = proj_a(proj_b(x)) - proj_b(proj_a(x))
+        best = max(best, math.sqrt(_re_inner(c.ravel(), c.ravel())))
     return best
+
+
+def _re_inner(x: np.ndarray, y: np.ndarray) -> float:
+    """Re <x, y> of flat vectors as one ufunc reduction: unlike BLAS, its
+    summation order does not depend on the thread count."""
+    return float(np.add.reduce(x.real * y.real + x.imag * y.imag))
+
+
+def _matvec(m: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """``m @ x`` without BLAS, for the same reason as ``_re_inner``."""
+    return np.einsum("ij,j->i", m, x)
+
+
+def _cells(cfg: ModelConfig, proj, arr: np.ndarray) -> np.ndarray:
+    """``A^H arr`` for the cell basis ``A`` of a projection's range: carry
+    back, transform to position, read the mask's cells."""
+    for prepared in proj.back:
+        arr, _ = _apply_prepared(cfg, arr, prepared)
+    return _to_position(arr)[proj.mask]
+
+
+def _field(cfg: ModelConfig, proj, cells: np.ndarray) -> np.ndarray:
+    """``A cells``: amplitudes on the mask's cells, transformed to momentum
+    and carried forth."""
+    arr = np.zeros(proj.mask.shape, dtype=complex)
+    arr[proj.mask] = cells
+    arr = _to_momentum(arr, overwrite_x=True)
+    for prepared in proj.forth:
+        arr, _ = _apply_prepared(cfg, arr, prepared, overwrite_x=True)
+    return arr
+
+
+def _overlap(cfg: ModelConfig, proj_a, proj_b) -> np.ndarray:
+    """``G = A^H B`` of two projections whose carries are pure phases.
+
+    ``A^H B`` is the position-space convolution by ``K``, the position
+    image of the phase ``D`` of ``Ua^-1 Ub``, so ``G[i, j]`` is
+    ``K[(x_i - x_j) mod N]`` over the cells ``x_i`` of mask a and
+    ``x_j`` of mask b.
+    """
+    n = cfg.N
+    cells_a, cells_b = np.nonzero(proj_a.mask), np.nonzero(proj_b.mask)
+    if cells_a[0].size * cells_b[0].size > n**3:
+        raise GeometryError("commutator witness regions: overlap matrix larger than one field")
+    D = np.ones((n, n, n), dtype=complex)
+    for _, phase in proj_b.forth + proj_a.back:
+        if phase is not None:
+            D *= phase
+    K = _to_position(D, overwrite_x=True)
+    del D
+    K /= n**1.5
+    flat = 0
+    for xa, xb in zip(cells_a, cells_b):
+        flat = flat * n + (xa[:, None] - xb) % n
+    return K.ravel()[flat]
 
 
 def _project_arr(cfg, handle, region, arr):

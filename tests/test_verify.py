@@ -2,11 +2,15 @@
 
 import math
 import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import minkabs
 from minkabs.geometry import Instant, normalize_velocity, point, seconds, vector
 from minkabs.groups import PoincareMap, make_boost, make_rotation
 from minkabs.quantum import ModelConfig
@@ -223,10 +227,64 @@ class TestCausality:
         assert res.leakage > 1e-6
 
 
+def _full_space_witness(cfg, region_a=None, region_b=None, seed=42, starts=3, iterations=12):
+    """The power iteration on N^3 fields, kept as the reference."""
+    from minkabs.quantum.pvm import PvmHandle, _projection
+
+    if region_a is None:
+        region_a = V.cell_region(cfg, (-5, -2, -2), (-2, 1, 1))
+    if region_b is None:
+        t2 = Instant(cfg.observer, cfg.origin + cfg.observer * seconds(0.5))
+        region_b = V.cell_region(cfg, (2, -2, -2), (5, 1, 1), instant=t2)
+    # each projection is built once, then applied by the power iteration
+    proj_a = _projection(PvmHandle(region_a.instant), region_a, cfg)
+    proj_b = _projection(PvmHandle(region_b.instant), region_b, cfg)
+
+    def commutator(arr):
+        return proj_a(proj_b(arr)) - proj_b(proj_a(arr))
+
+    rng = np.random.default_rng(seed)
+    best = 0.0
+    for _ in range(starts):
+        v = V.random_states(cfg, rng, 1)[0]
+        for _ in range(iterations):
+            w = -commutator(commutator(v))  # adjoint-square of the skew map
+            n = np.linalg.norm(w)
+            if n == 0.0:
+                break
+            v = w / n
+        best = max(best, float(np.linalg.norm(commutator(v))))
+    return best
+
+
+def _later_region_a(cfg):
+    t1 = Instant(cfg.observer, cfg.origin + cfg.observer * seconds(0.25))
+    return V.cell_region(cfg, (-5, -2, -2), (-2, 1, 1), instant=t1)
+
+
 class TestCommutators:
     def test_cross_instant_witness(self, cfg32):
         witness = V.commutator_witness(cfg32, seed=11, starts=2, iterations=8)
         assert witness >= 1e-4
+
+    @pytest.mark.parametrize(
+        "case",
+        [
+            dict(seed=42, starts=3, iterations=10),
+            dict(seed=11, starts=2, iterations=8),
+            dict(later_a=True, seed=42, starts=3, iterations=10),
+            dict(seed=42, starts=3, iterations=0),
+        ],
+        ids=["cli-default", "seed-11", "both-carries-phases", "no-iteration"],
+    )
+    def test_matches_full_space_iteration(self, cfg32, case):
+        kwargs = dict(case)
+        if kwargs.pop("later_a", False):
+            kwargs["region_a"] = _later_region_a(cfg32)
+        value = V.commutator_witness(cfg32, **kwargs)
+        reference = _full_space_witness(cfg32, **kwargs)
+        assert value > 1e-4
+        assert abs(value - reference) <= 1e-13 * reference
 
     def test_same_instant_disjoint_commute(self, cfg32):
         reg_a = V.cell_region(cfg32, (-5, -2, -2), (-2, 1, 1))
@@ -234,14 +292,58 @@ class TestCommutators:
         value = V.commutator_witness(
             cfg32, region_a=reg_a, region_b=reg_b, seed=11, starts=1, iterations=4
         )
-        assert value <= 1e-12
+        assert value == 0.0
 
     def test_identical_region_commutes(self, cfg32):
         reg = V.cell_region(cfg32, (-2, -2, -2), (1, 1, 1))
         value = V.commutator_witness(
             cfg32, region_a=reg, region_b=reg, seed=3, starts=1, iterations=4
         )
-        assert value <= 1e-12
+        assert value == 0.0
+
+    def test_no_start_gives_zero(self, cfg32):
+        assert V.commutator_witness(cfg32, starts=0) == 0.0
+
+    def test_boosted_instant_refused(self, cfg):
+        from minkabs.geometry import GeometryError
+
+        moving = Instant(V.boosted_velocity(0.2), cfg.origin)
+        region = V.cell_region(cfg, (-2, -2, -2), (1, 1, 1), instant=moving)
+        with pytest.raises(GeometryError):
+            V.commutator_witness(cfg, region_b=region, starts=1, iterations=1)
+
+    def test_overlap_larger_than_a_field_refused(self, cfg):
+        # 512 * 512 overlap entries against 16^3 = 4096 amplitudes
+        from minkabs.geometry import GeometryError
+
+        reg_a = V.cell_region(cfg, (-8, -8, -8), (-1, -1, -1))
+        reg_b = V.cell_region(cfg, (0, 0, 0), (7, 7, 7))
+        with pytest.raises(GeometryError):
+            V.commutator_witness(cfg, region_a=reg_a, region_b=reg_b, starts=1, iterations=1)
+
+    @pytest.mark.skipif(
+        (os.cpu_count() or 1) < 2, reason="needs 2 CPUs: OpenBLAS runs one thread per CPU"
+    )
+    def test_cli_calls_do_not_depend_on_blas_threads(self):
+        # the two witness calls of demo-causality at its default N=32
+        script = (
+            "from minkabs.quantum import ModelConfig\n"
+            "from minkabs.quantum import verify as V\n"
+            "cfg = ModelConfig(N=32)\n"
+            "reg_b = V.cell_region(cfg, (2, -2, -2), (5, 1, 1))\n"
+            "print(repr(V.commutator_witness(cfg, seed=42, starts=3, iterations=10)))\n"
+            "print(repr(V.commutator_witness(cfg, region_b=reg_b, seed=42, starts=1, iterations=4)))\n"
+        )
+        src = Path(minkabs.__file__).resolve().parent.parent
+        outputs = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS=threads)
+            proc = subprocess.run(
+                [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+            )
+            assert proc.returncode == 0, proc.stderr
+            outputs.append(proc.stdout)
+        assert outputs[0] == outputs[1]
 
 
 class TestEquivariance:
