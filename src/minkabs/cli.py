@@ -15,7 +15,8 @@ witness velocity at ``witness_rapidity``; each quantum command then
 checks, geometry only, that its packets and inflated causal shadows fit
 the lattice box.  Reports are deterministic JSON on stdout
 (or ``--out``; ``--csv``: the demo-causality sweep table).  Exit codes:
-0 all checks passed, 1 a check failed, 2 usage or configuration error.
+0 all checks passed, 1 a check failed, 2 usage or configuration error (a
+config that needs more memory than is available, an unwritable ``--out``).
 ``MINKABS_THREADS`` caps internal trial fan-out (default: the CPUs this
 process may run on; 1 runs serially).
 """
@@ -333,8 +334,9 @@ def main(argv=None) -> int:
             report = cmd_verify_covariance(config)
         else:
             report = cmd_demo_causality(config)
-    except ConfigError as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
+    except (ConfigError, MemoryError) as exc:
+        why = "it needs more memory than is available: " if isinstance(exc, MemoryError) else ""
+        print(f"configuration error: {why}{exc}", file=sys.stderr)
         return 2
 
     if args.csv:
@@ -342,8 +344,12 @@ def main(argv=None) -> int:
     else:
         payload = report.to_json(include_timings=args.timings) + "\n"
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(payload)
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(payload)
+        except OSError as exc:
+            print(f"cannot write report: {exc}", file=sys.stderr)
+            return 2
     else:
         sys.stdout.write(payload)
     for line in report.summary_lines():

@@ -455,20 +455,9 @@ class Region:
         c = np.where(_CORNER_BITS, hi, lo)
         return self.anchor._c + sum(c[:, i, None] * self.axes[i] for i in range(3))
 
-    def corners(self) -> list[SpacetimePoint]:
-        """World events at all box corners."""
-        return [SpacetimePoint(p) for lo, hi in self.boxes for p in self._box_corners(lo, hi)]
-
     def coordinates_of(self, p: SpacetimePoint) -> np.ndarray:
         """Coordinates of an event of the instant in this region's frame."""
         return _product(self.axes, p._c - self.anchor._c)
-
-    def contains_point(self, p: SpacetimePoint, snap: float = 0.0) -> bool:
-        c = self.coordinates_of(p)
-        for lo, hi in self.boxes:
-            if np.all(c >= lo - snap) and np.all(c < hi - snap):
-                return True
-        return False
 
     def __repr__(self) -> str:
         return f"Region({len(self.boxes)} boxes, volume={self.volume():.6g})"

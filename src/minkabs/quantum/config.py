@@ -123,10 +123,10 @@ class ModelConfig:
         band_energy = math.sqrt(3.0 * (0.5 * self.cutoff) ** 2 + mass.value**2)
         self.chi_max = math.asinh(0.25 * self.cutoff / band_energy)
 
-    def refined(self, factor: int = 2) -> "ModelConfig":
-        """Same physics on a lattice with ``factor`` times the points."""
+    def refined(self) -> "ModelConfig":
+        """Same physics on a lattice with twice the points per axis."""
         return ModelConfig(
-            N=self.N * factor,
+            N=self.N * 2,
             spacing=self.spacing,
             mass=self.mass,
             instant=self.instant,

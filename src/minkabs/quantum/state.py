@@ -34,6 +34,7 @@ Everything here is a pure function of immutable values.
 
 from __future__ import annotations
 
+import itertools
 import math
 import threading
 from collections import OrderedDict
@@ -156,30 +157,19 @@ def signed_permutation_of(cfg: ModelConfig, L: LorentzMap) -> np.ndarray | None:
     return rounded
 
 
-_PERM_CACHE: dict[tuple, np.ndarray] = {}
-
-
-def _perm_flat_indices(cfg: ModelConfig, r3: np.ndarray) -> np.ndarray:
-    key = (cfg.N, r3.tobytes())
-    cached = _PERM_CACHE.get(key)
-    if cached is not None:
-        return cached
-    n = cfg.N
-    s1, s2, s3 = axis_views(cfg.signed_index)
-    rt = r3.T  # inverse of a signed permutation
-    src = []
-    for i in range(3):
-        lab = rt[i, 0] * s1 + rt[i, 1] * s2 + rt[i, 2] * s3
-        src.append(np.mod(lab, n))
-    flat = (src[0] * n + src[1]) * n + src[2]
-    # int32 halves the cache (48 maps per lattice size) and gathers alike
-    flat = np.broadcast_to(flat, (n, n, n)).astype(np.int32).reshape(-1)
-    _PERM_CACHE[key] = flat
-    return flat
-
-
-def _apply_perm(arr: np.ndarray, flat_idx: np.ndarray) -> np.ndarray:
-    return np.take(arr.reshape(-1, flat_idx.size), flat_idx, axis=1).reshape(arr.shape)
+def _apply_perm(arr: np.ndarray, r3: np.ndarray) -> np.ndarray:
+    """``out[k] = arr[r3.T k]`` on signed labels (batch axes allowed), as one
+    strided copy of the transposed last three axes: a flipped axis reads
+    index ``-k mod N``, index 0 in place and indices 1..N-1 reversed."""
+    lead = arr.ndim - 3
+    src = np.abs(r3).argmax(axis=1)  # out axis i reads arr axis src[i]
+    view = arr.transpose(*range(lead), *(lead + src))
+    out = np.empty(view.shape, arr.dtype)  # empty_like would keep the transposed layout
+    same = [(slice(None), slice(None))]  # (out, view) slice pairs along one axis
+    flipped = [(slice(0, 1), slice(0, 1)), (slice(1, None), slice(None, 0, -1))]
+    for cut in itertools.product(*(flipped if r3[i, j] < 0 else same for i, j in enumerate(src))):
+        out[(..., *(o for o, _ in cut))] = view[(..., *(v for _, v in cut))]
+    return out
 
 
 def rapidity_of(cfg: ModelConfig, L: LorentzMap) -> float:
@@ -352,7 +342,7 @@ def _apply_linear(
         return arr, 0.0, 0.0
     r3 = signed_permutation_of(cfg, L)
     if r3 is not None:
-        return _apply_perm(arr, _perm_flat_indices(cfg, r3)), 0.0, 0.0
+        return _apply_perm(arr, r3), 0.0, 0.0
     if not velocity:
         raise GeometryError(
             "map does not permute the lattice; use the velocity-transform path"

@@ -70,7 +70,6 @@ from .state import (
 )
 
 __all__ = [
-    "CheckResult",
     "CausalityResult",
     "cell_region",
     "random_states",

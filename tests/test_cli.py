@@ -12,8 +12,7 @@ from minkabs.cli import (
     load_config,
     main,
 )
-from minkabs.report import SWEEP_CSV_HEADER, RunReport, sweep_csv
-from minkabs.quantum.verify import CheckResult
+from minkabs.report import SWEEP_CSV_HEADER, CheckResult, RunReport, sweep_csv
 
 
 def small_config(tmp_path, **extra):
@@ -196,6 +195,14 @@ class TestReport:
         assert report["suite"] == "verify-geometry"
         assert capsys.readouterr().out == ""
 
+    def test_unwritable_out_file(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "r.json"
+        assert main(["verify-geometry", "--seed", "3", "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("cannot write report: ")
+        assert not out.parent.exists()
+
 
 class TestConfigValidation:
     # each config was accepted before any check and then ended in a
@@ -228,6 +235,8 @@ class TestConfigValidation:
             ("verify-geometry", {"translations": -3}),
             ("verify-geometry", {"mass_inv_sec": 1e-170}),
             ("verify-geometry", {"mass_inv_sec": 3e-162}),
+            ("verify-geometry", {"N": 1048576}),
+            ("verify-covariance", {"states": 1000000000}),
         ],
         ids=[
             "non-numeric",
@@ -255,6 +264,8 @@ class TestConfigValidation:
             "negative-translations",
             "mass-square-underflows",
             "mass-square-subnormal",
+            "lattice-beyond-memory",
+            "states-beyond-memory",
         ],
     )
     def test_rejected_with_exit_2(self, tmp_path, capsys, command, extra):

@@ -44,7 +44,6 @@ from minkabs.quantum import (
 from minkabs.quantum.state import (
     _apply_perm,
     _apply_prepared,
-    _perm_flat_indices,
     _prepare_poincare,
     _to_position,
     represent_array,
@@ -289,8 +288,8 @@ class TestRotation:
         assert np.max(np.abs(lhs - rhs)) <= 1e-12
 
     def test_permutation_cache_is_value_keyed(self):
-        # a dead N=8 config's id may be reused by a new N=16 config; its
-        # cached indices must not be handed to the new lattice.  Dropping
+        # a dead N=8 config's id may be reused by a new N=16 config; nothing
+        # of the N=8 rotation may be handed to the new lattice.  Dropping
         # the config frees it at once (it is in no reference cycle), and
         # CPython usually gives its memory, and so its id, to the next one.
         r = make_rotation(U0, E3, math.pi / 2)
@@ -309,17 +308,23 @@ class TestRotation:
         expected = s.psi[src[..., 0], src[..., 1], src[..., 2]]
         assert np.array_equal(out.psi, expected)
 
-    def test_take_matches_fancy_index_gather(self, cfg):
+    def test_strided_copy_matches_label_gather(self, cfg):
+        # out[k] = psi[R^T k] on signed labels, modulo N, byte for byte
         rng = np.random.default_rng(11)
         batch = rng.normal(size=(3, cfg.N, cfg.N, cfg.N)) + 1j * rng.normal(
             size=(3, cfg.N, cfg.N, cfg.N)
         )
+        labels = np.stack(np.meshgrid(*(cfg.signed_index,) * 3, indexing="ij"), axis=-1)
         group = lattice_point_group(U0, cfg.basis)
         assert len(group) == 48
         for L in group:
-            idx = _perm_flat_indices(cfg, signed_permutation_of(cfg, L))
-            gathered = batch.reshape(-1, idx.size)[:, idx].reshape(batch.shape)
-            assert np.array_equal(_apply_perm(batch, idx), gathered)
+            r3 = signed_permutation_of(cfg, L)
+            src = np.mod(labels @ r3, cfg.N)
+            gathered = batch[:, src[..., 0], src[..., 1], src[..., 2]]
+            out = _apply_perm(batch, r3)
+            assert out.flags.c_contiguous
+            assert out.tobytes() == gathered.tobytes()
+            assert _apply_perm(batch[1], r3).tobytes() == gathered[1].tobytes()
 
     def test_reflection_is_exact_involution(self, cfg):
         s = make_gaussian(

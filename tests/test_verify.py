@@ -15,7 +15,6 @@ from minkabs.geometry import Instant, normalize_velocity, point, seconds, vector
 from minkabs.groups import PoincareMap, make_boost, make_rotation
 from minkabs.quantum import ModelConfig
 import minkabs.quantum.pvm as pvm
-import minkabs.quantum.state as state
 import minkabs.quantum.verify as V
 from minkabs.quantum.state import _to_momentum
 
@@ -107,13 +106,6 @@ class TestStabilizerCovariance:
         serial, threaded = runs["1"], runs["4"]
         assert [r.name for r in serial] == [r.name for r in threaded]
         assert [r.residual for r in serial] == [r.residual for r in threaded]
-
-    def test_permutation_cache_holds_int32_indices(self, cfg, monkeypatch):
-        # 48 point-group maps, one 4-byte index per lattice point each
-        monkeypatch.setenv("MINKABS_THREADS", "1")
-        V.run_stabilizer_suite(cfg, n_states=2, seed=3, translations=1)
-        held = sum(v.nbytes for (n, _), v in state._PERM_CACHE.items() if n == cfg.N)
-        assert 0 < held <= 48 * cfg.N**3 * 4
 
 
 class TestLabelChanges:
