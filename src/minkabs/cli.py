@@ -10,15 +10,15 @@ Configuration is a flat JSON object (all keys optional); command-line
 flags override file values.  ``build_model`` checks the whole config
 before any work starts: finite numbers, non-empty lists, 0.0 in
 ``rapidity_sweep``, the bounds of ``MINIMUM`` (seeds and intervals >= 0,
-``states`` >= 1), the band-limit cap on every rapidity and a buildable
-witness velocity at ``witness_rapidity``; each quantum command then
-checks, geometry only, that its packets and inflated causal shadows fit
-the lattice box.  Reports are deterministic JSON on stdout
-(or ``--out``; ``--csv``: the demo-causality sweep table).  Exit codes:
-0 all checks passed, 1 a check failed, 2 usage or configuration error (a
-config that needs more memory than is available, an unwritable ``--out``).
-``MINKABS_THREADS`` caps internal trial fan-out (default: the CPUs this
-process may run on; 1 runs serially).
+``states`` >= 1), a nonzero ``rapidity``, the band-limit cap on every
+rapidity and a buildable witness velocity at ``witness_rapidity``; each
+quantum command then checks, geometry only, that its packets and
+inflated causal shadows fit the lattice box.  Reports are deterministic
+JSON on stdout (or ``--out``; ``--csv``: the demo-causality sweep
+table).  Exit codes: 0 all checks passed, 1 a check failed, 2 usage or
+configuration error (a config that needs more memory than is available,
+an unwritable ``--out``).  ``MINKABS_THREADS`` caps internal trial
+fan-out (default: the CPUs this process may run on; 1 runs serially).
 """
 
 from __future__ import annotations
@@ -112,6 +112,8 @@ def build_model(config: dict) -> ModelConfig:
         )
     except GeometryError as exc:
         raise ConfigError(str(exc)) from exc
+    if config["rapidity"] == 0:
+        raise ConfigError("rapidity must be nonzero: the convergence study needs a boost")
     chi = max(abs(c) for c in [config["rapidity"], *config["rapidity_sweep"]])
     if chi > cfg.chi_max:
         raise ConfigError(f"rapidity {chi} exceeds the band-limit cap {cfg.chi_max:.4f}")

@@ -5,7 +5,6 @@ from .state import (
     BoostReport,
     LatticeState,
     apply_boost,
-    apply_poincare,
     apply_rotation,
     apply_translation,
     make_gaussian,
@@ -34,7 +33,6 @@ __all__ = [
     "apply_translation",
     "apply_rotation",
     "apply_boost",
-    "apply_poincare",
     "represent",
     "rapidity_of",
     "signed_permutation_of",

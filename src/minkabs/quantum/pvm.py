@@ -37,14 +37,7 @@ from ..geometry import (
 from ..geometry import _METRIC, _product
 from ..groups import LorentzMap, PoincareMap, Region, make_boost
 from .config import ModelConfig, axis_views
-from .state import (
-    LatticeState,
-    _apply_prepared,
-    _prepare_represent,
-    _to_momentum,
-    _to_position,
-    represent_array,
-)
+from .state import LatticeState, _act, _represented, _to_momentum, _to_position, represent_array
 
 __all__ = [
     "PvmHandle",
@@ -181,24 +174,16 @@ class _Conjugation:
 
 def _prepared_chain(cfg: ModelConfig, chain):
     """Generators of the prepared maps of U^-1 and of U, in order of application."""
-    back = (_prepare_represent(cfg, P.inverse()) for P in reversed(chain))
-    return back, (_prepare_represent(cfg, P) for P in chain)
+    back = _represented(cfg, (P.inverse() for P in reversed(chain)))
+    return back, _represented(cfg, chain)
 
 
 def _conjugate(cfg: ModelConfig, states: np.ndarray, back, forth, mask: np.ndarray):
-    """U M U^-1 from iterables of the prepared maps of U^-1 and of U; each map is
-    dropped once applied, so generators keep one map's phase alive at a time."""
-    arr = states
-    for prepared in back:
-        # reuse only arrays the chain made (an identity map hands back ``states``)
-        arr, _ = _apply_prepared(cfg, arr, prepared, overwrite_x=arr is not states)
-        del prepared
+    """U M U^-1 from iterables of the prepared maps of U^-1 and of U."""
+    arr, _ = _act(cfg, states, back)
     arr = _to_position(arr, overwrite_x=arr is not states) * mask  # always a new array
     arr = _to_momentum(arr, overwrite_x=True)
-    for prepared in forth:
-        arr, _ = _apply_prepared(cfg, arr, prepared, overwrite_x=True)
-        del prepared
-    return arr
+    return _act(cfg, arr, forth, overwrite_x=True)[0]
 
 
 def _conjugate_mask(cfg: ModelConfig, states: np.ndarray, chain, mask: np.ndarray):

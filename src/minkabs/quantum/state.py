@@ -29,6 +29,10 @@ Three flavors of spacetime action are implemented:
   velocity change (labels, weight, interpolation nodes) is cached per
   lattice and map, keyed by value.
 
+Every represented map, and every projection that ``pvm`` defines by
+covariance as ``U M U^-1``, is applied through one loop, ``_act``, over
+a chain of prepared maps (homogeneous part and translation phase).
+
 Everything here is a pure function of immutable values.
 """
 
@@ -61,7 +65,6 @@ __all__ = [
     "apply_translation",
     "apply_rotation",
     "apply_boost",
-    "apply_poincare",
     "signed_permutation_of",
     "rapidity_of",
 ]
@@ -328,25 +331,21 @@ def _boost_array(
 
 
 def _apply_linear(
-    cfg: ModelConfig, arr: np.ndarray, L: LorentzMap, velocity: bool = True
+    cfg: ModelConfig, arr: np.ndarray, L: LorentzMap
 ) -> tuple[np.ndarray, float, float]:
     """Apply a homogeneous map at the lattice origin to raw amplitudes.
 
-    Classifies ``L`` as the identity, a signed permutation of the lattice
-    axes (exact), or, when ``velocity`` allows it, an orthochronous
-    velocity change under the rapidity cap (pullback of each state).
-    Returns the result, the rapidity of ``L`` and the worst norm drift,
-    both 0 on exact paths.
+    Classifies ``L`` as the identity (``arr`` itself comes back), a signed
+    permutation of the lattice axes (exact), or an orthochronous velocity
+    change under the rapidity cap (pullback of each state).  Returns the
+    result, the rapidity of ``L`` and the worst norm drift, both 0 on
+    exact paths.
     """
     if np.array_equal(L.matrix, np.eye(4)):
         return arr, 0.0, 0.0
     r3 = signed_permutation_of(cfg, L)
     if r3 is not None:
         return _apply_perm(arr, r3), 0.0, 0.0
-    if not velocity:
-        raise GeometryError(
-            "map does not permute the lattice; use the velocity-transform path"
-        )
     if not is_orthochronous(L):
         raise GeometryError("only orthochronous maps are represented")
     chi = rapidity_of(cfg, L)
@@ -359,7 +358,7 @@ def _apply_linear(
     return out, chi, max(drift for _, drift in pieces)
 
 
-def _prepare_poincare(cfg: ModelConfig, P: PoincareMap) -> tuple[LorentzMap, np.ndarray | None]:
+def _prepare(cfg: ModelConfig, P: PoincareMap) -> tuple[LorentzMap, np.ndarray | None]:
     """The state-independent part of an affine map: its homogeneous part at the
     lattice origin, and the read-only phase of its shift of the origin or ``None``."""
     shift = P(cfg.origin) - cfg.origin
@@ -370,16 +369,22 @@ def _prepare_poincare(cfg: ModelConfig, P: PoincareMap) -> tuple[LorentzMap, np.
     return P.linear, phase
 
 
-def _apply_prepared(cfg: ModelConfig, arr: np.ndarray, prepared, overwrite_x: bool = False):
-    """Apply a prepared affine map to raw amplitudes (batch axes allowed): the
-    result and the worst norm drift of any interpolation step.  Pass
-    ``overwrite_x=True`` only for a complex temporary ``arr``: the phase
-    multiply may then reuse its buffer."""
-    linear, phase = prepared
-    out, _, drift = _apply_linear(cfg, arr, linear)
-    if phase is not None:
-        out = np.multiply(out, phase, out=out if overwrite_x else None)
-    return out, drift
+def _act(cfg: ModelConfig, arr: np.ndarray, steps, overwrite_x: bool = False):
+    """Apply prepared maps, first step first, to raw amplitudes (batch axes
+    allowed): the result and the worst norm drift of any step.  Phases go in
+    place into complex arrays the steps made, and into ``arr`` only with
+    ``overwrite_x`` (an identity step hands ``arr`` back).  Each step is
+    dropped once applied, so a generator keeps one phase alive at a time."""
+    keep = None if overwrite_x else arr
+    drift = 0.0
+    for linear, phase in steps:
+        arr, _, step_drift = _apply_linear(cfg, arr, linear)
+        if phase is not None:
+            fresh = arr is not keep and arr.dtype == phase.dtype
+            arr = np.multiply(arr, phase, out=arr if fresh else None)
+        drift = max(drift, step_drift)
+        del linear, phase
+    return arr, drift
 
 
 # ---------------------------------------------------------------------------
@@ -459,8 +464,10 @@ def apply_rotation(state: LatticeState, L: LorentzMap) -> LatticeState:
     ``L`` must restrict to a signed permutation of the lattice axes; the
     action is an exact index permutation (exactly unitary).
     """
-    psi, _, _ = _apply_linear(state.cfg, state.psi, L, velocity=False)
-    return LatticeState(state.cfg, psi)
+    r3 = signed_permutation_of(state.cfg, L)
+    if r3 is None:
+        raise GeometryError("map does not permute the lattice; use the velocity-transform path")
+    return LatticeState(state.cfg, _apply_perm(state.psi, r3))
 
 
 def apply_boost(state: LatticeState, L: LorentzMap, return_report: bool = False):
@@ -475,13 +482,6 @@ def apply_boost(state: LatticeState, L: LorentzMap, return_report: bool = False)
     psi, chi, drift = _apply_linear(state.cfg, state.psi, L)
     out = LatticeState(state.cfg, psi)
     return (out, BoostReport(chi, state.cfg.chi_max, drift)) if return_report else out
-
-
-def apply_poincare(state: LatticeState, P: PoincareMap) -> LatticeState:
-    """Apply an affine map: homogeneous part at the lattice origin, then
-    the translation carrying the origin to its image."""
-    out, _ = _apply_prepared(state.cfg, state.psi, _prepare_poincare(state.cfg, P))
-    return LatticeState(state.cfg, out)
 
 
 # ---------------------------------------------------------------------------
@@ -510,12 +510,13 @@ def represent_array(cfg: ModelConfig, arr: np.ndarray, P: PoincareMap):
     inverse, so localization probabilities at later instants see the
     spread packet.
     """
-    return _apply_prepared(cfg, arr, _prepare_represent(cfg, P))
+    return _act(cfg, arr, _represented(cfg, [P]))
 
 
-def _prepare_represent(cfg: ModelConfig, P: PoincareMap):
-    """The state-independent part of ``represent_array``: twist, shift, phase."""
-    return _prepare_poincare(cfg, _time_twist(cfg, P))
+def _represented(cfg: ModelConfig, chain):
+    """The prepared maps of the representation of each map of ``chain``, first
+    map first, each prepared when it is reached."""
+    return (_prepare(cfg, _time_twist(cfg, P)) for P in chain)
 
 
 def represent(state: LatticeState, P: PoincareMap) -> LatticeState:

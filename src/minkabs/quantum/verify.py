@@ -60,14 +60,7 @@ from .pvm import (
     pvm_project,
     rasterize,
 )
-from .state import (
-    LatticeState,
-    make_gaussian,
-    represent_array,
-    _apply_prepared,
-    _to_momentum,
-    _to_position,
-)
+from .state import LatticeState, _act, _to_momentum, _to_position, make_gaussian, represent_array
 
 __all__ = [
     "CausalityResult",
@@ -640,9 +633,7 @@ def _matvec(m: np.ndarray, x: np.ndarray) -> np.ndarray:
 def _cells(cfg: ModelConfig, proj, arr: np.ndarray) -> np.ndarray:
     """``A^H arr`` for the cell basis ``A`` of a projection's range: carry
     back, transform to position, read the mask's cells."""
-    for prepared in proj.back:
-        arr, _ = _apply_prepared(cfg, arr, prepared)
-    return _to_position(arr)[proj.mask]
+    return _to_position(_act(cfg, arr, proj.back)[0])[proj.mask]
 
 
 def _field(cfg: ModelConfig, proj, cells: np.ndarray) -> np.ndarray:
@@ -650,10 +641,7 @@ def _field(cfg: ModelConfig, proj, cells: np.ndarray) -> np.ndarray:
     and carried forth."""
     arr = np.zeros(proj.mask.shape, dtype=complex)
     arr[proj.mask] = cells
-    arr = _to_momentum(arr, overwrite_x=True)
-    for prepared in proj.forth:
-        arr, _ = _apply_prepared(cfg, arr, prepared, overwrite_x=True)
-    return arr
+    return _act(cfg, _to_momentum(arr, overwrite_x=True), proj.forth, overwrite_x=True)[0]
 
 
 def _overlap(cfg: ModelConfig, proj_a, proj_b) -> np.ndarray:

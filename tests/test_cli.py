@@ -237,6 +237,7 @@ class TestConfigValidation:
             ("verify-geometry", {"mass_inv_sec": 3e-162}),
             ("verify-geometry", {"N": 1048576}),
             ("verify-covariance", {"states": 1000000000}),
+            ("verify-covariance", {"rapidity": 0.0}),
         ],
         ids=[
             "non-numeric",
@@ -266,6 +267,7 @@ class TestConfigValidation:
             "mass-square-subnormal",
             "lattice-beyond-memory",
             "states-beyond-memory",
+            "rapidity-zero",
         ],
     )
     def test_rejected_with_exit_2(self, tmp_path, capsys, command, extra):

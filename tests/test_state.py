@@ -34,7 +34,6 @@ from minkabs.quantum import (
     LatticeState,
     ModelConfig,
     apply_boost,
-    apply_poincare,
     apply_rotation,
     apply_translation,
     make_gaussian,
@@ -42,9 +41,12 @@ from minkabs.quantum import (
     signed_permutation_of,
 )
 from minkabs.quantum.state import (
+    _act,
+    _apply_linear,
     _apply_perm,
-    _apply_prepared,
-    _prepare_poincare,
+    _prepare,
+    _represented,
+    _time_twist,
     _to_position,
     represent_array,
 )
@@ -496,8 +498,8 @@ class TestActionWrappers:
         L = make_boost(U0, boosted(0.25, axis))
         P = PoincareMap.from_homogeneous(L, cfg.origin)
         out, report = apply_boost(s, L, return_report=True)
-        assert np.array_equal(out.psi, apply_poincare(s, P).psi)
-        _, drift = _apply_prepared(cfg, s.psi, _prepare_poincare(cfg, P))
+        psi, drift = _act(cfg, s.psi, [_prepare(cfg, P)])
+        assert np.array_equal(out.psi, psi)
         assert drift > 0.0
         assert report.norm_drift == drift
         assert report.rapidity == rapidity_of(cfg, L)
@@ -506,6 +508,52 @@ class TestActionWrappers:
         s = make_gaussian(cfg, width=seconds(1.0))
         with pytest.raises(GeometryError, match="does not permute the lattice"):
             apply_rotation(s, make_boost(U0, boosted(0.2)))
+
+
+class TestPreparedAction:
+    # the phase multiply reuses only complex arrays a step made: the caller's
+    # array, complex or real, keeps its bytes and the result matches
+    # out-of-place products bit for bit
+    @staticmethod
+    def stepwise(cfg, arr, chain):
+        drift = 0.0
+        for P in chain:
+            linear, phase = _prepare(cfg, _time_twist(cfg, P))
+            arr, _, step_drift = _apply_linear(cfg, arr, linear)
+            arr = arr if phase is None else arr * phase
+            drift = max(drift, step_drift)
+        return arr, drift
+
+    @pytest.mark.parametrize("dtype", [complex, float])
+    @pytest.mark.parametrize(
+        "kind", ["lattice-shift", "point-group", "shifted-symmetry", "velocity", "two-maps"]
+    )
+    def test_leaves_input_and_matches_out_of_place(self, cfg, kind, dtype):
+        a = cfg.spacing.value
+        shift = PoincareMap.from_translation(2 * a * cfg.basis[0] - a * cfg.basis[2])
+        rot = PoincareMap.from_homogeneous(
+            make_rotation(cfg.observer, cfg.basis[2], np.pi / 2), cfg.origin
+        )
+        boost = PoincareMap.from_homogeneous(make_boost(U0, boosted(0.2)), cfg.origin)
+        chain = {
+            "lattice-shift": [shift],
+            "point-group": [rot],
+            "shifted-symmetry": [shift.compose(rot)],
+            "velocity": [boost],
+            "two-maps": [shift, rot],
+        }[kind]
+        batch = np.stack([white_state(cfg, seed).psi for seed in (5, 6)])
+        batch = batch if dtype is complex else batch.real.copy()
+        before = batch.tobytes()
+        if len(chain) == 1:
+            out, drift = represent_array(cfg, batch, chain[0])
+        else:
+            out, drift = _act(cfg, batch, _represented(cfg, chain))
+        assert batch.tobytes() == before
+        ref, ref_drift = self.stepwise(cfg, batch, chain)
+        assert out.tobytes() == ref.tobytes()
+        assert drift == ref_drift
+        assert (drift > 0.0) == (kind == "velocity")
 
 
 def test_hypothesis_exact_path_unitarity(cfg):
