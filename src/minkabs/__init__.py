@@ -48,11 +48,9 @@ from .groups import (
     is_lorentz,
     is_orthochronous,
     is_proper,
-    fixes_point,
     lattice_point_group,
     make_boost,
     make_rotation,
-    space_inversion,
     stabilizes_instant,
     time_inversion,
 )

@@ -10,8 +10,9 @@ Configuration is a flat JSON object (all keys optional); command-line
 flags override file values.  ``build_model`` checks the whole config
 before any work starts: finite numbers, non-empty lists, 0.0 in
 ``rapidity_sweep``, the bounds of ``MINIMUM`` (seeds and intervals >= 0,
-``states`` >= 1), a nonzero ``rapidity``, the band-limit cap on every
-rapidity and a buildable witness velocity at ``witness_rapidity``; each
+``states`` >= 1), the band-limit cap on every rapidity, a ``rapidity``
+that moves some momentum label of the lattice (``moves_labels``) and a
+buildable witness velocity at ``witness_rapidity``; each
 quantum command then checks, geometry only, that its packets and
 inflated causal shadows fit the lattice box.  Reports are deterministic
 JSON on stdout (or ``--out``; ``--csv``: the demo-causality sweep
@@ -34,7 +35,7 @@ from .geometry import GeometryError, MeasureScalar, seconds
 from .groups import PoincareMap, make_boost, make_rotation
 from .quantum import ModelConfig, apply_boost, make_gaussian
 from .quantum import verify as V
-from .quantum.state import check_packet_width
+from .quantum.state import check_packet_width, moves_labels
 from .report import RunReport, sweep_csv
 from .suites import run_geometry_suite
 
@@ -42,7 +43,6 @@ DEFAULTS = {
     "N": 32,
     "spacing_sec": 0.25,
     "mass_inv_sec": 1.0,
-    "pad": 2,
     "seed": 42,
     "rapidity": 0.25,
     "states": 50,
@@ -108,15 +108,16 @@ def build_model(config: dict) -> ModelConfig:
             N=int(config["N"]),
             spacing=seconds(float(config["spacing_sec"])),
             mass=MeasureScalar(float(config["mass_inv_sec"]), -1),
-            pad=int(config["pad"]),
         )
     except GeometryError as exc:
         raise ConfigError(str(exc)) from exc
-    if config["rapidity"] == 0:
-        raise ConfigError("rapidity must be nonzero: the convergence study needs a boost")
     chi = max(abs(c) for c in [config["rapidity"], *config["rapidity_sweep"]])
     if chi > cfg.chi_max:
         raise ConfigError(f"rapidity {chi} exceeds the band-limit cap {cfg.chi_max:.4f}")
+    if not moves_labels(cfg, V.boosted_velocity(float(config["rapidity"]))):
+        raise ConfigError(
+            f"rapidity {config['rapidity']} moves no momentum label of the N={cfg.N} lattice"
+        )
     # the witnesses sit above the cap on purpose; their velocity must exist
     try:
         V.boosted_velocity(float(config["witness_rapidity"]))

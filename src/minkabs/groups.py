@@ -2,10 +2,9 @@
 
 Linear maps act on spacetime vectors, affine maps on spacetime points.
 Constructors produce rotations about an observer-simultaneous axis,
-canonical velocity-to-velocity boosts, and the per-observer time and
-space inversions.  Membership predicates realize the observer-dependent
-subgroups: maps fixing a velocity, maps fixing a point, maps stabilizing
-an instant.
+canonical velocity-to-velocity boosts, and the per-observer time
+inversion.  Membership predicates realize the observer-dependent
+subgroups: maps fixing a velocity, maps stabilizing an instant.
 
 Regions are finite unions of axis-aligned boxes in an orthonormal basis
 of an instant's direction space: exactly representable, closed under the
@@ -29,7 +28,7 @@ from .geometry import (
     Velocity,
     spatial_basis_for,
 )
-from .geometry import _METRIC, _complete_frame, _product, _within  # shared internal frame
+from .geometry import _METRIC, _complete_frame, _product  # shared internal frame
 
 __all__ = [
     "LorentzMap",
@@ -38,14 +37,12 @@ __all__ = [
     "make_rotation",
     "make_boost",
     "time_inversion",
-    "space_inversion",
     "frame_map",
     "lattice_point_group",
     "is_lorentz",
     "is_orthochronous",
     "is_proper",
     "in_O_u",
-    "fixes_point",
     "stabilizes_instant",
     "grow_region_causally",
 ]
@@ -231,11 +228,6 @@ def time_inversion(u: Velocity) -> LorentzMap:
     return LorentzMap(np.eye(4) + 2.0 * _outer_dual(u._c, u._c), check=False)
 
 
-def space_inversion(u: Velocity) -> LorentzMap:
-    """Reverse the observer's space while fixing the observer's time."""
-    return LorentzMap(-np.eye(4) - 2.0 * _outer_dual(u._c, u._c), check=False)
-
-
 def _signed_perm(perm, signs) -> np.ndarray:
     m = np.zeros((3, 3))
     for i, (p, s) in enumerate(zip(perm, signs)):
@@ -336,11 +328,6 @@ class PoincareMap:
 
     def __repr__(self) -> str:
         return f"PoincareMap(linear={self.linear!r}, translation={self.translation!r})"
-
-
-def fixes_point(P: PoincareMap, o: SpacetimePoint) -> bool:
-    """Whether the affine map leaves the event ``o`` in place."""
-    return _within(P(o)._c - o._c, _MEMBER_TOL, o._c)
 
 
 def stabilizes_instant(P: PoincareMap, t: Instant) -> bool:

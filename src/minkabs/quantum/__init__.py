@@ -19,7 +19,6 @@ from .pvm import (
     canonical_map,
     localization_probability,
     nw_component_stats,
-    nw_expectation,
     position_multipliers,
     pvm_project,
     rasterize,
@@ -44,6 +43,5 @@ __all__ = [
     "pvm_project",
     "localization_probability",
     "position_multipliers",
-    "nw_expectation",
     "nw_component_stats",
 ]

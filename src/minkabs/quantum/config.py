@@ -52,9 +52,6 @@ class ModelConfig:
         constructing observer) and the lattice origin event, which must
         lie on it.  Defaults: the fiducial rest observer's instant through
         ``origin``; the instant's anchor, else the fiducial origin.
-    pad:
-        Oversampling factor for spectral interpolation in velocity
-        transforms off the lattice axes.
     """
 
     def __init__(
@@ -64,7 +61,6 @@ class ModelConfig:
         mass: MeasureScalar = MeasureScalar(1.0, -1),
         instant: Instant | None = None,
         origin: SpacetimePoint | None = None,
-        pad: int = 2,
     ):
         if N < 8 or (N & (N - 1)) != 0:
             raise GeometryError("lattice size must be a power of two, at least 8")
@@ -78,8 +74,6 @@ class ModelConfig:
             raise GeometryError("mass must be positive")
         if mass.value**2 < sys.float_info.min:
             raise GeometryError("mass too small: its square underflows a float")
-        if pad < 1 or pad != int(pad):
-            raise GeometryError("pad factor must be a positive integer")
         cutoff = math.pi / spacing.value
         if cutoff < 8.0 * mass.value:
             raise GeometryError(
@@ -92,7 +86,6 @@ class ModelConfig:
         self.N = int(N)
         self.spacing = spacing
         self.mass = mass
-        self.pad = int(pad)
         if origin is None:
             origin = instant.anchor if instant is not None else fiducial_origin()
         self.origin = origin
@@ -131,7 +124,6 @@ class ModelConfig:
             mass=self.mass,
             instant=self.instant,
             origin=self.origin,
-            pad=self.pad,
         )
 
     def lattice_vector(self, steps) -> SpacetimeVector:
@@ -145,14 +137,10 @@ class ModelConfig:
             "N": self.N,
             "spacing_sec": self.spacing.value,
             "mass_inv_sec": self.mass.value,
-            "pad": self.pad,
             "box_length_sec": self.box_length,
             "momentum_cutoff_inv_sec": self.cutoff,
             "rapidity_cap": self.chi_max,
         }
 
     def __repr__(self) -> str:
-        return (
-            f"ModelConfig(N={self.N}, spacing={self.spacing!r}, "
-            f"mass={self.mass!r}, pad={self.pad})"
-        )
+        return f"ModelConfig(N={self.N}, spacing={self.spacing!r}, mass={self.mass!r})"

@@ -29,7 +29,6 @@ from ..geometry import (
     Instant,
     MeasureScalar,
     SpacetimePoint,
-    SpacetimeVector,
     Velocity,
     spatial_basis_for,
     time_part,
@@ -48,7 +47,6 @@ __all__ = [
     "pvm_project",
     "localization_probability",
     "position_multipliers",
-    "nw_expectation",
     "nw_component_stats",
 ]
 
@@ -284,14 +282,6 @@ def _stats_weights(w: NwPosition, state: LatticeState):
     prob = LatticeState(cfg, back).position_probability()
     mult = position_multipliers(cfg, carry.inverse()(w.origin))
     return prob, mult, carry.linear
-
-
-def nw_expectation(w: NwPosition, state: LatticeState) -> SpacetimeVector:
-    """Expected displacement of the particle from the family origin."""
-    prob, mult, push = _stats_weights(w, state)
-    mean = np.tensordot(mult, prob, axes=([1, 2, 3], [0, 1, 2]))
-    v = SpacetimeVector(mean)
-    return push(v) if push is not None else v
 
 
 def nw_component_stats(

@@ -22,8 +22,8 @@ Three flavors of spacetime action are implemented:
   the three labels stay on their lattice points (a velocity change
   along a lattice axis) the interpolant is summed exactly: a 1-D
   transform along the moving axis, then a Horner sum.  Every other
-  direction uses pad-oversampled quintic spline interpolation
-  (``scipy.ndimage``, imported on the first such boost).  Neither
+  direction uses quintic spline interpolation on a twice-oversampled
+  grid (``scipy.ndimage``, imported on the first such boost).  Neither
   path is exactly unitary; the norm drift is reported and the result
   rescaled to the input norm.  The state-independent part of each
   velocity change (labels, weight, interpolation nodes) is cached per
@@ -53,9 +53,10 @@ from ..geometry import (
     MeasureScalar,
     SpacetimePoint,
     SpacetimeVector,
+    Velocity,
 )
 from ..geometry import _METRIC, _product, _split
-from ..groups import LorentzMap, PoincareMap, in_O_u, is_orthochronous, time_inversion
+from ..groups import LorentzMap, PoincareMap, in_O_u, is_orthochronous, make_boost, time_inversion
 from .config import ModelConfig, axis_views
 
 __all__ = [
@@ -183,6 +184,7 @@ def rapidity_of(cfg: ModelConfig, L: LorentzMap) -> float:
 
 
 _LABEL_TOL = 1e-12  # lattice steps within which a pulled-back label stays fixed
+_PAD = 2  # oversampling of the spline grid
 _PLAN_CACHE_SIZE = 4  # two maps (a boost and its inverse) at two lattice sizes
 _PLAN_CACHE: OrderedDict[tuple, "_PullbackPlan"] = OrderedDict()
 _PLAN_LOCK = threading.Lock()
@@ -197,7 +199,7 @@ class _PullbackPlan:
     ``nodes`` holds ``z = exp(-i q a)`` with the moving axis first and
     ``weight`` includes the ``z**(-N/2) / sqrt(N)`` that recenters the
     Horner sum on signed positions; on the spline path ``nodes`` holds
-    the coordinates on the pad-refined grid.
+    the coordinates on the ``_PAD``-refined grid.
     """
 
     axis: int | None
@@ -205,18 +207,14 @@ class _PullbackPlan:
     weight: np.ndarray
 
 
-def _moving_axis(cfg: ModelConfig, q: np.ndarray) -> int | None:
-    """The one lattice axis whose labels leave the lattice, or ``None``."""
-    free = []
-    for i, own in enumerate(axis_views(cfg.signed_index)):
-        if np.max(np.abs(q[..., i] / cfg.dk - own)) > _LABEL_TOL:
-            free.append(i)
-    return free[0] if len(free) == 1 else None
+def _free_axes(cfg: ModelConfig, q: np.ndarray) -> list[int]:
+    """The lattice axes along which some label of ``q`` leaves its lattice point."""
+    own = axis_views(cfg.signed_index)
+    return [i for i in range(3) if np.max(np.abs(q[..., i] / cfg.dk - own[i])) > _LABEL_TOL]
 
 
-def _build_plan(cfg: ModelConfig, L: LorentzMap) -> _PullbackPlan:
-    # labels of the inverse image of each on-shell four-momentum
-    li = L.inverse().matrix
+def _pulled_labels(cfg: ModelConfig, li: np.ndarray) -> np.ndarray:
+    """Labels of the image under the matrix ``li`` of each on-shell four-momentum."""
     u = cfg.observer._c
     k1, k2, k3 = axis_views(cfg.k1d)
     four = (
@@ -225,16 +223,27 @@ def _build_plan(cfg: ModelConfig, L: LorentzMap) -> _PullbackPlan:
         - k2[..., None] * cfg.axes[1]
         - k3[..., None] * cfg.axes[2]
     )
-    pulled = four @ li.T
-    q = -(pulled @ (cfg.axes * _METRIC).T)
+    return -((four @ li.T) @ (cfg.axes * _METRIC).T)
+
+
+def moves_labels(cfg: ModelConfig, u2: Velocity) -> bool:
+    """Whether the pullback along the boost from the constructing observer
+    to ``u2`` moves some momentum label by more than ``_LABEL_TOL`` steps."""
+    return bool(_free_axes(cfg, _pulled_labels(cfg, make_boost(u2, cfg.observer).matrix)))
+
+
+def _build_plan(cfg: ModelConfig, L: LorentzMap) -> _PullbackPlan:
+    # labels of the inverse image of each on-shell four-momentum
+    q = _pulled_labels(cfg, L.inverse().matrix)
     omega_q = np.sqrt(cfg.mass.value**2 + np.sum(q * q, axis=-1))
     weight = np.sqrt(omega_q / cfg.omega)
 
-    axis = _moving_axis(cfg, q)
-    if axis is None:
-        dk_fine = cfg.dk / cfg.pad
-        coords = np.moveaxis(np.mod(q / dk_fine, cfg.N * cfg.pad), -1, 0)
+    free = _free_axes(cfg, q)
+    if len(free) != 1:
+        dk_fine = cfg.dk / _PAD
+        coords = np.moveaxis(np.mod(q / dk_fine, cfg.N * _PAD), -1, 0)
         return _PullbackPlan(None, coords, weight)
+    axis = free[0]
     qa = q[..., axis] * cfg.spacing.value
     z = np.ascontiguousarray(np.moveaxis(np.exp(-1j * qa), axis, 0))
     recenter = np.exp(0.5j * cfg.N * qa) / math.sqrt(cfg.N)
@@ -246,7 +255,6 @@ def _pullback_plan(cfg: ModelConfig, L: LorentzMap) -> _PullbackPlan:
     by value."""
     key = (
         cfg.N,
-        cfg.pad,
         cfg.spacing.value,
         cfg.mass.value,
         cfg.observer._c.tobytes(),
@@ -285,19 +293,14 @@ def _spline_pullback(
     cfg: ModelConfig, arr: np.ndarray, plan: _PullbackPlan
 ) -> np.ndarray:
     """Trigonometric interpolant at general labels: quintic spline on the
-    pad-refined grid."""
+    ``_PAD``-refined grid."""
     from scipy import ndimage  # loaded by off-axis velocity changes only
 
-    n, pad = cfg.N, cfg.pad
-    npad = n * pad
-    pos = _to_position(arr)
-    if pad == 1:
-        fine = _to_momentum(pos)
-    else:
-        padded = np.zeros((npad, npad, npad), dtype=complex)
-        ix = np.mod(cfg.signed_index, npad)
-        padded[np.ix_(ix, ix, ix)] = pos
-        fine = _to_momentum(padded) * pad**1.5
+    npad = cfg.N * _PAD
+    padded = np.zeros((npad, npad, npad), dtype=complex)
+    ix = np.mod(cfg.signed_index, npad)
+    padded[np.ix_(ix, ix, ix)] = _to_position(arr)
+    fine = _to_momentum(padded) * _PAD**1.5
     interp_re = ndimage.map_coordinates(
         fine.real, plan.nodes, order=5, mode="grid-wrap", prefilter=True
     )

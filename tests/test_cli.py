@@ -1,6 +1,8 @@
 """Command-line driver: configs, reports, determinism, exit codes."""
 
 import json
+import re
+from pathlib import Path
 
 import pytest
 
@@ -39,6 +41,19 @@ class TestConfig:
         path.write_text('{"bogus": 1}')
         with pytest.raises(ConfigError):
             load_config(str(path), {})
+
+    def test_pad_is_an_unknown_key(self, tmp_path, capsys):
+        # the spline oversampling is a kernel constant, no longer a config key
+        assert main(["verify-geometry", "--config", small_config(tmp_path, pad=2)]) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert "unknown config keys: pad" in out.err
+
+    def test_readme_table_lists_the_defaults(self):
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+        keys = re.findall(r"^\| `(\w+)` +\|", readme, flags=re.MULTILINE)
+        assert len(keys) == len(set(keys))
+        assert set(keys) == set(DEFAULTS)
 
     def test_malformed_json_rejected(self, tmp_path):
         path = tmp_path / "bad.json"
@@ -238,6 +253,8 @@ class TestConfigValidation:
             ("verify-geometry", {"N": 1048576}),
             ("verify-covariance", {"states": 1000000000}),
             ("verify-covariance", {"rapidity": 0.0}),
+            ("verify-covariance", {"rapidity": 1e-300}),
+            ("verify-covariance", {"rapidity": 1e-15}),
         ],
         ids=[
             "non-numeric",
@@ -268,6 +285,8 @@ class TestConfigValidation:
             "lattice-beyond-memory",
             "states-beyond-memory",
             "rapidity-zero",
+            "rapidity-1e-300",
+            "rapidity-1e-15",
         ],
     )
     def test_rejected_with_exit_2(self, tmp_path, capsys, command, extra):
@@ -287,6 +306,17 @@ class TestConfigValidation:
         out = capsys.readouterr()
         assert out.out == ""
         assert out.err.startswith("configuration error: packet too wide")
+
+    def test_smallest_label_moving_rapidity_runs(self, tmp_path, capsys):
+        # 1e-12 moves labels by more than the kernel tolerance at N=16, so
+        # the study runs; its residuals sit at rounding level and the ratio
+        # check fails honestly
+        path = small_config(tmp_path, rapidity=1e-12, states=1)
+        assert main(["verify-covariance", "--config", path]) == 1
+        out = capsys.readouterr()
+        checks = {c["name"]: c for c in json.loads(out.out)["checks"]}
+        assert not checks["factorization-convergence-ratio"]["passed"]
+        assert "FAIL factorization-convergence-ratio" in out.err
 
     def test_integral_floats_are_integers(self):
         # JSON 32.0 names the same lattice as 32; only a fraction is refused

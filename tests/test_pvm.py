@@ -31,7 +31,6 @@ from minkabs.quantum import (
     localization_probability,
     make_gaussian,
     nw_component_stats,
-    nw_expectation,
     pvm_project,
     rasterize,
 )
@@ -250,10 +249,8 @@ class TestPositionFamily:
         center = ORIGIN + vector(0, 1.0, -0.75, 0.5)
         s = make_gaussian(cfg32, center=center, width=seconds(0.75))
         w = NwPosition(cfg32.instant, ORIGIN)
-        mean = nw_expectation(w, s)
-        got = np.array(mean.coordinates_in_basis(
-            tuple(__import__("minkabs").fiducial_frame())
-        ))
+        stats = nw_component_stats(w, U0, s)
+        got = np.array([stats.time_mean.value, *(m.value for m in stats.space_means)])
         assert np.max(np.abs(got - np.array([0, 1.0, -0.75, 0.5]))) <= cfg32.spacing.value
 
     def test_time_variance_vanishes_for_own_observer(self, cfg32):
