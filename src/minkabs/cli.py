@@ -14,8 +14,9 @@ before any work starts: finite numbers, non-empty lists, 0.0 in
 that moves some momentum label of the lattice (``moves_labels``) and a
 buildable witness velocity at ``witness_rapidity``; each
 quantum command then checks, geometry only, that its packets and
-inflated causal shadows fit the lattice box.  Reports are deterministic
-JSON on stdout (or ``--out``; ``--csv``: the demo-causality sweep
+inflated causal shadows fit the lattice box.  ``seed`` drives the
+random draws of the first two commands; ``demo-causality`` draws
+nothing at random.  Reports are deterministic JSON on stdout (or ``--out``; ``--csv``: the demo-causality sweep
 table).  Exit codes: 0 all checks passed, 1 a check failed, 2 usage or
 configuration error (a config that needs more memory than is available,
 an unwritable ``--out``).  ``MINKABS_THREADS`` caps internal trial
@@ -253,7 +254,6 @@ def cmd_demo_causality(config: dict) -> RunReport:
     # the 0.2-spacing margin is the default of the sweep's rest trial at ``longest``
     trials = [(dt, observer[chi], None) for dt, chi in rows] + [(longest, None, 0.4 * a)]
     _require_fit(cfg, (3.0 * a,), trials)
-    seed = int(config["seed"])
     report = RunReport("demo-causality", dict(config, **cfg.echo()))
     leakage = {}  # (delta_t, chi) -> leakage of that trial, each trial run once
 
@@ -284,15 +284,11 @@ def cmd_demo_causality(config: dict) -> RunReport:
     def same_instant():
         # region_a is the default: cells (-5, -2, -2)..(-2, 1, 1) on the constructing instant
         reg_b = V.cell_region(cfg, (2, -2, -2), (5, 1, 1))
-        return V.commutator_witness(cfg, region_b=reg_b, seed=seed, starts=1, iterations=4)
+        return V.commutator_witness(cfg, region_b=reg_b)
 
     report.check("leakage/margin-doubling-stable", 1e-10, cfg.N, margin_change)
     report.check(
-        "commutator/cross-instant-witness",
-        1e-4,
-        cfg.N,
-        lambda: V.commutator_witness(cfg, seed=seed, starts=3, iterations=10),
-        False,
+        "commutator/cross-instant-witness", 1e-4, cfg.N, lambda: V.commutator_witness(cfg), False
     )
     report.check("commutator/same-instant-disjoint", 1e-12, cfg.N, same_instant)
     return report

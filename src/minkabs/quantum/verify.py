@@ -14,8 +14,10 @@ the same labeled projection, ``shift then transform`` against
 ``transform then shifted-shift``, which agree exactly in the continuum
 and differ on the lattice only by interpolation error.
 
-Drivers are deterministic given a seed; trial fan-out may run on
-threads (capped by ``worker_cap()``) and results merge in trial order.
+Drivers that draw states are deterministic given a seed; the causality
+experiment and the commutator witness draw nothing.  Trial fan-out may
+run on threads (capped by ``worker_cap()``) and results merge in trial
+order.
 """
 
 from __future__ import annotations
@@ -60,7 +62,8 @@ from .pvm import (
     pvm_project,
     rasterize,
 )
-from .state import LatticeState, _act, _to_momentum, _to_position, make_gaussian, represent_array
+from .state import LatticeState, _to_position, make_gaussian, represent_array
+from .state import _to_momentum  # noqa: F401  bound here for the benchmark tracer
 
 __all__ = [
     "CausalityResult",
@@ -541,32 +544,24 @@ def causality_experiment(
 
 
 def commutator_witness(
-    cfg: ModelConfig,
-    region_a: Region | None = None,
-    region_b: Region | None = None,
-    seed: int = 42,
-    starts: int = 3,
-    iterations: int = 12,
+    cfg: ModelConfig, region_a: Region | None = None, region_b: Region | None = None
 ) -> float:
-    """Largest found commutator norm of two localization projections.
+    """Commutator norm ``|[Pa, Pb]|`` of two localization projections.
 
     Defaults: two boxes on instants half a second apart, displaced so
-    every pair of their points is separated faster than light.  Power
-    iteration from random states maximizes ``|[Pa, Pb] v|``; a strictly
-    positive value exhibits the failure of local commutativity for this
-    localization family.
+    every pair of their points is separated faster than light.  A
+    strictly positive value exhibits the failure of local commutativity
+    for this localization family.
 
-    The commutator vanishes off the sum of the two ranges, and there it
-    is fixed by their overlap, so the iteration runs on cell coordinates
-    instead of N^3 fields.  ``A`` and ``B`` hold the images of the cell
-    deltas of each projection's mask under its carry; a vector is
-    ``A alpha + B beta``, with ``Pa x = A(alpha + G beta)`` and
-    ``Pb x = B(G^H alpha + beta)`` for the overlap ``G = A^H B``.  Each
-    random start enters as ``(A^H v, B^H v)``.  The found vector is
-    rebuilt as a field and its commutator norm taken through both
-    projections on the full lattice; a start that never normalizes
-    reports ``|[Pa, Pb] v0|`` from its coordinates, which is exactly 0
-    when ``G`` is 0 or the identity.
+    By the two-subspace theorem (Halmos, Trans. AMS 144 (1969) 381), the
+    norm is ``max sigma * sqrt(1 - sigma^2)`` over the singular values
+    ``sigma`` of the overlap ``G = A^H B``, where ``A`` and ``B`` hold the
+    images of the cell deltas of each projection's mask under its carry
+    (orthonormal bases of the two ranges).  So the value is exact, up to
+    rounding, from one SVD of ``G``: 0 when ``G`` is 0 (disjoint boxes on
+    one instant) or unitary (identical boxes), and 0 for a region that
+    rasterizes to no cell.  The SVD's last bits do not depend on the BLAS
+    thread count up to 64 x 64 (the default boxes) but can from 66 x 66.
 
     Both regions must lie on instants of the constructing observer, so
     every carry is a time step (a pure phase, which keeps the cell bases
@@ -582,66 +577,9 @@ def commutator_witness(
         raise GeometryError("commutator witness needs instants of the constructing observer")
     proj_a = _projection(PvmHandle(region_a.instant), region_a, cfg)
     proj_b = _projection(PvmHandle(region_b.instant), region_b, cfg)
-    G = _overlap(cfg, proj_a, proj_b)
-    GH = G.T.conj()
-
-    def commutator(p, q):
-        # coordinates of [Pa, Pb] v from v's (A^H v, B^H v) = (p, q)
-        return _matvec(G, q), -_matvec(GH, p)
-
-    def dual(alpha, beta):
-        # (A^H x, B^H x) of x = A alpha + B beta
-        return alpha + _matvec(G, beta), _matvec(GH, alpha) + beta
-
-    rng = np.random.default_rng(seed)
-    best = 0.0
-    for _ in range(starts):
-        v = random_states(cfg, rng, 1)[0]
-        pq = (_cells(cfg, proj_a, v), _cells(cfg, proj_b, v))
-        del v  # the field is read once; only its cell coordinates iterate
-        found = None  # v is the random start until a normalization succeeds
-        for _ in range(iterations):
-            w = [-c for c in commutator(*dual(*commutator(*pq)))]  # adjoint-square of the skew map
-            w_pq = dual(*w)
-            # |w|^2 = Re <w, (A^H w, B^H w)>, which rounds below 0 where w cancels as a field
-            n = math.sqrt(max(0.0, _re_inner(w[0], w_pq[0]) + _re_inner(w[1], w_pq[1])))
-            if n == 0.0:
-                break
-            found = [c / n for c in w]
-            pq = [c / n for c in w_pq]
-        if found is None:
-            alpha, beta = commutator(*pq)
-            c = _field(cfg, proj_a, alpha) + _field(cfg, proj_b, beta)
-        else:
-            x = _field(cfg, proj_a, found[0]) + _field(cfg, proj_b, found[1])
-            c = proj_a(proj_b(x)) - proj_b(proj_a(x))
-        best = max(best, math.sqrt(_re_inner(c.ravel(), c.ravel())))
-    return best
-
-
-def _re_inner(x: np.ndarray, y: np.ndarray) -> float:
-    """Re <x, y> of flat vectors as one ufunc reduction: unlike BLAS, its
-    summation order does not depend on the thread count."""
-    return float(np.add.reduce(x.real * y.real + x.imag * y.imag))
-
-
-def _matvec(m: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """``m @ x`` without BLAS, for the same reason as ``_re_inner``."""
-    return np.einsum("ij,j->i", m, x)
-
-
-def _cells(cfg: ModelConfig, proj, arr: np.ndarray) -> np.ndarray:
-    """``A^H arr`` for the cell basis ``A`` of a projection's range: carry
-    back, transform to position, read the mask's cells."""
-    return _to_position(_act(cfg, arr, proj.back)[0])[proj.mask]
-
-
-def _field(cfg: ModelConfig, proj, cells: np.ndarray) -> np.ndarray:
-    """``A cells``: amplitudes on the mask's cells, transformed to momentum
-    and carried forth."""
-    arr = np.zeros(proj.mask.shape, dtype=complex)
-    arr[proj.mask] = cells
-    return _act(cfg, _to_momentum(arr, overwrite_x=True), proj.forth, overwrite_x=True)[0]
+    sigma = np.linalg.svd(_overlap(cfg, proj_a, proj_b), compute_uv=False)
+    # sigma may round to 1 or above (identical boxes: K[0] is exactly 1.0)
+    return float(np.max(sigma * np.sqrt(np.maximum(0.0, 1.0 - sigma * sigma)), initial=0.0))
 
 
 def _overlap(cfg: ModelConfig, proj_a, proj_b) -> np.ndarray:

@@ -174,12 +174,10 @@ def test_criterion_7_causality_leakage(cfg32):
 
 
 def test_criterion_8_commutator_witness(cfg32):
-    witness = V.commutator_witness(cfg32, seed=42, starts=3, iterations=10)
+    witness = V.commutator_witness(cfg32)
     reg_a = V.cell_region(cfg32, (-5, -2, -2), (-2, 1, 1))
     reg_b = V.cell_region(cfg32, (2, -2, -2), (5, 1, 1))
-    same = V.commutator_witness(
-        cfg32, region_a=reg_a, region_b=reg_b, seed=42, starts=1, iterations=4
-    )
+    same = V.commutator_witness(cfg32, region_a=reg_a, region_b=reg_b)
     ok = witness >= 1e-4 and same <= 1e-12
     _report(
         8,

@@ -333,6 +333,15 @@ class TestConfigValidation:
 
 
 class TestDemoCausalityCli:
+    def test_report_does_not_depend_on_the_seed(self, capsys):
+        # demo-causality draws nothing at random; only the echoed config names the seed
+        reports = []
+        for seed in ("42", "5"):
+            assert main(["demo-causality", "--seed", seed]) == 0
+            data = json.loads(capsys.readouterr().out)
+            reports.append((data["checks"], data["tables"]))
+        assert reports[0] == reports[1]
+
     def test_csv_through_main_is_deterministic(self, tmp_path, capsys):
         # the sweep of the report fixture, through the argument parser
         path = tmp_path / "sweep.json"

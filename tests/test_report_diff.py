@@ -36,9 +36,21 @@ def test_list_items_addressed_by_name():
 def test_csv_lines_compared_in_order():
     old = "h\n1,0.5\n"
     new = "h\n1,0.25\n2,1.0\n"
-    assert list(report_diff.csv_differences(old, new)) == [
+    assert list(report_diff.line_differences(old, new)) == [
         ("line 2", "1,0.5", "1,0.25"),
         ("line 3", MISSING, "2,1.0"),
+    ]
+
+
+def test_stderr_lines_printed_with_their_change():
+    old = "PASS a: residual 0.000e+00 <= 1.000e-10\nPASS b: residual 8.146e-02 >= 1.000e-04\n"
+    new = "PASS a: residual 0.000e+00 <= 1.000e-10\nFAIL b: residual 8.201e-05 >= 1.000e-04\n"
+    assert list(report_diff.line_differences(old, new, "stderr ")) == [
+        (
+            "stderr line 2",
+            "PASS b: residual 8.146e-02 >= 1.000e-04",
+            "FAIL b: residual 8.201e-05 >= 1.000e-04",
+        )
     ]
 
 

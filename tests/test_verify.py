@@ -12,7 +12,7 @@ import pytest
 
 import minkabs
 from minkabs.geometry import Instant, normalize_velocity, point, seconds, vector
-from minkabs.groups import PoincareMap, make_boost, make_rotation
+from minkabs.groups import PoincareMap, Region, make_boost, make_rotation
 from minkabs.quantum import ModelConfig
 import minkabs.quantum.pvm as pvm
 import minkabs.quantum.verify as V
@@ -220,7 +220,7 @@ class TestCausality:
 
 
 def _full_space_witness(cfg, region_a=None, region_b=None, seed=42, starts=3, iterations=12):
-    """The power iteration on N^3 fields, kept as the reference."""
+    """A power iteration on N^3 fields: a lower bound of the commutator norm."""
     from minkabs.quantum.pvm import PvmHandle, _projection
 
     if region_a is None:
@@ -249,6 +249,18 @@ def _full_space_witness(cfg, region_a=None, region_b=None, seed=42, starts=3, it
     return best
 
 
+def _dense_commutator_norm(cfg, region_a, region_b):
+    """Spectral norm of ``Pa Pb - Pb Pa`` from the dense N^3 x N^3 projections."""
+    from minkabs.quantum.pvm import PvmHandle, _projection
+
+    units = np.eye(cfg.N**3, dtype=complex).reshape((-1,) + (cfg.N,) * 3)
+    pa, pb = (
+        _projection(PvmHandle(r.instant), r, cfg)(units).reshape(cfg.N**3, -1).T
+        for r in (region_a, region_b)
+    )
+    return float(np.linalg.norm(pa @ pb - pb @ pa, 2))
+
+
 def _later_region_a(cfg):
     t1 = Instant(cfg.observer, cfg.origin + cfg.observer * seconds(0.25))
     return V.cell_region(cfg, (-5, -2, -2), (-2, 1, 1), instant=t1)
@@ -256,8 +268,30 @@ def _later_region_a(cfg):
 
 class TestCommutators:
     def test_cross_instant_witness(self, cfg32):
-        witness = V.commutator_witness(cfg32, seed=11, starts=2, iterations=8)
+        witness = V.commutator_witness(cfg32)
         assert witness >= 1e-4
+
+    @pytest.mark.parametrize(
+        "case",
+        [
+            [((-3, -1, -1), (-2, 0, 0), 0.0), ((1, -1, -1), (2, 0, 0), 0.5)],
+            [((-3, -1, -1), (-2, 0, 0), 0.25), ((1, -1, -1), (2, 0, 0), 0.5)],
+            [((-2, -1, -1), (0, 0, 0), 0.0), ((-1, -1, -1), (1, 0, 0), 0.5)],
+        ],
+        ids=["cross-instant", "both-later", "overlapping"],
+    )
+    def test_matches_dense_commutator(self, case):
+        # N=8 keeps the dense projections at 512 x 512; the boxes keep |a| * |b| <= N^3
+        cfg = ModelConfig(N=8)
+        u = cfg.observer
+        region_a, region_b = (
+            V.cell_region(cfg, lo, hi, Instant(u, cfg.origin + u * seconds(t)))
+            for lo, hi, t in case
+        )
+        value = V.commutator_witness(cfg, region_a, region_b)
+        reference = _dense_commutator_norm(cfg, region_a, region_b)
+        assert value > 1e-2
+        assert abs(value - reference) <= 1e-13 * reference
 
     @pytest.mark.parametrize(
         "case",
@@ -269,32 +303,29 @@ class TestCommutators:
         ],
         ids=["cli-default", "seed-11", "both-carries-phases", "no-iteration"],
     )
-    def test_matches_full_space_iteration(self, cfg32, case):
+    def test_iteration_never_exceeds_exact_norm(self, cfg32, case):
         kwargs = dict(case)
-        if kwargs.pop("later_a", False):
-            kwargs["region_a"] = _later_region_a(cfg32)
-        value = V.commutator_witness(cfg32, **kwargs)
-        reference = _full_space_witness(cfg32, **kwargs)
-        assert value > 1e-4
-        assert abs(value - reference) <= 1e-13 * reference
+        regions = {"region_a": _later_region_a(cfg32)} if kwargs.pop("later_a", False) else {}
+        value = V.commutator_witness(cfg32, **regions)
+        estimate = _full_space_witness(cfg32, **regions, **kwargs)
+        assert estimate > 1e-4
+        assert estimate <= value * (1 + 1e-13)
 
     def test_same_instant_disjoint_commute(self, cfg32):
         reg_a = V.cell_region(cfg32, (-5, -2, -2), (-2, 1, 1))
         reg_b = V.cell_region(cfg32, (2, -2, -2), (5, 1, 1))
-        value = V.commutator_witness(
-            cfg32, region_a=reg_a, region_b=reg_b, seed=11, starts=1, iterations=4
-        )
-        assert value == 0.0
+        assert V.commutator_witness(cfg32, region_a=reg_a, region_b=reg_b) == 0.0
 
     def test_identical_region_commutes(self, cfg32):
         reg = V.cell_region(cfg32, (-2, -2, -2), (1, 1, 1))
-        value = V.commutator_witness(
-            cfg32, region_a=reg, region_b=reg, seed=3, starts=1, iterations=4
-        )
-        assert value == 0.0
+        assert V.commutator_witness(cfg32, region_a=reg, region_b=reg) == 0.0
 
-    def test_no_start_gives_zero(self, cfg32):
-        assert V.commutator_witness(cfg32, starts=0) == 0.0
+    def test_region_with_no_cell_gives_zero(self, cfg32):
+        a = cfg32.spacing.value
+        # strictly between lattice points on every axis, so no cell is inside
+        empty = Region(cfg32.instant, [(np.full(3, 0.1 * a), np.full(3, 0.4 * a))])
+        assert not pvm.rasterize(cfg32, empty).any()
+        assert V.commutator_witness(cfg32, region_b=empty) == 0.0
 
     def test_boosted_instant_refused(self, cfg):
         from minkabs.geometry import GeometryError
@@ -302,7 +333,7 @@ class TestCommutators:
         moving = Instant(V.boosted_velocity(0.2), cfg.origin)
         region = V.cell_region(cfg, (-2, -2, -2), (1, 1, 1), instant=moving)
         with pytest.raises(GeometryError):
-            V.commutator_witness(cfg, region_b=region, starts=1, iterations=1)
+            V.commutator_witness(cfg, region_b=region)
 
     def test_overlap_larger_than_a_field_refused(self, cfg):
         # 512 * 512 overlap entries against 16^3 = 4096 amplitudes
@@ -311,20 +342,23 @@ class TestCommutators:
         reg_a = V.cell_region(cfg, (-8, -8, -8), (-1, -1, -1))
         reg_b = V.cell_region(cfg, (0, 0, 0), (7, 7, 7))
         with pytest.raises(GeometryError):
-            V.commutator_witness(cfg, region_a=reg_a, region_b=reg_b, starts=1, iterations=1)
+            V.commutator_witness(cfg, region_a=reg_a, region_b=reg_b)
 
     @pytest.mark.skipif(
         (os.cpu_count() or 1) < 2, reason="needs 2 CPUs: OpenBLAS runs one thread per CPU"
     )
     def test_cli_calls_do_not_depend_on_blas_threads(self):
-        # the two witness calls of demo-causality at its default N=32
+        # the two witness calls of demo-causality at its default N=32, and the
+        # default witness at N=16 and 64: the SVD of a 64 x 64 overlap at every N
         script = (
             "from minkabs.quantum import ModelConfig\n"
             "from minkabs.quantum import verify as V\n"
             "cfg = ModelConfig(N=32)\n"
             "reg_b = V.cell_region(cfg, (2, -2, -2), (5, 1, 1))\n"
-            "print(repr(V.commutator_witness(cfg, seed=42, starts=3, iterations=10)))\n"
-            "print(repr(V.commutator_witness(cfg, region_b=reg_b, seed=42, starts=1, iterations=4)))\n"
+            "print(repr(V.commutator_witness(cfg)))\n"
+            "print(repr(V.commutator_witness(cfg, region_b=reg_b)))\n"
+            "for n in (16, 64):\n"
+            "    print(repr(V.commutator_witness(ModelConfig(N=n))))\n"
         )
         src = Path(minkabs.__file__).resolve().parent.parent
         outputs = []

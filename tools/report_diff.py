@@ -18,14 +18,15 @@ reports prints the same lines for the parent's ``src`` and its own.
 
 With ``OLD_SRC NEW_SRC`` it compares the two trees within each
 environment and prints one line per reported value that differs: the
-label, the command, the JSON path (``line <k>`` for the CSV), the old
-value, the new value and the relative change (``-`` where it has none).
-List items that carry a ``name`` are addressed by it, and a value
-present on one side only prints as ``<missing>`` on the other.  A
-kernel change that moves a reported residual lists the moves with this
-mode.  Exit status: 0 when every output is identical, 1 when a value,
-an exit code or the stderr differs, 2 on bad arguments or output that
-is not JSON.
+label, the command, the JSON path (``line <k>`` for the CSV,
+``stderr line <k>`` for the PASS/FAIL lines), the old value, the new
+value and the relative change (``-`` where it has none).  List items
+that carry a ``name`` are addressed by it, and a value or line present
+on one side only prints as ``<missing>`` on the other.  A kernel change
+that moves a reported residual lists the moves with this mode.  Exit
+status: 0 when every output is identical, 1 when a value, an exit code
+or a stderr line differs, 2 on bad arguments or output that is not
+JSON.
 
 Usage::
 
@@ -99,12 +100,12 @@ def differences(old, new, path: str = ""):
         yield path or ".", old, new
 
 
-def csv_differences(old: str, new: str):
-    """Yield ``(line <k>, old, new)`` for every CSV line that differs."""
+def line_differences(old: str, new: str, prefix: str = ""):
+    """Yield ``(<prefix>line <k>, old, new)`` for every line that differs."""
     pairs = zip_longest(old.splitlines(), new.splitlines(), fillvalue=MISSING)
     for k, (a, b) in enumerate(pairs, start=1):
         if a != b:
-            yield f"line {k}", a, b
+            yield f"{prefix}line {k}", a, b
 
 
 def relative_change(old, new) -> str:
@@ -138,11 +139,11 @@ def diff(trees: list[Path]) -> int:
         if old.returncode != new.returncode:
             print(name, "exit", old.returncode, new.returncode, "-", flush=True)
             changed = True
-        if old.stderr != new.stderr:
-            print(name, "stderr differs", flush=True)
+        for path, a, b in line_differences(old.stderr.decode(), new.stderr.decode(), "stderr "):
+            print(name, path, a, b, "-", flush=True)
             changed = True
         if "--csv" in command:
-            found = csv_differences(old.stdout.decode(), new.stdout.decode())
+            found = line_differences(old.stdout.decode(), new.stdout.decode())
         else:
             try:
                 found = differences(*(json.loads(proc.stdout) for proc in (old, new)))
