@@ -9,18 +9,21 @@ Subcommands::
 Configuration is a flat JSON object (all keys optional); command-line
 flags override file values.  ``build_model`` checks the whole config
 before any work starts: finite numbers, non-empty lists, 0.0 in
-``rapidity_sweep``, the bounds of ``MINIMUM`` (seeds and intervals >= 0,
-``states`` >= 1), the band-limit cap on every rapidity, a ``rapidity``
-that moves some momentum label of the lattice (``moves_labels``) and a
-buildable witness velocity at ``witness_rapidity``; each
-quantum command then checks, geometry only, that its packets and
-inflated causal shadows fit the lattice box.  ``seed`` drives the
-random draws of the first two commands; ``demo-causality`` draws
-nothing at random.  Reports are deterministic JSON on stdout (or ``--out``; ``--csv``: the demo-causality sweep
-table).  Exit codes: 0 all checks passed, 1 a check failed, 2 usage or
-configuration error (a config that needs more memory than is available,
-an unwritable ``--out``).  ``MINKABS_THREADS`` caps internal trial
-fan-out (default: the CPUs this process may run on; 1 runs serially).
+``rapidity_sweep``, the bounds of ``MINIMUM`` (seeds >= 0, ``states``
+>= 1), ``delta_t_sweep`` entries > 0 (the zero interval is always its
+own row), the band-limit cap on every rapidity, a ``rapidity`` that
+moves some momentum label of the lattice (``moves_labels``) and a
+buildable witness velocity at ``witness_rapidity``; each quantum
+command then checks that its packets and inflated causal shadows fit
+the lattice box.  That precheck makes no transform; ``demo-causality``
+keeps the rasterized shadow of each trial it checks.  ``seed`` drives
+the random draws of the first two commands; ``demo-causality`` draws
+nothing at random.  Reports are deterministic JSON on stdout (or
+``--out``; ``--csv``: the demo-causality sweep table).  Exit codes: 0
+all checks passed, 1 a check failed, 2 usage or configuration error (a
+config that needs more memory than is available, an unwritable
+``--out``).  ``MINKABS_THREADS`` caps internal trial fan-out (default:
+the CPUs this process may run on; 1 runs serially).
 """
 
 from __future__ import annotations
@@ -54,7 +57,7 @@ DEFAULTS = {
     "witness_rapidity": 0.5,
 }
 # lower bounds of the keys that have one (of each entry, for lists)
-MINIMUM = {"seed": 0, "states": 1, "translations": 0, "convergence_seeds": 0, "delta_t_sweep": 0.0}
+MINIMUM = {"seed": 0, "states": 1, "translations": 0, "convergence_seeds": 0}
 
 
 class ConfigError(ValueError):
@@ -104,6 +107,8 @@ def build_model(config: dict) -> ModelConfig:
             raise ConfigError(f"{key} must be >= {MINIMUM[key]}")
     if 0.0 not in config["rapidity_sweep"]:
         raise ConfigError("rapidity_sweep must include 0.0, the rest observer")
+    if min(config["delta_t_sweep"]) <= 0.0:
+        raise ConfigError("delta_t_sweep entries must be > 0; the zero interval is its own row")
     try:
         cfg = ModelConfig(
             N=int(config["N"]),
@@ -127,14 +132,14 @@ def build_model(config: dict) -> ModelConfig:
     return cfg
 
 
-def _require_fit(cfg: ModelConfig, widths, trials=()) -> None:
+def _require_fit(cfg: ModelConfig, widths, trials=()) -> list:
     """Reject, before any quantum work, a lattice box too small for the packet
-    ``widths`` or the inflated shadows of the ``(delta_t, u2, margin)`` trials."""
+    ``widths`` or the inflated shadows of the ``(delta_t, u2, margin)`` trials;
+    the ``causal_shadow`` of each trial, in order."""
     try:
         for width in widths:
             check_packet_width(cfg, width)
-        for dt, u2, margin in trials:
-            V.causal_shadow(cfg, delta_t=dt, u2=u2, margin=margin)
+        return [V.causal_shadow(cfg, delta_t=dt, u2=u2, margin=margin) for dt, u2, margin in trials]
     except GeometryError as exc:
         raise ConfigError(f"{exc} (lattice box {cfg.box_length:g} s)") from exc
 
@@ -253,16 +258,17 @@ def cmd_demo_causality(config: dict) -> RunReport:
     longest = float(max(config["delta_t_sweep"]))
     # the 0.2-spacing margin is the default of the sweep's rest trial at ``longest``
     trials = [(dt, observer[chi], None) for dt, chi in rows] + [(longest, None, 0.4 * a)]
-    _require_fit(cfg, (3.0 * a,), trials)
+    *shadows, wide = _require_fit(cfg, (3.0 * a,), trials)
+    shadow = dict(zip(rows, shadows))
+    phi = V.localized_state(cfg)
     report = RunReport("demo-causality", dict(config, **cfg.echo()))
     leakage = {}  # (delta_t, chi) -> leakage of that trial, each trial run once
 
     def least(trials):
         """Run the ``trials`` not yet run; the least leakage among them."""
-        for dt, chi in trials:
-            if (dt, chi) not in leakage:
-                res = V.causality_experiment(cfg, delta_t=dt, u2=observer[chi])
-                leakage[dt, chi] = res.leakage
+        for trial in trials:
+            if trial not in leakage:
+                leakage[trial] = V.causality_experiment(cfg, phi, shadow[trial])
         return min(leakage[trial] for trial in trials)
 
     report.check("leakage/zero-interval", 1e-10, cfg.N, lambda: least([(0.0, 0.0)]))
@@ -278,8 +284,7 @@ def cmd_demo_causality(config: dict) -> RunReport:
     ]
 
     def margin_change():
-        wide = V.causality_experiment(cfg, delta_t=longest, margin=0.4 * a)
-        return abs(leakage[longest, 0.0] - wide.leakage)
+        return abs(leakage[longest, 0.0] - V.causality_experiment(cfg, phi, wide))
 
     def same_instant():
         # region_a is the default: cells (-5, -2, -2)..(-2, 1, 1) on the constructing instant

@@ -82,14 +82,6 @@ class NwPosition:
 # ---------------------------------------------------------------------------
 
 
-def _fitted_boxes(cfg: ModelConfig, region: Region, inflate: float = 0.0) -> list:
-    """Boxes grown by ``inflate``, refused when wider than the lattice box."""
-    boxes = [(lo - inflate, hi + inflate) for lo, hi in region.boxes]
-    if any(np.any(hi - lo > cfg.box_length + _SNAP * cfg.spacing.value) for lo, hi in boxes):
-        raise GeometryError("region box wider than the lattice box")
-    return boxes
-
-
 def rasterize(cfg: ModelConfig, region: Region, inflate: float = 0.0) -> np.ndarray:
     """Boolean cell mask of a region on the constructing position lattice.
 
@@ -97,10 +89,14 @@ def rasterize(cfg: ModelConfig, region: Region, inflate: float = 0.0) -> np.ndar
     region's boxes, with coordinates compared on the torus and a snap
     tolerance of 1e-9 spacings so exactly aligned boundaries rasterize
     stably.  ``inflate`` grows every box by that amount per side first
-    (used for conservative causal covers).
+    (used for conservative causal covers); a grown box wider than the
+    lattice box raises ``GeometryError``.
     """
     if not region.instant == cfg.instant:
         raise GeometryError("region instant differs from the constructing instant")
+    boxes = [(lo - inflate, hi + inflate) for lo, hi in region.boxes]
+    if any(np.any(hi - lo > cfg.box_length + _SNAP * cfg.spacing.value) for lo, hi in boxes):
+        raise GeometryError("region box wider than the lattice box")
     # affine map from lattice coordinates to the region frame
     mat = _product(cfg.axes[:, None], region.axes)
     off = region.coordinates_of(cfg.origin)
@@ -108,7 +104,7 @@ def rasterize(cfg: ModelConfig, region: Region, inflate: float = 0.0) -> np.ndar
     L = cfg.box_length
     snap = _SNAP * cfg.spacing.value
     mask = np.zeros((cfg.N,) * 3, dtype=bool)
-    for lo, hi in _fitted_boxes(cfg, region, inflate):
+    for lo, hi in boxes:
         box_mask = None
         for m in range(3):
             # a zero coefficient adds nothing, so an axis-aligned box stays

@@ -301,13 +301,7 @@ def _spline_pullback(
     ix = np.mod(cfg.signed_index, npad)
     padded[np.ix_(ix, ix, ix)] = _to_position(arr)
     fine = _to_momentum(padded) * _PAD**1.5
-    interp_re = ndimage.map_coordinates(
-        fine.real, plan.nodes, order=5, mode="grid-wrap", prefilter=True
-    )
-    interp_im = ndimage.map_coordinates(
-        fine.imag, plan.nodes, order=5, mode="grid-wrap", prefilter=True
-    )
-    return interp_re + 1j * interp_im
+    return ndimage.map_coordinates(fine, plan.nodes, order=5, mode="grid-wrap", prefilter=True)
 
 
 def _boost_array(

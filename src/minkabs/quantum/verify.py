@@ -26,7 +26,6 @@ import math
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -53,7 +52,6 @@ from .pvm import (
     NwPosition,
     PvmHandle,
     _conjugate_mask,
-    _fitted_boxes,
     _projection,
     canonical_map,
     localization_probability,
@@ -66,7 +64,6 @@ from .state import LatticeState, _to_position, make_gaussian, represent_array
 from .state import _to_momentum  # noqa: F401  bound here for the benchmark tracer
 
 __all__ = [
-    "CausalityResult",
     "cell_region",
     "random_states",
     "smooth_states",
@@ -84,6 +81,7 @@ __all__ = [
     "own_time_variance",
     "time_variance_witness",
     "causal_shadow",
+    "localized_state",
     "causality_experiment",
     "commutator_witness",
     "handle_covariance_residual",
@@ -210,19 +208,13 @@ def _batch_max_norm(diff: np.ndarray) -> float:
 
 
 def stabilizer_covariance_residual(
-    cfg: ModelConfig, S: PoincareMap, region: Region, states: np.ndarray,
-    *, mask: np.ndarray | None = None, carried: np.ndarray | None = None,
+    cfg: ModelConfig, S: PoincareMap, mask: np.ndarray, states: np.ndarray, carried: np.ndarray
 ) -> float:
-    """Max residual of conjugation-vs-carried-region on the given states.
-
-    A caller looping over elements may pass ``rasterize(cfg, region)`` as
-    ``mask``, and as ``carried`` the right side, the projection of the
-    carried region ``S.transform_region(region)`` applied to ``states``;
-    elements that carry the region onto the same cells share it.
-    """
-    mask = rasterize(cfg, region) if mask is None else mask
-    if carried is None:
-        carried = _conjugate_mask(cfg, states, [], rasterize(cfg, S.transform_region(region)))
+    """Max residual of conjugation-vs-carried-region on the given states:
+    ``mask`` is ``rasterize(cfg, region)`` and ``carried`` the right side, the
+    projection of the carried region ``S.transform_region(region)`` applied
+    to ``states``; elements that carry the region onto the same cells share
+    it."""
     lhs = _conjugate_mask(cfg, states, [S], mask)
     lhs -= carried
     return _batch_max_norm(lhs)
@@ -262,7 +254,7 @@ def run_stabilizer_suite(
         rhs = _conjugate_mask(cfg, states, [], carried_mask)
         out = []
         for idx, name, S in members:
-            res = stabilizer_covariance_residual(cfg, S, region, states, mask=mask, carried=rhs)
+            res = stabilizer_covariance_residual(cfg, S, mask, states, rhs)
             check = CheckResult.make(
                 f"stabilizer-covariance/{name}", res, 1e-10, cfg.N, t0, states=n_states
             )
@@ -470,21 +462,14 @@ def time_variance_witness(cfg: ModelConfig, witness_chi: float = 0.5) -> float:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CausalityResult:
-    """One causality trial: leakage outside the causal shadow."""
-
-    rapidity: float
-    leakage: float
-    localized_probability: float
-
-
 def causal_shadow(cfg: ModelConfig, delta_t=2.0, u2=None, margin=None):
-    """The geometry of one trial of ``causality_experiment``, with its defaults
-    (margin 0.2 spacings): region (cells -2..1 per axis), the carry to the later
-    labels, the causal shadow pulled back to the constructing instant and its
-    inflation.  No transform and no rasterization; raises ``GeometryError``
-    where ``rasterize`` would."""
+    """The shadow of one trial of ``causality_experiment``: the carry to the
+    later labels and the cell mask of the causally grown region (cells -2..1
+    per axis) pulled back to the constructing instant, rasterized
+    conservatively: every cell within half a spacing plus ``margin``
+    (default 0.2 spacings) of the cover counts as inside, so leakage can
+    only be under-reported.  No transform; raises ``GeometryError`` where
+    the geometry does not fit the lattice box."""
     if delta_t < 0.0:
         raise GeometryError("the later instant must not precede the region")
     a = cfg.spacing.value
@@ -498,49 +483,30 @@ def causal_shadow(cfg: ModelConfig, delta_t=2.0, u2=None, margin=None):
     from .pvm import _pullback_region
 
     pulled = _pullback_region(cfg, carry, shadow)
-    inflate = 0.5 * a * (1.0 + 1e-9) + margin
-    _fitted_boxes(cfg, pulled, inflate)
-    return region, carry, pulled, inflate
+    return carry, rasterize(cfg, pulled, inflate=0.5 * a * (1.0 + 1e-9) + margin)
 
 
-def causality_experiment(
-    cfg: ModelConfig,
-    delta_t: float = 2.0,
-    u2: Velocity | None = None,
-    margin: float | None = None,
-) -> CausalityResult:
-    """Prepare a localized state, then measure how much of it escapes the
-    causal shadow of its region on a later instant.
-
-    The state is a packet three spacings wide projected into the region
-    and renormalized, so it is localized there exactly.  The shadow is
-    the causally grown region, rasterized conservatively: every cell
-    within half a spacing (plus ``margin``) of the cover counts as inside,
-    so leakage can only be under-reported.  Any strictly positive leakage
-    exhibits superluminal spreading of this localization notion.
-    """
-    region, carry, pulled, inflate = causal_shadow(cfg, delta_t, u2, margin)
-    chi = (
-        0.0
-        if u2 is None
-        else math.acosh(max(1.0, -float(np.dot(_METRIC * u2._c, cfg.observer._c))))
-    )
-
+def localized_state(cfg: ModelConfig) -> np.ndarray:
+    """The state of every causality trial: a packet three spacings wide
+    projected into the region of ``causal_shadow`` and renormalized, so it
+    is localized there exactly."""
+    region = cell_region(cfg, (-2, -2, -2), (1, 1, 1))
     lo, hi = region.boxes[0]
     box_center = region.anchor + sum(
         float(0.5 * (lo[m] + hi[m])) * b for m, b in enumerate(region.basis)
     )
     packet = make_gaussian(cfg, center=box_center, width=cfg.spacing * 3.0)
-    handle0 = PvmHandle(cfg.instant)
-    phi = pvm_project(handle0, region, packet).normalized()
-    localized = localization_probability(handle0, region, phi)
+    return pvm_project(PvmHandle(cfg.instant), region, packet).normalized().psi
 
-    mask = rasterize(cfg, pulled, inflate=inflate)
-    arr, _ = represent_array(cfg, phi.psi, carry.inverse())
-    inside = float(np.sum((np.abs(_to_position(arr)) ** 2) * mask))
-    return CausalityResult(
-        rapidity=float(chi), leakage=1.0 - inside, localized_probability=float(localized)
-    )
+
+def causality_experiment(cfg: ModelConfig, phi: np.ndarray, shadow) -> float:
+    """Leakage of the localized state ``phi`` outside a ``causal_shadow``:
+    the probability outside the shadow's mask at the later labels.  Any
+    strictly positive leakage exhibits superluminal spreading of this
+    localization notion."""
+    carry, mask = shadow
+    arr, _ = represent_array(cfg, phi, carry.inverse())
+    return 1.0 - float(np.sum((np.abs(_to_position(arr)) ** 2) * mask))
 
 
 def commutator_witness(

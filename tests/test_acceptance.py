@@ -12,7 +12,7 @@ import pytest
 
 from minkabs.geometry import normalize_velocity, vector
 from minkabs.groups import PoincareMap, make_rotation
-from minkabs.quantum import ModelConfig
+from minkabs.quantum import LatticeState, ModelConfig, PvmHandle
 import minkabs.quantum.verify as V
 from minkabs.suites import run_geometry_suite
 
@@ -152,15 +152,23 @@ def test_criterion_6_time_component_dichotomy(cfg32):
 
 def test_criterion_7_causality_leakage(cfg32):
     t0 = time.perf_counter()
-    zero = V.causality_experiment(cfg32, delta_t=0.0)
-    res32 = V.causality_experiment(cfg32, delta_t=2.0)
+    phi = V.localized_state(cfg32)
+    zero = V.causality_experiment(cfg32, phi, V.causal_shadow(cfg32, delta_t=0.0))
+    leak32 = V.causality_experiment(cfg32, phi, V.causal_shadow(cfg32, delta_t=2.0))
     elapsed32 = time.perf_counter() - t0
-    res64 = V.causality_experiment(ModelConfig(N=64), delta_t=2.0)
-    ratio = res64.leakage / res32.leakage
+    region = V.cell_region(cfg32, (-2, -2, -2), (1, 1, 1))
+    localized = V.localization_probability(
+        PvmHandle(cfg32.instant), region, LatticeState(cfg32, phi)
+    )
+    cfg64 = ModelConfig(N=64)
+    leak64 = V.causality_experiment(
+        cfg64, V.localized_state(cfg64), V.causal_shadow(cfg64, delta_t=2.0)
+    )
+    ratio = leak64 / leak32
     ok = (
-        zero.leakage <= 1e-10
-        and res32.leakage > 1e-6
-        and res32.localized_probability >= 1 - 1e-6
+        zero <= 1e-10
+        and leak32 > 1e-6
+        and localized >= 1 - 1e-6
         and 0.5 <= ratio <= 2.0
         and elapsed32 < 300.0
     )
@@ -168,7 +176,7 @@ def test_criterion_7_causality_leakage(cfg32):
         7,
         "causality-leakage",
         ok,
-        f"dt0={zero.leakage:.2e}<=1e-10 leak32={res32.leakage:.3e}>1e-6 "
+        f"dt0={zero:.2e}<=1e-10 leak32={leak32:.3e}>1e-6 "
         f"leak64/leak32={ratio:.2f} in [0.5,2] runtime={elapsed32:.1f}s<300s",
     )
 

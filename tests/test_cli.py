@@ -144,33 +144,45 @@ class TestDemoCausality:
     def test_each_trial_runs_once_and_matches_the_per_trial_loop(self, report, monkeypatch):
         from minkabs.quantum import verify as V
 
-        experiment = V.causality_experiment
-        calls = []
+        experiment, localized = V.causality_experiment, V.localized_state
+        states, shadows = [], []
 
-        def counted(cfg, **kwargs):
-            calls.append(tuple(sorted((k, repr(v)) for k, v in kwargs.items())))
-            return experiment(cfg, **kwargs)
+        def counted_state(cfg):
+            states.append(cfg.N)
+            return localized(cfg)
 
+        def counted(cfg, phi, shadow):
+            shadows.append(shadow)
+            return experiment(cfg, phi, shadow)
+
+        monkeypatch.setattr(V, "localized_state", counted_state)
         monkeypatch.setattr(V, "causality_experiment", counted)
         config = sweep_config()
         again = cmd_demo_causality(config)
-        # the zero interval, 2 x 2 sweep trials and the 0.4-spacing margin
-        assert len(calls) == 6 and len(set(calls)) == 6
+        # one state; the zero interval, 2 x 2 sweep trials and the 0.4-spacing margin
+        assert states == [16]
+        assert len(shadows) == 6 and len({id(shadow) for shadow in shadows}) == 6
 
-        # reference: one experiment per table row, then both margin trials
+        # reference: each trial with its own state and shadow, one per table
+        # row, then both margin trials
         cfg = build_model(config)
         chis = config["rapidity_sweep"]
         observer = {c: V.boosted_velocity(float(c)) if c else None for c in chis}
         sweep = [(float(dt), c) for dt in config["delta_t_sweep"] for c in chis]
-        rows = []
-        for dt, chi in [(0.0, 0.0), *sweep]:
-            res = experiment(cfg, delta_t=dt, u2=observer[chi])
-            rows.append(
-                {"delta_t_sec": dt, "rapidity": float(chi), "leakage": res.leakage, "N": 16}
-            )
-        m1, m2 = (
-            experiment(cfg, delta_t=1.0, margin=m * cfg.spacing.value).leakage for m in (0.2, 0.4)
-        )
+
+        def trial(**kwargs):
+            return experiment(cfg, localized(cfg), V.causal_shadow(cfg, **kwargs))
+
+        rows = [
+            {
+                "delta_t_sec": dt,
+                "rapidity": float(chi),
+                "leakage": trial(delta_t=dt, u2=observer[chi]),
+                "N": 16,
+            }
+            for dt, chi in [(0.0, 0.0), *sweep]
+        ]
+        m1, m2 = (trial(delta_t=1.0, margin=m * cfg.spacing.value) for m in (0.2, 0.4))
         want = {
             "leakage/zero-interval": rows[0]["leakage"],
             "leakage/strictly-positive": min(r["leakage"] for r in rows[1:] if not r["rapidity"]),
@@ -240,7 +252,7 @@ class TestConfigValidation:
             ("demo-causality", {"N": 8}),
             ("demo-causality", {}),
             ("verify-covariance", {"spacing_sec": 0.3}),
-            ("demo-causality", {"delta_t_sweep": [0.0]}),
+            ("demo-causality", {"delta_t_sweep": [1e-9]}),
             ("verify-geometry", {"spacing_sec": 1e-300}),
             ("verify-geometry", {"witness_rapidity": 40}),
             ("verify-geometry", {"witness_rapidity": 1000}),
@@ -255,6 +267,7 @@ class TestConfigValidation:
             ("verify-covariance", {"rapidity": 0.0}),
             ("verify-covariance", {"rapidity": 1e-300}),
             ("verify-covariance", {"rapidity": 1e-15}),
+            ("demo-causality", {"delta_t_sweep": [0.0], "rapidity_sweep": [0.0]}),
         ],
         ids=[
             "non-numeric",
@@ -287,6 +300,7 @@ class TestConfigValidation:
             "rapidity-zero",
             "rapidity-1e-300",
             "rapidity-1e-15",
+            "zero-delta-t",
         ],
     )
     def test_rejected_with_exit_2(self, tmp_path, capsys, command, extra):

@@ -1,6 +1,7 @@
 """The leaf comparison behind ``tools/report_diff.py``."""
 
 import importlib.util
+from itertools import product
 from pathlib import Path
 
 _TOOL = Path(__file__).resolve().parent.parent / "tools" / "report_diff.py"
@@ -62,3 +63,16 @@ def test_thread_environments(monkeypatch):
     assert unset["PYTHONPATH"] == pinned["PYTHONPATH"] == str(Path("/src"))
     assert not set(report_diff.THREAD_VARIABLES) & set(unset)
     assert all(pinned[k] == "1" for k in report_diff.THREAD_VARIABLES)
+
+
+def test_thread_agreement_per_command():
+    runs = product(report_diff.THREADS, report_diff.COMMANDS)
+    stdout = dict.fromkeys(runs, "a")
+    stdout["1", ("demo-causality",)] = "b"
+    assert report_diff.thread_agreement(stdout) == [
+        "threads agree verify-geometry",
+        "threads agree verify-geometry --seed 5",
+        "threads agree verify-covariance",
+        "threads differ demo-causality",
+        "threads agree demo-causality --csv",
+    ]

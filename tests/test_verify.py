@@ -13,7 +13,7 @@ import pytest
 import minkabs
 from minkabs.geometry import Instant, normalize_velocity, point, seconds, vector
 from minkabs.groups import PoincareMap, Region, make_boost, make_rotation
-from minkabs.quantum import ModelConfig
+from minkabs.quantum import LatticeState, ModelConfig, PvmHandle, rapidity_of
 import minkabs.quantum.pvm as pvm
 import minkabs.quantum.verify as V
 from minkabs.quantum.state import _to_momentum
@@ -36,13 +36,17 @@ def white(cfg):
     return V.random_states(cfg, np.random.default_rng(1), 6)
 
 
+def _standalone_residual(cfg, S, region, states):
+    """One element's residual with its own mask and carried side."""
+    carried_mask = V.rasterize(cfg, S.transform_region(region))
+    carried = pvm._conjugate_mask(cfg, states, [], carried_mask)
+    return V.stabilizer_covariance_residual(cfg, S, V.rasterize(cfg, region), states, carried)
+
+
 class TestStabilizerCovariance:
     def test_identity_gives_zero(self, cfg, white):
         region = V.cell_region(cfg, (-2, -2, -1), (2, 1, 1))
-        r = V.stabilizer_covariance_residual(
-            cfg, PoincareMap.identity(), region, white
-        )
-        assert r == 0.0
+        assert _standalone_residual(cfg, PoincareMap.identity(), region, white) == 0.0
 
     def test_full_suite_is_exact(self, cfg):
         results = V.run_stabilizer_suite(cfg, n_states=8, seed=3, translations=2)
@@ -59,9 +63,7 @@ class TestStabilizerCovariance:
         states = V.random_states(cfg, rng, 4)
         region = V.cell_region(cfg, (-2, -1, -2), (2, 1, 1))
         elements = V.stabilizer_elements(cfg, rng, 2)
-        expected = [
-            V.stabilizer_covariance_residual(cfg, S, region, states) for _, S in elements
-        ]
+        expected = [_standalone_residual(cfg, S, region, states) for _, S in elements]
         assert [r.residual for r in results] == expected
 
     def test_suite_transforms_each_carried_mask_once(self, cfg, monkeypatch):
@@ -189,34 +191,38 @@ class TestPositionFamily:
 
 
 class TestCausality:
+    def test_state_is_localized_in_the_region(self, cfg32):
+        region = V.cell_region(cfg32, (-2, -2, -2), (1, 1, 1))
+        phi = LatticeState(cfg32, V.localized_state(cfg32))
+        assert V.localization_probability(PvmHandle(cfg32.instant), region, phi) >= 1 - 1e-6
+
     def test_no_interval_no_leakage(self, cfg32):
-        res = V.causality_experiment(cfg32, delta_t=0.0)
-        assert res.leakage <= 1e-10
-        assert res.localized_probability >= 1 - 1e-6
+        shadow = V.causal_shadow(cfg32, delta_t=0.0)
+        assert V.causality_experiment(cfg32, V.localized_state(cfg32), shadow) <= 1e-10
 
     def test_leakage_strictly_positive(self, cfg32):
-        res = V.causality_experiment(cfg32, delta_t=2.0)
-        assert res.leakage > 1e-6
-        assert res.localized_probability >= 1 - 1e-6
+        shadow = V.causal_shadow(cfg32, delta_t=2.0)
+        assert V.causality_experiment(cfg32, V.localized_state(cfg32), shadow) > 1e-6
 
     def test_margin_doubling_leaves_leakage(self, cfg32):
         a = cfg32.spacing.value
-        r1 = V.causality_experiment(cfg32, delta_t=2.0, margin=0.2 * a)
-        r2 = V.causality_experiment(cfg32, delta_t=2.0, margin=0.4 * a)
-        assert abs(r1.leakage - r2.leakage) <= 1e-10
+        phi = V.localized_state(cfg32)
+        r1, r2 = (
+            V.causality_experiment(cfg32, phi, V.causal_shadow(cfg32, delta_t=2.0, margin=m * a))
+            for m in (0.2, 0.4)
+        )
+        assert abs(r1 - r2) <= 1e-10
 
     def test_negative_interval_rejected(self, cfg32):
         from minkabs.geometry import GeometryError
 
         with pytest.raises(GeometryError):
-            V.causality_experiment(cfg32, delta_t=-1.0)
+            V.causal_shadow(cfg32, delta_t=-1.0)
 
     def test_boosted_observer_also_leaks(self, cfg32):
-        res = V.causality_experiment(
-            cfg32, delta_t=2.0, u2=V.boosted_velocity(0.15)
-        )
-        assert res.rapidity == pytest.approx(0.15, abs=1e-12)
-        assert res.leakage > 1e-6
+        shadow = V.causal_shadow(cfg32, delta_t=2.0, u2=V.boosted_velocity(0.15))
+        assert rapidity_of(cfg32, shadow[0].linear) == pytest.approx(0.15, abs=1e-12)
+        assert V.causality_experiment(cfg32, V.localized_state(cfg32), shadow) > 1e-6
 
 
 def _full_space_witness(cfg, region_a=None, region_b=None, seed=42, starts=3, iterations=12):

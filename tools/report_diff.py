@@ -14,7 +14,10 @@ splits its reductions of N >= 24 fields over its threads.
 With one ``SRC`` (default: the ``src`` directory of this checkout) it
 prints one line per environment and command: the sha256 of stdout, the
 sha256 of stderr and the exit code.  A refactor that claims unchanged
-reports prints the same lines for the parent's ``src`` and its own.
+reports prints the same lines for the parent's ``src`` and its own.  It
+ends with one line per command, ``threads agree <command>`` or
+``threads differ <command>``: whether the two environments gave the same
+stdout.  The exit status does not depend on it.
 
 With ``OLD_SRC NEW_SRC`` it compares the two trees within each
 environment and prints one line per reported value that differs: the
@@ -117,17 +120,31 @@ def relative_change(old, new) -> str:
     return f"{(new - old) / abs(old):+.3e}"
 
 
+def thread_agreement(stdout: dict) -> list[str]:
+    """``threads agree <command>`` or ``threads differ <command>`` for each
+    command, from its stdout digest in every environment
+    (``{(threads, command): digest}``)."""
+    lines = []
+    for command in COMMANDS:
+        same = len({stdout[threads, command] for threads in THREADS}) == 1
+        lines.append(f"threads {'agree' if same else 'differ'} " + " ".join(command))
+    return lines
+
+
 def digests(src: Path) -> int:
+    stdout = {}
     for threads, command in product(THREADS, COMMANDS):
         proc = run(src, command, threads)
+        stdout[threads, command] = hashlib.sha256(proc.stdout).hexdigest()
         print(
             f"threads={threads}",
             " ".join(command),
-            hashlib.sha256(proc.stdout).hexdigest(),
+            stdout[threads, command],
             hashlib.sha256(proc.stderr).hexdigest(),
             proc.returncode,
             flush=True,
         )
+    print("\n".join(thread_agreement(stdout)))
     return 0
 
 
