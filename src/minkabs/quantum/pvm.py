@@ -150,53 +150,31 @@ def _pullback_region(cfg: ModelConfig, P: PoincareMap, region: Region) -> Region
     return P.inverse().transform_region(region)
 
 
-class _Conjugation:
-    """U M U^-1 on raw amplitudes, built once, applied by calling it: M is the
-    position-space multiplier ``mask`` (any real field broadcasting against the
-    amplitudes), U represents the composite of ``chain`` (first element acts
-    first).  The mask and both directions' prepared maps are read-only."""
-
-    def __init__(self, cfg: ModelConfig, chain, mask: np.ndarray):
-        self.cfg = cfg
-        self.mask = np.asarray(mask).view()
-        self.mask.flags.writeable = False
-        self.back, self.forth = map(list, _prepared_chain(cfg, chain))
-
-    def __call__(self, states: np.ndarray) -> np.ndarray:
-        return _conjugate(self.cfg, states, self.back, self.forth, self.mask)
-
-
-def _prepared_chain(cfg: ModelConfig, chain):
-    """Generators of the prepared maps of U^-1 and of U, in order of application."""
-    back = _represented(cfg, (P.inverse() for P in reversed(chain)))
-    return back, _represented(cfg, chain)
-
-
-def _conjugate(cfg: ModelConfig, states: np.ndarray, back, forth, mask: np.ndarray):
-    """U M U^-1 from iterables of the prepared maps of U^-1 and of U."""
-    arr, _ = _act(cfg, states, back)
+def _conjugate_mask(cfg: ModelConfig, states: np.ndarray, chain, mask: np.ndarray):
+    """U M U^-1 on raw amplitudes: M is the position-space multiplier ``mask``
+    (any real field broadcasting against the amplitudes), U represents the
+    composite of ``chain`` (first element acts first).  Each map is prepared
+    when it is reached, so one phase is alive at a time."""
+    arr, _ = _act(cfg, states, _represented(cfg, (P.inverse() for P in reversed(chain))))
     arr = _to_position(arr, overwrite_x=arr is not states) * mask  # always a new array
     arr = _to_momentum(arr, overwrite_x=True)
-    return _act(cfg, arr, forth, overwrite_x=True)[0]
+    return _act(cfg, arr, _represented(cfg, chain), overwrite_x=True)[0]
 
 
-def _conjugate_mask(cfg: ModelConfig, states: np.ndarray, chain, mask: np.ndarray):
-    """Apply U M U^-1 once, preparing each map of ``chain`` when it is reached."""
-    return _conjugate(cfg, states, *_prepared_chain(cfg, chain), mask)
-
-
-def _projection(handle: PvmHandle, region: Region, cfg: ModelConfig) -> _Conjugation:
-    """The localization projection of ``region`` through ``handle``, built once."""
+def _projection(handle: PvmHandle, region: Region, cfg: ModelConfig):
+    """The localization projection of ``region`` through ``handle`` as the
+    ``(chain, mask)`` that ``_conjugate_mask`` applies: ``chain`` is ``[]`` on
+    the constructing instant and ``[carry]`` elsewhere."""
     if handle.is_constructing(cfg):
-        return _Conjugation(cfg, [], rasterize(cfg, region))
+        return [], rasterize(cfg, region)
     carry = canonical_map(cfg, handle.instant)
-    return _Conjugation(cfg, [carry], rasterize(cfg, _pullback_region(cfg, carry, region)))
+    return [carry], rasterize(cfg, _pullback_region(cfg, carry, region))
 
 
 def _project_raw(
     handle: PvmHandle, region: Region, psi: np.ndarray, cfg: ModelConfig
 ) -> np.ndarray:
-    return _projection(handle, region, cfg)(psi)
+    return _conjugate_mask(cfg, psi, *_projection(handle, region, cfg))
 
 
 def pvm_project(handle: PvmHandle, region: Region, state: LatticeState) -> LatticeState:

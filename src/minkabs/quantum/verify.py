@@ -60,7 +60,7 @@ from .pvm import (
     pvm_project,
     rasterize,
 )
-from .state import LatticeState, _to_position, make_gaussian, represent_array
+from .state import LatticeState, _represented, _to_position, make_gaussian, represent_array
 from .state import _to_momentum  # noqa: F401  bound here for the benchmark tracer
 
 __all__ = [
@@ -285,10 +285,11 @@ def label_change_residual(
     if not L.is_orthochronous():
         raise GeometryError("covariance drivers take orthochronous maps")
     handle = PvmHandle(L.transform_instant(cfg.instant))
-    carried = _projection(handle, L.transform_region(region), cfg)
+    chain, carried = _projection(handle, L.transform_region(region), cfg)
     lhs = _conjugate_mask(cfg, states, [L], rasterize(cfg, region))
     # one state at a time: the batched transform rounds differently
-    rhs = np.stack([carried(one) for one in states.reshape(-1, cfg.N, cfg.N, cfg.N)])
+    ones = states.reshape(-1, cfg.N, cfg.N, cfg.N)
+    rhs = np.stack([_conjugate_mask(cfg, one, chain, carried) for one in ones])
     return _batch_max_norm(lhs - rhs.reshape(states.shape))
 
 
@@ -549,7 +550,8 @@ def commutator_witness(
 
 
 def _overlap(cfg: ModelConfig, proj_a, proj_b) -> np.ndarray:
-    """``G = A^H B`` of two projections whose carries are pure phases.
+    """``G = A^H B`` of two ``(chain, mask)`` projections whose carries are
+    pure phases.
 
     ``A^H B`` is the position-space convolution by ``K``, the position
     image of the phase ``D`` of ``Ua^-1 Ub``, so ``G[i, j]`` is
@@ -557,11 +559,12 @@ def _overlap(cfg: ModelConfig, proj_a, proj_b) -> np.ndarray:
     ``x_j`` of mask b.
     """
     n = cfg.N
-    cells_a, cells_b = np.nonzero(proj_a.mask), np.nonzero(proj_b.mask)
+    (chain_a, mask_a), (chain_b, mask_b) = proj_a, proj_b
+    cells_a, cells_b = np.nonzero(mask_a), np.nonzero(mask_b)
     if cells_a[0].size * cells_b[0].size > n**3:
         raise GeometryError("commutator witness regions: overlap matrix larger than one field")
     D = np.ones((n, n, n), dtype=complex)
-    for _, phase in proj_b.forth + proj_a.back:
+    for _, phase in _represented(cfg, [*chain_b, *(P.inverse() for P in reversed(chain_a))]):
         if phase is not None:
             D *= phase
     K = _to_position(D, overwrite_x=True)

@@ -227,19 +227,25 @@ class TestCausality:
 
 def _full_space_witness(cfg, region_a=None, region_b=None, seed=42, starts=3, iterations=12):
     """A power iteration on N^3 fields: a lower bound of the commutator norm."""
-    from minkabs.quantum.pvm import PvmHandle, _projection
+    from minkabs.quantum.pvm import PvmHandle, _conjugate_mask, _projection
 
     if region_a is None:
         region_a = V.cell_region(cfg, (-5, -2, -2), (-2, 1, 1))
     if region_b is None:
         t2 = Instant(cfg.observer, cfg.origin + cfg.observer * seconds(0.5))
         region_b = V.cell_region(cfg, (2, -2, -2), (5, 1, 1), instant=t2)
-    # each projection is built once, then applied by the power iteration
+    # each projection is rasterized once, then applied by the power iteration
     proj_a = _projection(PvmHandle(region_a.instant), region_a, cfg)
     proj_b = _projection(PvmHandle(region_b.instant), region_b, cfg)
 
+    def pa(arr):
+        return _conjugate_mask(cfg, arr, *proj_a)
+
+    def pb(arr):
+        return _conjugate_mask(cfg, arr, *proj_b)
+
     def commutator(arr):
-        return proj_a(proj_b(arr)) - proj_b(proj_a(arr))
+        return pa(pb(arr)) - pb(pa(arr))
 
     rng = np.random.default_rng(seed)
     best = 0.0
@@ -257,11 +263,13 @@ def _full_space_witness(cfg, region_a=None, region_b=None, seed=42, starts=3, it
 
 def _dense_commutator_norm(cfg, region_a, region_b):
     """Spectral norm of ``Pa Pb - Pb Pa`` from the dense N^3 x N^3 projections."""
-    from minkabs.quantum.pvm import PvmHandle, _projection
+    from minkabs.quantum.pvm import PvmHandle, _conjugate_mask, _projection
 
     units = np.eye(cfg.N**3, dtype=complex).reshape((-1,) + (cfg.N,) * 3)
     pa, pb = (
-        _projection(PvmHandle(r.instant), r, cfg)(units).reshape(cfg.N**3, -1).T
+        _conjugate_mask(cfg, units, *_projection(PvmHandle(r.instant), r, cfg))
+        .reshape(cfg.N**3, -1)
+        .T
         for r in (region_a, region_b)
     )
     return float(np.linalg.norm(pa @ pb - pb @ pa, 2))
