@@ -226,9 +226,12 @@ def run_stabilizer_suite(
     """Covariance of the localization family under every lattice-preserving
     stabilizer element, on white random states.
 
-    Elements are grouped by the cells they carry the region onto (the
-    suite's box is symmetric, so the 48 axis symmetries share 12 carried
-    masks; at the default config all 56 elements share 20).  Each group
+    The elements draw from a generator of their own, ``default_rng((seed,
+    1))``, and the states from ``default_rng(seed)``, so ``n_states`` does
+    not change which elements are checked.  Elements are grouped by the
+    cells they carry the region onto (the suite's box is symmetric, so the
+    48 axis symmetries share 12 carried masks; at the default config all 56
+    elements share 20).  Each group
     computes its right side once and passes it as ``carried`` to every
     member, then drops it before the next group, so at most one right
     side per worker is live.  The groups fan out over ``worker_cap()``
@@ -236,12 +239,11 @@ def run_stabilizer_suite(
     check is also timed over its right side.  Every check must stay at or
     below 1e-10.
     """
-    rng = np.random.default_rng(seed)
-    states = random_states(cfg, rng, n_states)
+    states = random_states(cfg, np.random.default_rng(seed), n_states)
     region = cell_region(
         cfg, (-cfg.N // 8, -cfg.N // 8 + 1, -2), (cfg.N // 8, cfg.N // 8 - 1, 1)
     )
-    elements = stabilizer_elements(cfg, rng, translations)
+    elements = stabilizer_elements(cfg, np.random.default_rng((seed, 1)), translations)
     mask = rasterize(cfg, region)
     groups: dict[bytes, tuple[np.ndarray, list]] = {}
     for idx, (name, S) in enumerate(elements):

@@ -59,10 +59,9 @@ class TestStabilizerCovariance:
         # the suite's hoisted mask and shared carried sides change no bit
         monkeypatch.setenv("MINKABS_THREADS", threads)
         results = V.run_stabilizer_suite(cfg, n_states=4, seed=3, translations=2)
-        rng = np.random.default_rng(3)
-        states = V.random_states(cfg, rng, 4)
+        states = V.random_states(cfg, np.random.default_rng(3), 4)
         region = V.cell_region(cfg, (-2, -1, -2), (2, 1, 1))
-        elements = V.stabilizer_elements(cfg, rng, 2)
+        elements = V.stabilizer_elements(cfg, np.random.default_rng((3, 1)), 2)
         expected = [_standalone_residual(cfg, S, region, states) for _, S in elements]
         assert [r.residual for r in results] == expected
 
@@ -76,19 +75,34 @@ class TestStabilizerCovariance:
         monkeypatch.setattr(pvm, "_to_momentum", counting)
         monkeypatch.setenv("MINKABS_THREADS", "1")
         V.run_stabilizer_suite(cfg, n_states=8, seed=3, translations=2)
-        rng = np.random.default_rng(3)
-        V.random_states(cfg, rng, 8)
         region = V.cell_region(cfg, (-2, -1, -2), (2, 1, 1))
-        elements = V.stabilizer_elements(cfg, rng, 2)
+        elements = V.stabilizer_elements(cfg, np.random.default_rng((3, 1)), 2)
         carried = {V.rasterize(cfg, S.transform_region(region)).tobytes() for _, S in elements}
         assert len(carried) < len(elements)
         # one transform per element (its left side), one per carried mask
         assert len(calls) == len(elements) + len(carried)
 
+    def test_state_count_does_not_pick_the_elements(self, cfg, monkeypatch):
+        drawn = []
+
+        def recording(*args):
+            drawn.append(stabilizer_elements(*args))
+            return drawn[-1]
+
+        stabilizer_elements = V.stabilizer_elements
+        monkeypatch.setattr(V, "stabilizer_elements", recording)
+        monkeypatch.setenv("MINKABS_THREADS", "1")
+        for n_states in (1, 2):
+            V.run_stabilizer_suite(cfg, n_states=n_states, seed=3, translations=2)
+        one, two = (
+            [(name, S.linear.matrix.tobytes(), S.translation._c.tobytes()) for name, S in els]
+            for els in drawn
+        )
+        assert one == two
+
     def test_serial_suite_holds_one_carried_side(self, cfg, monkeypatch):
         # one right side live at a time peaks near 5.8 batches of states;
-        # keeping every group's right side would take 19 or more.  The
-        # first run fills the permutation cache, which is not per run.
+        # keeping every group's right side would take 19 or more.
         monkeypatch.setenv("MINKABS_THREADS", "1")
         batch_bytes = V.random_states(cfg, np.random.default_rng(0), 8).nbytes
         V.run_stabilizer_suite(cfg, n_states=8, seed=3, translations=2)
