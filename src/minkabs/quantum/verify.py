@@ -231,10 +231,9 @@ def run_stabilizer_suite(
     not change which elements are checked.  Elements are grouped by the
     cells they carry the region onto (the suite's box is symmetric, so the
     48 axis symmetries share 12 carried masks; at the default config all 56
-    elements share 20).  Each group
-    computes its right side once and passes it as ``carried`` to every
-    member, then drops it before the next group, so at most one right
-    side per worker is live.  The groups fan out over ``worker_cap()``
+    elements share 20).  Each group computes its right side once and passes
+    it as ``carried`` to every member, then drops it before the next group,
+    so at most one right side per worker is live.  The groups fan out over ``worker_cap()``
     threads; results come back in element order, and each group's first
     check is also timed over its right side.  Every check must stay at or
     below 1e-10.

@@ -83,13 +83,12 @@ class TestStabilizerCovariance:
         assert len(calls) == len(elements) + len(carried)
 
     def test_state_count_does_not_pick_the_elements(self, cfg, monkeypatch):
-        drawn = []
+        original, drawn = V.stabilizer_elements, []
 
         def recording(*args):
-            drawn.append(stabilizer_elements(*args))
+            drawn.append(original(*args))
             return drawn[-1]
 
-        stabilizer_elements = V.stabilizer_elements
         monkeypatch.setattr(V, "stabilizer_elements", recording)
         monkeypatch.setenv("MINKABS_THREADS", "1")
         for n_states in (1, 2):
