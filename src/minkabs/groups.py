@@ -6,10 +6,10 @@ canonical velocity-to-velocity boosts, and the per-observer time
 inversion.  Membership predicates realize the observer-dependent
 subgroups: maps fixing a velocity, maps stabilizing an instant.
 
-Regions are finite unions of axis-aligned boxes in an orthonormal basis
-of an instant's direction space: exactly representable, closed under the
-transformations the verification suites need, and sufficient to exercise
-localization.
+Regions are plain lists of axis-aligned boxes, read as their union, in
+an orthonormal basis of an instant's direction space: exactly
+representable, closed under the transformations the verification suites
+need, and sufficient to exercise localization.
 """
 
 from __future__ import annotations
@@ -352,35 +352,15 @@ def stabilizes_instant(P: PoincareMap, t: Instant) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _split_box(
-    lo: np.ndarray, hi: np.ndarray, cut_lo: np.ndarray, cut_hi: np.ndarray
-) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Pieces of [lo, hi) outside [cut_lo, cut_hi), as disjoint boxes."""
-    pieces = []
-    rem_lo, rem_hi = lo.copy(), hi.copy()
-    for ax in range(3):
-        if cut_lo[ax] > rem_lo[ax]:
-            p_lo, p_hi = rem_lo.copy(), rem_hi.copy()
-            p_hi[ax] = cut_lo[ax]
-            pieces.append((p_lo, p_hi))
-            rem_lo[ax] = cut_lo[ax]
-        if cut_hi[ax] < rem_hi[ax]:
-            p_lo, p_hi = rem_lo.copy(), rem_hi.copy()
-            p_lo[ax] = cut_hi[ax]
-            pieces.append((p_lo, p_hi))
-            rem_hi[ax] = cut_hi[ax]
-    return [(l, h) for l, h in pieces if np.all(h > l)]
-
-
 class Region:
     """A finite union of half-open axis-aligned boxes on one instant.
 
     Boxes are stored as coordinate intervals ``[lo, hi)`` relative to an
     anchor event on the instant, in an orthonormal basis of the
     instant's direction space, kept also as the ``(3, 4)`` stack ``axes``.
-    The stored list is canonical: boxes are pairwise disjoint and sorted,
-    so equal unions have equal representations up to floating-point
-    splitting.
+    ``boxes`` is the given list with the empty boxes dropped; boxes may
+    overlap, and every consumer reads the region as the union (a
+    rasterization ORs one mask per box).
     """
 
     __slots__ = ("instant", "basis", "axes", "anchor", "boxes")
@@ -406,35 +386,12 @@ class Region:
         self.anchor = anchor if anchor is not None else instant.anchor
         if not instant.contains(self.anchor):
             raise GeometryError("region anchor must lie on the instant")
-        cleaned = []
+        self.boxes = []
         for lo, hi in boxes:
             lo = np.asarray(lo, dtype=float).reshape(3)
             hi = np.asarray(hi, dtype=float).reshape(3)
-            if np.any(hi <= lo):
-                continue
-            cleaned.append((lo, hi))
-        self.boxes = self._canonicalize(cleaned)
-
-    @staticmethod
-    def _canonicalize(boxes):
-        """Disjoint boxes covering ``boxes``, sorted; a disjoint sorted list comes back as is."""
-        disjoint: list[tuple[np.ndarray, np.ndarray]] = []
-        for lo, hi in boxes:
-            pending = [(lo, hi)]
-            for d_lo, d_hi in disjoint:
-                next_pending = []
-                for p_lo, p_hi in pending:
-                    if np.all(p_lo < d_hi) and np.all(d_lo < p_hi):
-                        next_pending.extend(_split_box(p_lo, p_hi, d_lo, d_hi))
-                    else:
-                        next_pending.append((p_lo, p_hi))
-                pending = next_pending
-            disjoint.extend(pending)
-        disjoint.sort(key=lambda b: (tuple(b[0]), tuple(b[1])))
-        return disjoint
-
-    def volume(self) -> float:
-        return float(sum(np.prod(hi - lo) for lo, hi in self.boxes))
+            if not np.any(hi <= lo):
+                self.boxes.append((lo, hi))
 
     def _box_corners(self, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
         """Fiducial components of the eight corners of the box ``[lo, hi)``,
@@ -447,7 +404,7 @@ class Region:
         return _product(self.axes, p._c - self.anchor._c)
 
     def __repr__(self) -> str:
-        return f"Region({len(self.boxes)} boxes, volume={self.volume():.6g})"
+        return f"Region({len(self.boxes)} boxes)"
 
 
 def grow_region_causally(region: Region, t2: Instant) -> Region:

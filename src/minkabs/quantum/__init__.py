@@ -5,8 +5,6 @@ from .state import (
     BoostReport,
     LatticeState,
     apply_boost,
-    apply_rotation,
-    apply_translation,
     make_gaussian,
     rapidity_of,
     represent,
@@ -29,8 +27,6 @@ __all__ = [
     "LatticeState",
     "BoostReport",
     "make_gaussian",
-    "apply_translation",
-    "apply_rotation",
     "apply_boost",
     "represent",
     "rapidity_of",

@@ -89,8 +89,8 @@ def rasterize(cfg: ModelConfig, region: Region, inflate: float = 0.0) -> np.ndar
     region's boxes, with coordinates compared on the torus and a snap
     tolerance of 1e-9 spacings so exactly aligned boundaries rasterize
     stably.  ``inflate`` grows every box by that amount per side first
-    (used for conservative causal covers); a grown box wider than the
-    lattice box raises ``GeometryError``.
+    (used for conservative causal covers).  Any box, grown or not, wider
+    than the lattice box raises ``GeometryError``.
     """
     if not region.instant == cfg.instant:
         raise GeometryError("region instant differs from the constructing instant")

@@ -7,11 +7,16 @@ Fourier transform (one ``scipy.fft`` pair, ``_to_position`` and
 constructing instant (kernel ``exp(+i k.x)``, so a packet built with
 mean momentum ``k`` drifts along ``+k`` under time evolution).
 
-Three flavors of spacetime action are implemented:
+Two public entry points act on states: ``represent`` applies the
+covariance representation of an affine map, and ``apply_boost`` a
+homogeneous map at the lattice origin.  Three flavors of action sit
+underneath:
 
 * translations act by momentum-space phases
   ``exp(-i (omega(k) dt + k . dx))`` and are exactly unitary; lattice
-  steps become exact cyclic shifts of the position amplitudes;
+  steps become exact cyclic shifts of the position amplitudes.  There
+  is one convention: ``represent`` takes the phase of the time-inverted
+  shift (see ``represent_array``);
 * maps fixing the constructing observer whose spatial restriction is a
   signed permutation of the lattice axes act by exact index
   permutations;
@@ -63,8 +68,6 @@ __all__ = [
     "LatticeState",
     "BoostReport",
     "make_gaussian",
-    "apply_translation",
-    "apply_rotation",
     "apply_boost",
     "signed_permutation_of",
     "rapidity_of",
@@ -445,34 +448,13 @@ def make_gaussian(
     return LatticeState(cfg, raw / np.linalg.norm(raw))
 
 
-def apply_translation(state: LatticeState, a: SpacetimeVector) -> LatticeState:
-    """Translate the state by the spacetime vector ``a``.
-
-    Multiplies the amplitudes by the on-shell phase; for ``a`` in the
-    constructing instant on lattice points this cyclically shifts the
-    position amplitudes.  Exactly unitary.
-    """
-    return LatticeState(state.cfg, state.psi * _translation_phase(state.cfg, a))
-
-
-def apply_rotation(state: LatticeState, L: LorentzMap) -> LatticeState:
-    """Apply a lattice-preserving map fixing the constructing observer.
-
-    ``L`` must restrict to a signed permutation of the lattice axes; the
-    action is an exact index permutation (exactly unitary).
-    """
-    r3 = signed_permutation_of(state.cfg, L)
-    if r3 is None:
-        raise GeometryError("map does not permute the lattice; use the velocity-transform path")
-    return LatticeState(state.cfg, _apply_perm(state.psi, r3))
-
-
 def apply_boost(state: LatticeState, L: LorentzMap, return_report: bool = False):
     """Apply an orthochronous map by mass-shell pullback.
 
     The rapidity between the constructing observer and its image must
     stay under the configuration's cap so band-limited packets remain in
-    band.  Lattice symmetries take the exact permutation path.  The
+    band.  Lattice symmetries (signed permutations of the lattice axes,
+    see ``signed_permutation_of``) take the exact permutation path.  The
     result keeps the input norm; the measured relative norm drift is
     available through ``return_report=True``.
     """

@@ -5,6 +5,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from minkabs.geometry import (
     GeometryError,
@@ -21,18 +23,19 @@ from minkabs.groups import (
     lattice_point_group,
     make_boost,
     make_rotation,
+    time_inversion,
 )
 from minkabs.quantum import (
     ModelConfig,
     NwPosition,
     PvmHandle,
-    apply_translation,
     canonical_map,
     localization_probability,
     make_gaussian,
     nw_component_stats,
     pvm_project,
     rasterize,
+    represent,
 )
 from minkabs.quantum.pvm import (
     _conjugate_mask,
@@ -100,6 +103,34 @@ class TestRasterize:
         hi = ((n // 2 + 2) - 0.5) * a
         reg = Region(cfg.instant, [((lo, -0.5 * a, -0.5 * a), (hi, 0.5 * a, 0.5 * a))])
         assert rasterize(cfg, reg).sum() == 4
+
+    def test_box_wider_than_lattice_refused_after_overlapping_box(self, cfg):
+        # a wide box is refused whether or not an overlapping box comes first
+        L = cfg.box_length
+        cell = ((-0.25, -0.25, -0.25), (0.25, 0.25, 0.25))
+        wide = ((-0.6 * L, -0.25, -0.25), (0.6 * L, 0.25, 0.25))
+        for boxes in ([wide], [cell, wide]):
+            with pytest.raises(GeometryError, match="wider than the lattice box"):
+                rasterize(cfg, Region(cfg.instant, boxes))
+
+    def test_hypothesis_overlapping_boxes_match_cell_membership(self, cfg):
+        # the mask of up to five overlapping cell-edge boxes is the set of
+        # cells whose index lies in some box's inclusive index range
+        half = cfg.N // 2
+        corner = st.tuples(*(st.integers(-half, half - 1) for _ in range(3)))
+        idx = np.stack(np.meshgrid(*(cfg.signed_index,) * 3, indexing="ij"), axis=-1)
+
+        @settings(max_examples=100, deadline=None)
+        @given(st.lists(st.tuples(corner, corner), max_size=5))
+        def run(corners):
+            cells = [(np.minimum(a, b), np.maximum(a, b)) for a, b in corners]
+            expected = np.zeros((cfg.N,) * 3, dtype=bool)
+            for lo, hi in cells:
+                expected |= np.all((lo <= idx) & (idx <= hi), axis=-1)
+            reg = Region(cfg.instant, [cell_box(cfg, lo, hi) for lo, hi in cells])
+            assert np.array_equal(rasterize(cfg, reg), expected)
+
+        run()
 
     def test_matches_whole_lattice_coordinates(self, cfg):
         # reference: every region-frame coordinate summed over the whole
@@ -221,7 +252,8 @@ class TestProjection:
         reg2 = Region(later, [cell_box(cfg, (-2, -2, -2), (1, 1, 1))], anchor=later.anchor)
         p_later = localization_probability(h2, reg2, s)
         reg0 = Region(cfg.instant, [cell_box(cfg, (-2, -2, -2), (1, 1, 1))])
-        evolved = apply_translation(s, vector(dt, 0, 0, 0))
+        forward = PoincareMap.from_translation(time_inversion(U0)(vector(dt, 0, 0, 0)))
+        evolved = represent(s, forward)
         p_evolved = localization_probability(handle(cfg), reg0, evolved)
         assert abs(p_later - p_evolved) <= 1e-10
         # the packet spreads, so the later-instant probability drops

@@ -34,10 +34,9 @@ from minkabs.quantum import (
     LatticeState,
     ModelConfig,
     apply_boost,
-    apply_rotation,
-    apply_translation,
     make_gaussian,
     rapidity_of,
+    represent,
     signed_permutation_of,
 )
 from minkabs.quantum.state import (
@@ -73,6 +72,12 @@ def boosted(chi, axis=(1, 0, 0)):
     return normalize_velocity(
         vector(math.cosh(chi), *(math.sinh(chi) * d))
     )
+
+
+def translate(s, a):
+    """Translation by ``a`` under the phase ``exp(-i (omega dt + k . dx))``:
+    ``represent`` of the time-inverted vector."""
+    return represent(s, PoincareMap.from_translation(time_inversion(s.cfg.observer)(a)))
 
 
 def white_state(cfg, seed):
@@ -206,25 +211,25 @@ class TestGaussian:
 class TestTranslation:
     def test_zero_is_identity(self, cfg):
         s = make_gaussian(cfg, width=seconds(1.0))
-        out = apply_translation(s, vector(0, 0, 0, 0))
+        out = translate(s, vector(0, 0, 0, 0))
         assert np.max(np.abs(out.psi - s.psi)) == 0.0
 
     def test_lattice_step_is_cyclic_shift(self, cfg):
         # shift-theorem oracle: np.roll of the position amplitudes
         s = make_gaussian(cfg, width=seconds(1.0), mean_momentum=(1.0, -0.5, 0))
         a = cfg.spacing.value
-        out = apply_translation(s, vector(0, 2 * a, 0, -a))
+        out = translate(s, vector(0, 2 * a, 0, -a))
         expected = np.roll(_to_position(s.psi), (2, 0, -1), axis=(0, 1, 2))
         assert np.max(np.abs(_to_position(out.psi) - expected)) <= 1e-12
 
     def test_norm_preserved(self, cfg):
         s = make_gaussian(cfg, width=seconds(1.0))
-        out = apply_translation(s, vector(0.37, 0.11, -0.2, 0.05))
+        out = translate(s, vector(0.37, 0.11, -0.2, 0.05))
         assert abs(out.norm() - 1.0) <= 1e-12
 
     def test_time_evolution_spreads_packet(self, cfg32):
         s = make_gaussian(cfg32, width=seconds(0.8))
-        evolved = apply_translation(s, vector(2.0, 0, 0, 0))
+        evolved = translate(s, vector(2.0, 0, 0, 0))
         p0 = s.position_probability()
         p1 = evolved.position_probability()
         x2 = cfg32.x1d**2
@@ -235,7 +240,7 @@ class TestTranslation:
         kbar = 2.0
         s = make_gaussian(cfg32, width=seconds(1.0), mean_momentum=(kbar, 0, 0))
         dt = 1.0
-        evolved = apply_translation(s, vector(dt, 0, 0, 0))
+        evolved = translate(s, vector(dt, 0, 0, 0))
         x = cfg32.x1d
         mean_x = np.sum(x[:, None, None] * evolved.position_probability())
         expect = kbar / math.sqrt(kbar**2 + cfg32.mass.value**2) * dt
@@ -245,15 +250,15 @@ class TestTranslation:
         s = make_gaussian(cfg, width=seconds(1.0))
         a = vector(0.3, 0.1, 0.0, -0.2)
         b = vector(0.5, -0.4, 0.25, 0.0)
-        one = apply_translation(s, a + b)
-        two = apply_translation(apply_translation(s, a), b)
+        one = translate(s, a + b)
+        two = translate(translate(s, a), b)
         assert np.max(np.abs(one.psi - two.psi)) <= 1e-12
 
 
 class TestRotation:
     def test_identity(self, cfg):
         s = make_gaussian(cfg, width=seconds(1.0), mean_momentum=(1, 0.5, 0))
-        out = apply_rotation(s, LorentzMap.identity())
+        out = apply_boost(s, LorentzMap.identity())
         assert np.max(np.abs(out.psi - s.psi)) == 0.0
 
     def test_quarter_turn_order_four(self, cfg):
@@ -266,14 +271,11 @@ class TestRotation:
         r = make_rotation(U0, E3, math.pi / 2)
         out = s
         for _ in range(4):
-            out = apply_rotation(out, r)
+            out = apply_boost(out, r)
         assert np.max(np.abs(out.psi - s.psi)) <= 1e-12
 
     def test_rejects_non_lattice_rotation(self, cfg):
-        s = make_gaussian(cfg, width=seconds(1.0))
-        r = make_rotation(U0, E3, 0.3)
-        with pytest.raises(GeometryError):
-            apply_rotation(s, r)
+        assert signed_permutation_of(cfg, make_rotation(U0, E3, 0.3)) is None
 
     def test_commutes_with_radial_multipliers(self, cfg):
         # random-state commutator oracle
@@ -285,30 +287,23 @@ class TestRotation:
         s = LatticeState(cfg, psi)
         r = make_rotation(U0, E1, math.pi / 2)
         f = np.exp(-cfg.omega)  # a |k|-dependent multiplier
-        lhs = apply_rotation(LatticeState(cfg, s.psi * f), r).psi
-        rhs = apply_rotation(s, r).psi * f
+        lhs = apply_boost(LatticeState(cfg, s.psi * f), r).psi
+        rhs = apply_boost(s, r).psi * f
         assert np.max(np.abs(lhs - rhs)) <= 1e-12
 
-    def test_permutation_cache_is_value_keyed(self):
-        # a dead N=8 config's id may be reused by a new N=16 config; nothing
-        # of the N=8 rotation may be handed to the new lattice.  Dropping
-        # the config frees it at once (it is in no reference cycle), and
-        # CPython usually gives its memory, and so its id, to the next one.
+    def test_quarter_turn_on_fresh_lattice_matches_label_gather(self):
         r = make_rotation(U0, E3, math.pi / 2)
-        small = ModelConfig(N=8)
-        apply_rotation(white_state(small, 1), r)
-        del small
         big = ModelConfig(N=16)
         s = white_state(big, 2)
-        out = apply_rotation(s, r)
-        # reference: out[k] = psi[R^T k] on signed labels, modulo N
         r3 = signed_permutation_of(big, r)
+        out = _apply_perm(s.psi, r3)
+        # reference: out[k] = psi[R^T k] on signed labels, modulo N
         labels = np.stack(
             np.meshgrid(*(big.signed_index,) * 3, indexing="ij"), axis=-1
         )
         src = np.mod(labels @ r3, big.N)
         expected = s.psi[src[..., 0], src[..., 1], src[..., 2]]
-        assert np.array_equal(out.psi, expected)
+        assert np.array_equal(out, expected)
 
     def test_strided_copy_matches_label_gather(self, cfg):
         # out[k] = psi[R^T k] on signed labels, modulo N, byte for byte
@@ -339,7 +334,7 @@ class TestRotation:
         from minkabs.groups import frame_map
 
         flip = frame_map(U0, cfg.basis, np.diag([-1.0, 1.0, 1.0]))
-        out = apply_rotation(apply_rotation(s, flip), flip)
+        out = apply_boost(apply_boost(s, flip), flip)
         assert np.max(np.abs(out.psi - s.psi)) == 0.0
 
 
@@ -488,7 +483,7 @@ class TestActionWrappers:
         assert len(symmetries) == 47
         for L in symmetries:
             out, report = apply_boost(s, L, return_report=True)
-            assert np.array_equal(out.psi, apply_rotation(s, L).psi)
+            assert np.array_equal(out.psi, _apply_perm(s.psi, signed_permutation_of(cfg, L)))
             assert report.norm_drift == 0.0
             assert report.rapidity == 0.0
 
@@ -505,9 +500,7 @@ class TestActionWrappers:
         assert report.rapidity == rapidity_of(cfg, L)
 
     def test_rotation_rejects_velocity_change(self, cfg):
-        s = make_gaussian(cfg, width=seconds(1.0))
-        with pytest.raises(GeometryError, match="does not permute the lattice"):
-            apply_rotation(s, make_boost(U0, boosted(0.2)))
+        assert signed_permutation_of(cfg, make_boost(U0, boosted(0.2))) is None
 
 
 class TestPreparedAction:
