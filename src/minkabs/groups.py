@@ -360,7 +360,8 @@ class Region:
     instant's direction space, kept also as the ``(3, 4)`` stack ``axes``.
     ``boxes`` is the given list with the empty boxes dropped; boxes may
     overlap, and every consumer reads the region as the union (a
-    rasterization ORs one mask per box).
+    rasterization ORs one mask per box).  A bound that is not finite
+    raises ``GeometryError``.
     """
 
     __slots__ = ("instant", "basis", "axes", "anchor", "boxes")
@@ -390,6 +391,8 @@ class Region:
         for lo, hi in boxes:
             lo = np.asarray(lo, dtype=float).reshape(3)
             hi = np.asarray(hi, dtype=float).reshape(3)
+            if not (np.isfinite(lo).all() and np.isfinite(hi).all()):
+                raise GeometryError("region box bounds must be finite")
             if not np.any(hi <= lo):
                 self.boxes.append((lo, hi))
 

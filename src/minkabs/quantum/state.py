@@ -138,8 +138,20 @@ def _to_momentum(arr: np.ndarray, overwrite_x: bool = False) -> np.ndarray:
 def _translation_phase(cfg: ModelConfig, v: SpacetimeVector) -> np.ndarray:
     dt, spatial = _split(cfg.observer._c, v._c)
     d = _product(cfg.axes, spatial)
-    k1, k2, k3 = axis_views(cfg.k1d)
-    return np.exp(-1j * (cfg.omega * dt + k1 * d[0] + k2 * d[1] + k3 * d[2]))
+    # exp(-1j * (omega dt + k1 d0 + k2 d1 + k3 d2)) in one complex buffer: the
+    # angle is summed in its real part in that order, one first-axis plane at
+    # a time, because a broadcast add over the whole field takes a ufunc
+    # buffer of up to 8192 values
+    phase = np.zeros(cfg.omega.shape, complex)
+    angle = phase.real
+    np.multiply(cfg.omega, dt, out=angle)
+    kd1, kd2, kd3 = (cfg.k1d * x for x in d)
+    for plane, kd in zip(angle, kd1):
+        plane += kd
+        plane += kd2[:, None]
+        plane += kd3
+    np.multiply(phase, -1j, out=phase)
+    return np.exp(phase, out=phase)
 
 
 def signed_permutation_of(cfg: ModelConfig, L: LorentzMap) -> np.ndarray | None:

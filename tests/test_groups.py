@@ -379,6 +379,18 @@ class TestPoincareApply:
         assert got == sorted(want)
 
 
+class TestRegions:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("side", [0, 1])
+    def test_non_finite_bound_refused(self, bad, side):
+        # a NaN bound passes every ordering test, so it would rasterize to
+        # no cell without an error
+        box = [[0.0, 0.0, 0.0], [1.0, 1.0, 1.0]]
+        box[side][1] = bad
+        with pytest.raises(GeometryError, match="finite"):
+            Region(Instant(U0, ORIGIN), [tuple(box)])
+
+
 class TestCausalGrowth:
     def test_zero_interval_returns_region(self):
         t0 = Instant(U0, ORIGIN)

@@ -1,13 +1,19 @@
 """Localization projections and position-family statistics."""
 
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import minkabs
+import minkabs.quantum.pvm as pvm
 from minkabs.geometry import (
     GeometryError,
     Instant,
@@ -38,6 +44,7 @@ from minkabs.quantum import (
     represent,
 )
 from minkabs.quantum.pvm import (
+    _box_of,
     _conjugate_mask,
     _projection,
     position_multipliers,
@@ -391,6 +398,72 @@ class TestConjugateMask:
         assert batch.tobytes() == before
 
 
+class TestBoxPruning:
+    # a box mask (exactly the outer product of its per-axis rows) is applied
+    # by pruned line transforms; it must agree with the full transforms
+    @staticmethod
+    def box(n, rows):
+        mask = np.zeros((n,) * 3, dtype=bool)
+        mask[np.ix_(*rows)] = True
+        return mask
+
+    @staticmethod
+    def random_rows(rng, n):
+        kind = rng.integers(3)
+        if kind == 0:  # a run of cells, wrapping the torus when it passes n - 1
+            return (rng.integers(n) + np.arange(rng.integers(1, n))) % n
+        if kind == 1:  # full width
+            return np.arange(n)
+        return rng.choice(n, size=rng.integers(1, n), replace=False)  # any row set
+
+    @pytest.mark.parametrize("n", [16, 32])
+    @pytest.mark.parametrize("batched", [False, True])
+    def test_random_boxes_match_full_transforms(self, n, batched):
+        cfg = ModelConfig(N=n)
+        rng = np.random.default_rng((n, batched))
+        states = np.stack([random_state(cfg, seed).psi for seed in (1, 2, 3)])
+        if not batched:
+            states = states[0]
+        wrapped = (np.arange(n - 3, n + 4) % n, np.arange(n), np.arange(2, 5))
+        masks = [self.box(n, wrapped), np.zeros((n,) * 3, dtype=bool)]
+        masks += [self.box(n, [self.random_rows(rng, n) for _ in range(3)]) for _ in range(12)]
+        for mask in masks:
+            assert _box_of(mask) is not None
+            ref = _to_momentum(_to_position(states) * mask)
+            got = _conjugate_mask(cfg, states, [], mask)
+            assert got.shape == states.shape
+            assert np.max(np.abs(got - ref)) <= 1e-15
+
+    @pytest.mark.parametrize("kind", ["box", "two-boxes", "turned-frame", "multiplier-stack"])
+    def test_only_box_masks_are_pruned(self, cfg, kind, monkeypatch):
+        calls = []
+
+        def counting(arr, overwrite_x=False):
+            calls.append(arr.shape)
+            return _to_position(arr, overwrite_x=overwrite_x)
+
+        monkeypatch.setattr(pvm, "_to_position", counting)
+        states = np.stack([random_state(cfg, seed).psi for seed in (3, 4)])
+        box = cell_box(cfg, (-2, -2, -1), (2, 1, 1))
+        if kind == "multiplier-stack":
+            states, mask = states[:, None], position_multipliers(cfg, cfg.origin)
+        elif kind == "turned-frame":
+            turn = make_rotation(cfg.observer, cfg.basis[2], 0.5)
+            reg = PoincareMap.from_homogeneous(turn, cfg.origin).transform_region(
+                Region(cfg.instant, [box])
+            )
+            mask = rasterize(cfg, reg)
+        else:
+            boxes = [box] if kind == "box" else [box, cell_box(cfg, (4, 3, 3), (5, 4, 4))]
+            mask = rasterize(cfg, Region(cfg.instant, boxes))
+        ref = _to_momentum(_to_position(states) * mask)
+        calls.clear()
+        got = _conjugate_mask(cfg, states, [], mask)
+        assert (_box_of(mask) is None) == (kind != "box")
+        assert len(calls) == (0 if kind == "box" else 1)
+        assert np.max(np.abs(got - ref)) <= 1e-15
+
+
 class TestPreparedProjection:
     # a projection is the (chain, mask) that _conjugate_mask applies: it must
     # act like the one-shot definition (carry back, mask, carry forward) and
@@ -426,3 +499,31 @@ class TestPreparedProjection:
         first = _conjugate_mask(cfg, batch, chain, mask)
         assert np.array_equal(first, _conjugate_mask(cfg, batch, chain, mask))
         assert (mask.tobytes(), batch.tobytes()) == before
+
+
+@pytest.mark.skipif(
+    (os.cpu_count() or 1) < 2, reason="needs 2 CPUs: OpenBLAS runs one thread per CPU"
+)
+def test_localization_probability_does_not_depend_on_blas_threads():
+    # a 12^3-cell box at N=32, where BLAS splits a dot product over its threads
+    script = (
+        "import numpy as np\n"
+        "from minkabs.quantum import LatticeState, ModelConfig, PvmHandle\n"
+        "from minkabs.quantum import localization_probability\n"
+        "from minkabs.quantum import verify as V\n"
+        "cfg = ModelConfig(N=32)\n"
+        "psi = V.random_states(cfg, np.random.default_rng(0), 1)[0]\n"
+        "region = V.cell_region(cfg, (-6, -6, -6), (5, 5, 5))\n"
+        "state = LatticeState(cfg, psi)\n"
+        "print(repr(localization_probability(PvmHandle(cfg.instant), region, state)))\n"
+    )
+    src = Path(minkabs.__file__).resolve().parent.parent
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS=threads)
+        proc = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(proc.stdout)
+    assert outputs[0] == outputs[1]

@@ -254,6 +254,24 @@ class TestTranslation:
         two = translate(translate(s, a), b)
         assert np.max(np.abs(one.psi - two.psi)) <= 1e-12
 
+    @pytest.mark.parametrize("n", [16, 32])
+    def test_phase_in_one_buffer_matches_expression(self, n):
+        # the phase summed in place, plane by plane, is the broadcast
+        # expression byte for byte
+        from minkabs.geometry import _product, _split
+        from minkabs.quantum.config import axis_views
+        from minkabs.quantum.state import _translation_phase
+
+        cfg = ModelConfig(N=n)
+        rng = np.random.default_rng(n)
+        k1, k2, k3 = axis_views(cfg.k1d)
+        for _ in range(20):
+            v = vector(*rng.normal(0.0, 2.0, 4))
+            dt, spatial = _split(cfg.observer._c, v._c)
+            d = _product(cfg.axes, spatial)
+            expected = np.exp(-1j * (cfg.omega * dt + k1 * d[0] + k2 * d[1] + k3 * d[2]))
+            assert _translation_phase(cfg, v).tobytes() == expected.tobytes()
+
 
 class TestRotation:
     def test_identity(self, cfg):

@@ -16,7 +16,6 @@ from minkabs.groups import PoincareMap, Region, make_boost, make_rotation
 from minkabs.quantum import LatticeState, ModelConfig, PvmHandle, rapidity_of
 import minkabs.quantum.pvm as pvm
 import minkabs.quantum.verify as V
-from minkabs.quantum.state import _to_momentum
 
 U0 = normalize_velocity(vector(1, 0, 0, 0))
 
@@ -66,13 +65,19 @@ class TestStabilizerCovariance:
         assert [r.residual for r in results] == expected
 
     def test_suite_transforms_each_carried_mask_once(self, cfg, monkeypatch):
+        # the suite's masks are boxes, so they take the pruned back transform;
+        # both back-transform seams are counted
         calls = []
 
-        def counting(arr, overwrite_x=False):
-            calls.append(arr.shape)
-            return _to_momentum(arr, overwrite_x=overwrite_x)
+        def counting(transform):
+            def counted(arr, *args, **kwargs):
+                calls.append(arr.shape)
+                return transform(arr, *args, **kwargs)
 
-        monkeypatch.setattr(pvm, "_to_momentum", counting)
+            return counted
+
+        for name in ("_to_momentum", "_box_to_momentum"):
+            monkeypatch.setattr(pvm, name, counting(getattr(pvm, name)))
         monkeypatch.setenv("MINKABS_THREADS", "1")
         V.run_stabilizer_suite(cfg, n_states=8, seed=3, translations=2)
         region = V.cell_region(cfg, (-2, -1, -2), (2, 1, 1))
