@@ -317,11 +317,10 @@ def _parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, help="override the seed")
         p.add_argument("--lattice", type=int, help="override lattice points per axis")
         p.add_argument(
-            "--csv", action="store_true", help="sweep table as CSV (demo-causality only)"
-        )
-        p.add_argument(
             "--timings", action="store_true", help="include wall-clock timings"
         )
+        if name == "demo-causality":
+            p.add_argument("--csv", action="store_true", help="sweep table as CSV")
     return parser
 
 
@@ -330,8 +329,6 @@ def main(argv=None) -> int:
     overrides = {"seed": args.seed, "N": args.lattice}
     try:
         config = load_config(args.config, overrides)
-        if args.csv and args.command != "demo-causality":
-            raise ConfigError("--csv applies to demo-causality only")
         if args.command == "verify-geometry":
             report = cmd_verify_geometry(config)
         elif args.command == "verify-covariance":
@@ -343,7 +340,7 @@ def main(argv=None) -> int:
         print(f"configuration error: {why}{exc}", file=sys.stderr)
         return 2
 
-    if args.csv:
+    if getattr(args, "csv", False):
         payload = sweep_csv(report.tables["leakage_sweep"])
     else:
         payload = report.to_json(include_timings=args.timings) + "\n"

@@ -156,32 +156,21 @@ def _box_of(mask: np.ndarray):
     """The kept rows of a box mask, in transform order, or ``None``.
 
     A box is a boolean ``(N, N, N)`` field that is exactly the outer product
-    of its per-axis ``any`` projections.  Each entry is ``(axis, runs)``,
-    narrowest axis first: ``runs`` lists the maximal runs of kept rows as
-    slices (two for a box that wraps the torus, ``[slice(0, 0)]`` for an
-    empty mask), or is ``None`` on a full-width axis.
+    of its per-axis ``any`` projections.  Each entry is ``(axis, rows)``,
+    narrowest axis first: ``rows`` is the ``np.flatnonzero`` index array of
+    that axis's projection (it may wrap the torus, and is empty for an empty
+    mask), or ``None`` on a full-width axis.
     """
     if mask.dtype != bool or mask.ndim != 3:
         return None
     plane = mask.any(axis=0)  # the contiguous reduction first
     rows = [mask.any(axis=(1, 2)), plane.any(axis=1), plane.any(axis=0)]
-    rows = [np.flatnonzero(r).tolist() for r in rows]
+    rows = [np.flatnonzero(r) for r in rows]
     if np.count_nonzero(mask) != math.prod(map(len, rows)):
         return None
-    box = []
     # narrowest first; of equal widths the innermost, whose lines are contiguous
-    for i in sorted(range(3), key=lambda i: (len(rows[i]), -i)):
-        if len(rows[i]) == mask.shape[i]:
-            box.append((i, None))
-            continue
-        runs = []
-        for j in rows[i]:
-            if runs and runs[-1].stop == j:
-                runs[-1] = slice(runs[-1].start, j + 1)
-            else:
-                runs.append(slice(j, j + 1))
-        box.append((i, runs or [slice(0, 0)]))
-    return box
+    order = sorted(range(3), key=lambda i: (len(rows[i]), -i))
+    return [(i, None if len(rows[i]) == mask.shape[i] else rows[i]) for i in order]
 
 
 def _box_to_position(arr: np.ndarray, box, overwrite_x: bool = False) -> np.ndarray:
@@ -189,14 +178,10 @@ def _box_to_position(arr: np.ndarray, box, overwrite_x: bool = False) -> np.ndar
     ``_box_of``), as one line transform per axis in the box's order, each
     output cut to the box's rows before the next (pruned output)."""
     lead = arr.ndim - 3
-    for axis, runs in box:
-        at = (slice(None),) * (lead + axis)
+    for axis, rows in box:
         arr = scipy.fft.ifft(arr, axis=lead + axis, norm="ortho", overwrite_x=overwrite_x)
-        if runs is not None and len(runs) == 1:
-            arr = arr[(*at, runs[0])]
-        elif runs is not None:
-            # one gather: faster than joining slices along the innermost axis
-            arr = np.take(arr, np.r_[tuple(runs)], axis=lead + axis)
+        if rows is not None:
+            arr = np.take(arr, rows, axis=lead + axis)
         overwrite_x = True  # every later input is this function's own
     return arr
 
@@ -206,17 +191,12 @@ def _box_to_momentum(arr: np.ndarray, box, n: int) -> np.ndarray:
     ``n``-point lattice: per axis in reverse box order, embed the rows in
     zeros and line-transform (pruned input).  ``arr`` may be overwritten."""
     lead = arr.ndim - 3
-    for axis, runs in reversed(box):
-        at = (slice(None),) * (lead + axis)
-        if runs is not None:
+    for axis, rows in reversed(box):
+        if rows is not None:
             shape = list(arr.shape)
             shape[lead + axis] = n
             full = np.zeros(shape, complex)
-            start = 0
-            for s in runs:
-                stop = start + s.stop - s.start
-                full[(*at, s)] = arr[(*at, slice(start, stop))]
-                start = stop
+            full[(slice(None),) * (lead + axis) + (rows,)] = arr
             arr = full
         arr = scipy.fft.fft(arr, axis=lead + axis, norm="ortho", overwrite_x=True)
     return arr
@@ -231,10 +211,11 @@ def _conjugate_mask(cfg: ModelConfig, states: np.ndarray, chain, mask: np.ndarra
     When ``mask`` is a box (``_box_of``: a boolean field equal to the outer
     product of its per-axis rows, as a one-box region along the lattice axes
     rasterizes), M is applied by pruned line transforms that keep only the
-    box's rows (FFT pruning: Markel, IEEE Trans. Audio Electroacoust. 19
-    (1971) 305).  Every other multiplier (float fields, stacks, unions that
-    are not one box, regions on a turned frame) takes the full
-    ``_to_position``/``_to_momentum`` pair."""
+    box's index rows: one ``np.take`` after each forward line transform, one
+    index assignment into zeros before each back one (FFT pruning: Markel,
+    IEEE Trans. Audio Electroacoust. 19 (1971) 305).  Every other multiplier
+    (float fields, stacks, unions that are not one box, regions on a turned
+    frame) takes the full ``_to_position``/``_to_momentum`` pair."""
     arr, _ = _act(cfg, states, _represented(cfg, (P.inverse() for P in reversed(chain))))
     box = _box_of(mask)
     if box is None:

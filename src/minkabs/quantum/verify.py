@@ -288,10 +288,7 @@ def label_change_residual(
     handle = PvmHandle(L.transform_instant(cfg.instant))
     chain, carried = _projection(handle, L.transform_region(region), cfg)
     lhs = _conjugate_mask(cfg, states, [L], rasterize(cfg, region))
-    # one state at a time: the batched transform rounds differently
-    ones = states.reshape(-1, cfg.N, cfg.N, cfg.N)
-    rhs = np.stack([_conjugate_mask(cfg, one, chain, carried) for one in ones])
-    return _batch_max_norm(lhs - rhs.reshape(states.shape))
+    return _batch_max_norm(lhs - _conjugate_mask(cfg, states, chain, carried))
 
 
 def factorization_residual(
@@ -598,14 +595,12 @@ def handle_covariance_residual(
     """Conjugation-vs-carried-labels residual through arbitrary handles."""
     carried_handle = PvmHandle(S.transform_instant(handle.instant))
     carried_region = S.transform_region(region)
-    worst = 0.0
-    for one in states.reshape(-1, cfg.N, cfg.N, cfg.N):
-        back, _ = represent_array(cfg, one, S.inverse())
-        mid = _project_arr(cfg, handle, region, back)
-        lhs, _ = represent_array(cfg, mid, S)
-        rhs = _project_arr(cfg, carried_handle, carried_region, one)
-        worst = max(worst, float(np.linalg.norm(lhs - rhs)))
-    return worst
+    back, _ = represent_array(cfg, states, S.inverse())
+    lhs, _ = represent_array(cfg, _project_arr(cfg, handle, region, back), S)
+    diff = lhs - _project_arr(cfg, carried_handle, carried_region, states)
+    # one norm per state: the batched BLAS reduction rounds differently
+    ones = diff.reshape(-1, cfg.N, cfg.N, cfg.N)
+    return max([0.0] + [float(np.linalg.norm(one)) for one in ones])
 
 
 def _random_lattice_map(cfg: ModelConfig, rng: np.random.Generator) -> PoincareMap:

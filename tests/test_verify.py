@@ -439,6 +439,51 @@ class TestEquivariance:
         assert abs(p1 - p0) <= 1e-2  # boost-tolerance scale at N=32
 
 
+class TestBatchedDrivers:
+    # the drivers transform whole batches: scipy.fft transforms, index
+    # permutations and phases act on each state alone, bit for bit, so each
+    # residual equals the loop over single states it replaced
+    def test_batches_match_single_state_loops(self):
+        from minkabs.quantum.state import represent_array
+
+        def maps(cfg):
+            step = PoincareMap.from_translation(cfg.observer * seconds(0.7))
+            lattice = V._random_lattice_map(cfg, np.random.default_rng(42 + 100))
+            return step, lattice
+
+        cfg = ModelConfig(N=32)
+        states = V.random_states(cfg, np.random.default_rng(1), 3)
+        region = V.cell_region(cfg, (-3, -2, -4), (2, 3, 1))
+        for L in maps(cfg):
+            handle = PvmHandle(L.transform_instant(cfg.instant))
+            moved = L.transform_region(region)
+            chain, carried = pvm._projection(handle, moved, cfg)
+            lhs = pvm._conjugate_mask(cfg, states, [L], V.rasterize(cfg, region))
+            rhs = np.stack([pvm._conjugate_mask(cfg, one, chain, carried) for one in states])
+            want = V._batch_max_norm(lhs - rhs)
+            assert V.label_change_residual(cfg, L, region, states) == want
+
+            later = PvmHandle(L.transform_instant(handle.instant))
+            want = 0.0
+            for one in states:
+                back, _ = represent_array(cfg, one, L.inverse())
+                lhs, _ = represent_array(cfg, pvm._project_raw(handle, moved, back, cfg), L)
+                rhs = pvm._project_raw(later, L.transform_region(moved), one, cfg)
+                want = max(want, float(np.linalg.norm(lhs - rhs)))
+            assert V.handle_covariance_residual(cfg, L, handle, moved, states) == want
+
+        for n in (16, 32):
+            cfg = ModelConfig(N=n)
+            states = V.random_states(cfg, np.random.default_rng(1), 3)
+            mask = V.rasterize(cfg, V.cell_region(cfg, (-3, -2, -4), (2, 3, 1)))
+            # every axis of this box wraps the torus: its rows are not one run
+            assert all(np.any(np.diff(rows) > 1) for _, rows in pvm._box_of(mask))
+            chain = [maps(cfg)[1]]
+            got = pvm._conjugate_mask(cfg, states, chain, mask)
+            ref = np.stack([pvm._conjugate_mask(cfg, one, chain, mask) for one in states])
+            assert np.array_equal(got, ref)
+
+
 class TestMovingLatticeFrame:
     """A lattice drawn on a boosted observer's instant, off the fiducial
     origin: its basis products round, unlike the fiducial frame's, so the
