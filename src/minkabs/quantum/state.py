@@ -2,7 +2,7 @@
 
 Amplitudes live on the periodic momentum lattice of a
 :class:`~minkabs.quantum.config.ModelConfig`; their unitary discrete
-Fourier transform (one ``scipy.fft`` pair, ``_to_position`` and
+Fourier transform (one ``numpy.fft`` pair, ``_to_position`` and
 ``_to_momentum``) gives amplitudes on the dual position lattice of the
 constructing instant (kernel ``exp(+i k.x)``, so a packet built with
 mean momentum ``k`` drifts along ``+k`` under time evolution).
@@ -51,7 +51,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-import scipy.fft
 
 from ..geometry import (
     GeometryError,
@@ -125,14 +124,28 @@ class BoostReport:
 # ---------------------------------------------------------------------------
 
 
-# ``overwrite_x=True`` lets scipy reuse the input's buffer: pass it only
-# for a temporary that nothing else reads.
+def _out(arr: np.ndarray, overwrite_x: bool) -> np.ndarray | None:
+    """The ``out=`` of a transform of ``arr``: ``arr`` itself, transformed in
+    place, when ``overwrite_x`` says nothing else reads it and it is complex;
+    otherwise ``None`` (a new array)."""
+    return arr if overwrite_x and arr.dtype == np.complex128 else None
+
+
+# One line transform per axis into one buffer: ``numpy.fft.ifftn`` would
+# allocate a new array per axis.  Pass ``overwrite_x=True`` only for a
+# temporary that nothing else reads.
 def _to_position(arr: np.ndarray, overwrite_x: bool = False) -> np.ndarray:
-    return scipy.fft.ifftn(arr, axes=(-3, -2, -1), norm="ortho", overwrite_x=overwrite_x)
+    for axis in (-3, -2, -1):
+        arr = np.fft.ifft(arr, axis=axis, norm="ortho", out=_out(arr, overwrite_x))
+        overwrite_x = True
+    return arr
 
 
 def _to_momentum(arr: np.ndarray, overwrite_x: bool = False) -> np.ndarray:
-    return scipy.fft.fftn(arr, axes=(-3, -2, -1), norm="ortho", overwrite_x=overwrite_x)
+    for axis in (-3, -2, -1):
+        arr = np.fft.fft(arr, axis=axis, norm="ortho", out=_out(arr, overwrite_x))
+        overwrite_x = True
+    return arr
 
 
 def _translation_phase(cfg: ModelConfig, v: SpacetimeVector) -> np.ndarray:
@@ -292,7 +305,7 @@ def _exact_pullback(arr: np.ndarray, plan: _PullbackPlan) -> np.ndarray:
     """Trigonometric interpolant at labels that leave the lattice along
     one axis only: a 1-D transform along that axis, then a Horner sum in
     ``z`` over the signed positions."""
-    # numpy.fft, not scipy.fft: scipy rounds differently and moves the pinned kernel error
+    # the pinned kernel error holds for numpy.fft's rounding (scipy's FFT moves it)
     part = np.fft.ifft(arr, axis=plan.axis, norm="ortho")
     coef = np.fft.fftshift(np.moveaxis(part, plan.axis, 0), axes=0)
     z = plan.nodes

@@ -434,6 +434,25 @@ class TestBoxPruning:
             assert got.shape == states.shape
             assert np.max(np.abs(got - ref)) <= 1e-15
 
+    @pytest.mark.parametrize("n", [16, 32])
+    def test_batches_transform_bit_for_bit(self, n):
+        # numpy.fft transforms each line alone, in any memory layout: a batch
+        # equals its stacked single states exactly (the batched drivers and
+        # the stabilizer suite rely on it)
+        cfg = ModelConfig(N=n)
+        states = np.stack([random_state(cfg, seed).psi for seed in (5, 6, 7)])
+        for transform in (_to_position, _to_momentum):
+            assert np.array_equal(transform(states), np.stack([transform(s) for s in states]))
+        wrapped = np.arange(n - 3, n + 4) % n
+        rows = [(wrapped, np.arange(n), np.arange(2, 5)), (np.arange(2), wrapped, np.arange(5))]
+        for mask in (self.box(n, r) for r in rows):
+            box = _box_of(mask)
+
+            def pruned(arr):
+                return pvm._box_to_momentum(pvm._box_to_position(arr, box), box, n)
+
+            assert np.array_equal(pruned(states), np.stack([pruned(s) for s in states]))
+
     @pytest.mark.parametrize("kind", ["box", "two-boxes", "turned-frame", "multiplier-stack"])
     def test_only_box_masks_are_pruned(self, cfg, kind, monkeypatch):
         calls = []

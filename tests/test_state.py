@@ -602,6 +602,31 @@ def test_hypothesis_exact_path_unitarity(cfg):
     run()
 
 
+def test_light_commands_load_no_scipy():
+    # a fresh interpreter: every transform is numpy.fft, and scipy (whose FFT
+    # import pulls in scipy.special) loads only for an off-axis boost
+    script = """
+import contextlib
+import io
+import sys
+import minkabs
+import minkabs.cli as cli
+import minkabs.quantum
+
+with contextlib.redirect_stdout(io.StringIO()):
+    assert cli.main(["verify-geometry"]) == 0
+    assert cli.main(["demo-causality", "--lattice", "32"]) == 0
+loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+assert not loaded, loaded
+"""
+    src = Path(minkabs.__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_cli_import_leaves_ndimage_to_off_axis_boosts():
     # a fresh interpreter: the spline path imports scipy.ndimage itself
     script = """

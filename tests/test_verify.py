@@ -348,9 +348,15 @@ class TestCommutators:
         reg_b = V.cell_region(cfg32, (2, -2, -2), (5, 1, 1))
         assert V.commutator_witness(cfg32, region_a=reg_a, region_b=reg_b) == 0.0
 
-    def test_identical_region_commutes(self, cfg32):
-        reg = V.cell_region(cfg32, (-2, -2, -2), (1, 1, 1))
-        assert V.commutator_witness(cfg32, region_a=reg, region_b=reg) == 0.0
+    @pytest.mark.parametrize("n", [8, 16, 32, 64])
+    def test_identical_region_commutes(self, n):
+        # exactly 0: the overlap kernel's 1/n per axis is exact for a power-of-two N,
+        # so K[0] is 1.0 and sigma * sqrt(1 - sigma^2) has no rounding to blow up
+        cfg = ModelConfig(N=n)
+        # at N=8 a smaller box keeps |a| * |b| <= N^3
+        lo, hi = ((-1, -1, -1), (1, 1, 0)) if n == 8 else ((-2, -2, -2), (1, 1, 1))
+        reg = V.cell_region(cfg, lo, hi)
+        assert V.commutator_witness(cfg, region_a=reg, region_b=reg) == 0.0
 
     def test_region_with_no_cell_gives_zero(self, cfg32):
         a = cfg32.spacing.value
@@ -440,7 +446,7 @@ class TestEquivariance:
 
 
 class TestBatchedDrivers:
-    # the drivers transform whole batches: scipy.fft transforms, index
+    # the drivers transform whole batches: numpy.fft transforms, index
     # permutations and phases act on each state alone, bit for bit, so each
     # residual equals the loop over single states it replaced
     def test_batches_match_single_state_loops(self):
