@@ -12,47 +12,14 @@ Layers:
   behavior;
 * :mod:`minkabs.cli` -- verification suites and experiment sweeps with
   machine-readable reports.
+
+The package root re-exports the ``__all__`` of ``geometry`` and ``groups``.
 """
 
-from .geometry import (
-    CausalClass,
-    DimensionMismatchError,
-    GeometryError,
-    Instant,
-    MeasureScalar,
-    SpacePoint,
-    SpacetimePoint,
-    SpacetimeVector,
-    Velocity,
-    causal_class,
-    fiducial_frame,
-    fiducial_origin,
-    instant_subtract,
-    is_future_directed,
-    lorentz_product,
-    normalize_velocity,
-    point,
-    seconds,
-    space_part,
-    space_subtract,
-    spatial_basis_for,
-    time_part,
-    vector,
-)
-from .groups import (
-    LorentzMap,
-    PoincareMap,
-    Region,
-    grow_region_causally,
-    in_O_u,
-    is_lorentz,
-    is_orthochronous,
-    is_proper,
-    lattice_point_group,
-    make_boost,
-    make_rotation,
-    stabilizes_instant,
-    time_inversion,
-)
+from . import geometry, groups
+from .geometry import *  # noqa: F403
+from .groups import *  # noqa: F403
+
+__all__ = geometry.__all__ + groups.__all__
 
 __version__ = "0.1.0"

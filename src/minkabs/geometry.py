@@ -20,7 +20,6 @@ Conventions baked into the internal frame:
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -39,11 +38,9 @@ __all__ = [
     "SpacePoint",
     "vector",
     "point",
-    "fiducial_frame",
     "fiducial_origin",
     "lorentz_product",
     "causal_class",
-    "is_future_directed",
     "normalize_velocity",
     "time_part",
     "space_part",
@@ -78,9 +75,8 @@ class MeasureScalar:
 
     ``dim=0`` is a pure number, ``dim=1`` seconds, ``dim=2`` seconds
     squared, ``dim=-1`` inverse seconds, and so on.  Addition and
-    subtraction require equal ``dim``; multiplication and division add
-    and subtract the exponents; ``sqrt`` requires an even exponent and a
-    non-negative value.
+    subtraction require equal ``dim``; multiplication adds the
+    exponents, and a number scales the value alone.
     """
 
     value: float
@@ -120,49 +116,6 @@ class MeasureScalar:
         return NotImplemented
 
     __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        if isinstance(other, MeasureScalar):
-            return MeasureScalar(self.value / other.value, self.dim - other.dim)
-        if isinstance(other, (int, float)):
-            return MeasureScalar(self.value / other, self.dim)
-        return NotImplemented
-
-    def __neg__(self) -> "MeasureScalar":
-        return MeasureScalar(-self.value, self.dim)
-
-    def __abs__(self) -> "MeasureScalar":
-        return MeasureScalar(abs(self.value), self.dim)
-
-    def sqrt(self) -> "MeasureScalar":
-        if self.dim % 2 != 0:
-            raise DimensionMismatchError(
-                f"sqrt of sec^{self.dim} is not an integer power"
-            )
-        if self.value < 0.0:
-            raise GeometryError("sqrt of a negative measure value")
-        return MeasureScalar(math.sqrt(self.value), self.dim // 2)
-
-    def _cmp_key(self, other: "MeasureScalar") -> float:
-        self._require_same_dim(other, "compare")
-        return other.value
-
-    def __lt__(self, other: "MeasureScalar") -> bool:
-        return self.value < self._cmp_key(other)
-
-    def __le__(self, other: "MeasureScalar") -> bool:
-        return self.value <= self._cmp_key(other)
-
-    def __gt__(self, other: "MeasureScalar") -> bool:
-        return self.value > self._cmp_key(other)
-
-    def __ge__(self, other: "MeasureScalar") -> bool:
-        return self.value >= self._cmp_key(other)
-
-    def approx_eq(self, other: "MeasureScalar", rel: float = _REL_TOL) -> bool:
-        self._require_same_dim(other, "compare")
-        scale = max(1.0, abs(self.value), abs(other.value))
-        return abs(self.value - other.value) <= rel * scale
 
     def __repr__(self) -> str:
         if self.dim == 0:
@@ -241,14 +194,6 @@ class SpacetimeVector(_Components):
 
     __rmul__ = __mul__
 
-    def __truediv__(self, scalar):
-        if isinstance(scalar, (int, float)):
-            return SpacetimeVector(self._c / scalar)
-        return NotImplemented
-
-    def __neg__(self) -> "SpacetimeVector":
-        return SpacetimeVector(-self._c)
-
     def coordinates_in_basis(
         self, basis: Sequence["SpacetimeVector"]
     ) -> tuple[float, ...]:
@@ -302,16 +247,6 @@ def point(t: float, x: float, y: float, z: float) -> SpacetimePoint:
     return SpacetimePoint((t, x, y, z))
 
 
-def fiducial_frame() -> tuple[SpacetimeVector, SpacetimeVector, SpacetimeVector, SpacetimeVector]:
-    """The hidden orthonormal frame, exposed for explicit basis queries."""
-    return (
-        vector(1.0, 0.0, 0.0, 0.0),
-        vector(0.0, 1.0, 0.0, 0.0),
-        vector(0.0, 0.0, 1.0, 0.0),
-        vector(0.0, 0.0, 0.0, 1.0),
-    )
-
-
 def fiducial_origin() -> SpacetimePoint:
     return point(0.0, 0.0, 0.0, 0.0)
 
@@ -354,18 +289,6 @@ def causal_class(x: SpacetimeVector, rel: float = _REL_TOL) -> CausalClass:
     return CausalClass.TIMELIKE if s < 0.0 else CausalClass.SPACELIKE
 
 
-def is_future_directed(x: SpacetimeVector) -> bool:
-    """Whether a causal vector points to the future of the arrow orientation.
-
-    Raises :class:`GeometryError` for spacelike or zero input: the arrow
-    orientation only sorts timelike and lightlike vectors.
-    """
-    cls = causal_class(x)
-    if cls not in (CausalClass.TIMELIKE, CausalClass.LIGHTLIKE):
-        raise GeometryError(f"not causal: {cls.value} vector has no time arrow")
-    return bool(_product(x._c, _FUTURE) < 0.0)
-
-
 class Velocity:
     """A future-directed unit timelike direction (dimensionless components).
 
@@ -397,10 +320,7 @@ class Velocity:
         return SpacetimeVector(self._c)
 
     def approx_eq(self, other: "Velocity", rel: float = _REL_TOL) -> bool:
-        return bool(np.max(np.abs(self._c - other._c)) <= rel)
-
-    def coordinates_in_basis(self, basis) -> tuple[float, ...]:
-        return SpacetimeVector(self._c).coordinates_in_basis(basis)
+        return bool((abs(self._c - other._c) <= rel).all())
 
     def __repr__(self) -> str:
         return f"Velocity({tuple(self._c)!r})"

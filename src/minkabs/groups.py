@@ -235,13 +235,6 @@ def _signed_perm(perm, signs) -> np.ndarray:
     return m
 
 
-_SIGNED_PERMS = tuple(
-    _signed_perm(perm, signs)
-    for perm in itertools.permutations(range(3))
-    for signs in itertools.product((1.0, -1.0), repeat=3)
-)
-
-
 def lattice_point_group(
     u: Velocity, basis: Sequence[SpacetimeVector] | None = None
 ) -> list[LorentzMap]:
@@ -253,7 +246,11 @@ def lattice_point_group(
     """
     if basis is None:
         basis = spatial_basis_for(u)
-    return [frame_map(u, basis, s) for s in _SIGNED_PERMS]
+    return [
+        frame_map(u, basis, _signed_perm(perm, signs))
+        for perm in itertools.permutations(range(3))
+        for signs in itertools.product((1.0, -1.0), repeat=3)
+    ]
 
 
 # ---------------------------------------------------------------------------

@@ -1,43 +1,11 @@
-"""Lattice realization of the scalar particle and its localization."""
+"""Lattice realization of the scalar particle and its localization.
 
-from .config import ModelConfig
-from .state import (
-    BoostReport,
-    LatticeState,
-    apply_boost,
-    make_gaussian,
-    rapidity_of,
-    represent,
-    signed_permutation_of,
-)
-from .pvm import (
-    NwComponentStats,
-    NwPosition,
-    PvmHandle,
-    canonical_map,
-    localization_probability,
-    nw_component_stats,
-    position_multipliers,
-    pvm_project,
-    rasterize,
-)
+Re-exports the ``__all__`` of ``config``, ``state`` and ``pvm``.
+"""
 
-__all__ = [
-    "ModelConfig",
-    "LatticeState",
-    "BoostReport",
-    "make_gaussian",
-    "apply_boost",
-    "represent",
-    "rapidity_of",
-    "signed_permutation_of",
-    "PvmHandle",
-    "NwPosition",
-    "NwComponentStats",
-    "rasterize",
-    "canonical_map",
-    "pvm_project",
-    "localization_probability",
-    "position_multipliers",
-    "nw_component_stats",
-]
+from . import config, pvm, state
+from .config import *  # noqa: F403
+from .state import *  # noqa: F403
+from .pvm import *  # noqa: F403
+
+__all__ = config.__all__ + state.__all__ + pvm.__all__

@@ -40,13 +40,15 @@ class ModelConfig:
     Parameters
     ----------
     N:
-        Lattice points per axis; a power of two, at least 8.
+        Lattice points per axis; a power of two, at least 8 (a float
+        must be integral).
     spacing:
-        Lattice spacing in seconds (dim 1).
+        Lattice spacing in seconds (dim 1), positive and finite.
     mass:
-        Particle mass in inverse seconds (dim -1).  The momentum cutoff
-        ``pi/spacing`` must be at least eight masses so wave packets stay
-        band limited, and its square must not underflow a float.
+        Particle mass in inverse seconds (dim -1), positive and finite.
+        The momentum cutoff ``pi/spacing`` must be at least eight masses
+        so wave packets stay band limited, and its square must not
+        underflow a float.
     instant, origin:
         The instant carrying the spatial lattice (its observer is the
         constructing observer) and the lattice origin event, which must
@@ -62,16 +64,19 @@ class ModelConfig:
         instant: Instant | None = None,
         origin: SpacetimePoint | None = None,
     ):
+        if not float(N).is_integer():
+            raise GeometryError("lattice size must be an integer")
+        N = int(N)
         if N < 8 or (N & (N - 1)) != 0:
             raise GeometryError("lattice size must be a power of two, at least 8")
         if not isinstance(spacing, MeasureScalar) or spacing.dim != 1:
             raise GeometryError("spacing must carry sec^1")
-        if spacing.value <= 0:
-            raise GeometryError("spacing must be positive")
+        if not 0 < spacing.value < math.inf:
+            raise GeometryError("spacing must be positive and finite")
         if not isinstance(mass, MeasureScalar) or mass.dim != -1:
             raise GeometryError("mass must carry sec^-1")
-        if mass.value <= 0:
-            raise GeometryError("mass must be positive")
+        if not 0 < mass.value < math.inf:
+            raise GeometryError("mass must be positive and finite")
         if mass.value**2 < sys.float_info.min:
             raise GeometryError("mass too small: its square underflows a float")
         cutoff = math.pi / spacing.value
@@ -83,7 +88,7 @@ class ModelConfig:
         if not math.isfinite(4.0 * cutoff * cutoff):
             raise GeometryError("spacing too small: lattice energies overflow a float")
 
-        self.N = int(N)
+        self.N = N
         self.spacing = spacing
         self.mass = mass
         if origin is None:

@@ -68,6 +68,7 @@ __all__ = [
     "BoostReport",
     "make_gaussian",
     "apply_boost",
+    "represent",
     "signed_permutation_of",
     "rapidity_of",
 ]

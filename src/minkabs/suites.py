@@ -17,12 +17,17 @@ from .geometry import (
     DimensionMismatchError,
     Instant,
     MeasureScalar,
+    SpacePoint,
     Velocity,
     causal_class,
     fiducial_origin,
+    instant_subtract,
     lorentz_product,
     normalize_velocity,
+    point,
     seconds,
+    space_part,
+    space_subtract,
     vector,
 )
 from .geometry import _check_velocity, _normalize, _product, _split  # stack kernel
@@ -33,7 +38,9 @@ from .groups import (
     Region,
     grow_region_causally,
     in_O_u,
+    is_lorentz,
     is_orthochronous,
+    is_proper,
     make_boost,  # noqa: F401  bound here for the benchmark tracer
     make_rotation,
     stabilizes_instant,
@@ -269,5 +276,36 @@ def run_geometry_suite(seed: int = 42) -> list[CheckResult]:
     lo0, hi0 = same.boxes[0]
     worst = max(worst, float(np.max(np.abs(lo0))), float(np.max(np.abs(hi0 - 1.0))))
     results.append(CheckResult.make("causal-growth-unit-speed", worst, 1e-10, 0, t0, samples=2))
+
+    # an observer's time and space, carried by Poincare maps, keep their differences
+    t0 = time.perf_counter()
+    draws, chi, d, samples = [], np.empty(20), np.empty((20, 3)), []
+    for i in range(20):
+        draws.append(_draw_map(rng))
+        shift = vector(*rng.uniform(-3, 3, 4))
+        chi[i], d[i] = rng.uniform(0, 1.5), rng.normal(size=3)  # as _random_velocity
+        # two anchors, a move of each within its instant, a slide of each along u
+        anchors, moves = rng.uniform(-5, 5, (2, 4)), rng.uniform(-3, 3, (2, 4))
+        samples.append((shift, anchors, moves, rng.uniform(-3, 3, 2)))
+    worst = 0.0
+    for m, c, (shift, anchors, moves, slides) in zip(_maps(draws), _velocities(chi, d), samples):
+        P, u = PoincareMap(LorentzMap(m, check=False), shift), Velocity(c)
+        a = [point(*x) for x in anchors]
+        moved = [Instant(u, p + space_part(u, vector(*w))) for p, w in zip(a, moves)]
+        t1, t2 = map(P.transform_instant, moved)
+        d0 = instant_subtract(Instant(u, a[0]), Instant(u, a[1])).value
+        worst = max(worst, abs(instant_subtract(t1, t2).value - d0) / max(1.0, abs(d0)))
+        u2 = t1.observer
+        carried = [SpacePoint(u2, P(p + u * seconds(s))) for p, s in zip(a, slides)]
+        diff = space_subtract(SpacePoint(u, a[0]), SpacePoint(u, a[1]))
+        r = space_subtract(*carried) - P.linear(diff)
+        size = max(1.0, lorentz_product(diff, diff).value) ** 0.5
+        worst = max(worst, abs(lorentz_product(r, r).value) ** 0.5 / size)
+        line = SpacePoint(u2, P(a[0]) + u2 * seconds(slides[0]))
+        if carried[0] != line or not (is_lorentz(P.linear) and is_proper(P.linear)):
+            worst = max(worst, 1.0)
+    results.append(
+        CheckResult.make("observer-time-space-covariance", worst, 1e-10, 0, t0, samples=20)
+    )
 
     return results

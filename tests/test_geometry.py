@@ -16,10 +16,8 @@ from minkabs.geometry import (
     SpacePoint,
     SpacetimeVector,
     causal_class,
-    fiducial_frame,
     fiducial_origin,
     instant_subtract,
-    is_future_directed,
     lorentz_product,
     normalize_velocity,
     point,
@@ -31,6 +29,9 @@ from minkabs.geometry import (
     vector,
 )
 from minkabs.geometry import _METRIC, _check_velocity, _normalize, _product, _split
+
+# the hidden orthonormal frame, as an explicit basis for coordinate queries
+FRAME = (vector(1, 0, 0, 0), vector(0, 1, 0, 0), vector(0, 0, 1, 0), vector(0, 0, 0, 1))
 
 test_velocities = [
     normalize_velocity(vector(1, 0, 0, 0)),
@@ -74,24 +75,9 @@ class TestMeasureScalar:
         prod = seconds(2) * MeasureScalar(3, -1)
         assert prod.value == 6.0 and prod.dim == 0
 
-    def test_div_subtracts_dims(self):
-        q = MeasureScalar(6, 2) / seconds(3)
-        assert q.value == 2.0 and q.dim == 1
-
-    def test_sqrt_even_dim(self):
-        r = MeasureScalar(9, 2).sqrt()
-        assert r.value == 3.0 and r.dim == 1
-
-    def test_sqrt_odd_dim_is_error(self):
-        with pytest.raises(DimensionMismatchError):
-            seconds(4).sqrt()
-
-    def test_sqrt_negative_is_error(self):
-        with pytest.raises(GeometryError):
-            MeasureScalar(-1, 2).sqrt()
-
     def test_compare_mixed_dim_is_error(self):
-        with pytest.raises(DimensionMismatchError):
+        # a measure has no order, so no comparison coerces its dimension
+        with pytest.raises(TypeError):
             seconds(1) < MeasureScalar(2, 2)
 
     @given(
@@ -181,24 +167,11 @@ class TestCausalClass:
                 CausalClass.LIGHTLIKE,
             )
 
-    def test_future_direction(self):
-        assert is_future_directed(vector(1, 0, 0, 0))
-        assert not is_future_directed(vector(-1, 0, 0, 0))
-        assert is_future_directed(vector(1, 1, 0, 0))
-
-    def test_future_direction_rejects_spacelike(self):
-        with pytest.raises(GeometryError):
-            is_future_directed(vector(0, 1, 0, 0))
-
-    def test_future_direction_rejects_zero(self):
-        with pytest.raises(GeometryError):
-            is_future_directed(vector(0, 0, 0, 0))
-
 
 class TestVelocity:
     def test_pure_rescale(self):
         u = normalize_velocity(vector(2, 0, 0, 0))
-        assert u.coordinates_in_basis(fiducial_frame()) == (1.0, 0.0, 0.0, 0.0)
+        assert (u * 1.0).coordinates_in_basis(FRAME) == (1.0, 0.0, 0.0, 0.0)
 
     def test_rapidity_vector_is_unit(self):
         # hyperbolic identity: cosh^2 - sinh^2 = 1 makes this exactly unit
@@ -235,7 +208,7 @@ class TestSplitting:
     def test_rest_observer_space(self):
         u = test_velocities[0]
         p = space_part(u, vector(5, 1, 2, 3))
-        assert p.coordinates_in_basis(fiducial_frame()) == (0.0, 1.0, 2.0, 3.0)
+        assert p.coordinates_in_basis(FRAME) == (0.0, 1.0, 2.0, 3.0)
 
     def test_parallel_vector_has_no_space_part(self):
         u = test_velocities[1]
@@ -372,7 +345,7 @@ class TestSpacePoints:
         q1 = SpacePoint(u, o + vector(0, 1, 0, 0))
         q2 = SpacePoint(u, o)
         d = space_subtract(q1, q2)
-        assert d.coordinates_in_basis(fiducial_frame()) == (0.0, 1.0, 0.0, 0.0)
+        assert d.coordinates_in_basis(FRAME) == (0.0, 1.0, 0.0, 0.0)
 
     def test_same_world_line(self):
         u = test_velocities[1]
@@ -424,8 +397,7 @@ class TestSpatialBasis:
 
     def test_rest_observer_gets_fiducial_axes(self):
         basis = spatial_basis_for(test_velocities[0])
-        frame = fiducial_frame()
-        for b, e in zip(basis, frame[1:]):
+        for b, e in zip(basis, FRAME[1:]):
             assert b.approx_eq(e, rel=0.0)
 
 
@@ -434,7 +406,7 @@ def test_point_arithmetic():
     p = point(1, 2, 3, 4)
     q = point(0, 1, 1, 1)
     d = p - q
-    assert d.coordinates_in_basis(fiducial_frame()) == (1.0, 1.0, 2.0, 3.0)
+    assert d.coordinates_in_basis(FRAME) == (1.0, 1.0, 2.0, 3.0)
     assert (q + d).approx_eq(p)
 
 

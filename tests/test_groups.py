@@ -9,7 +9,6 @@ from minkabs.geometry import (
     GeometryError,
     Instant,
     SpacetimePoint,
-    fiducial_frame,
     fiducial_origin,
     lorentz_product,
     normalize_velocity,
@@ -36,12 +35,12 @@ from minkabs.groups import _boosts, _checked, _lorentz_rows, _rotations
 
 U0 = normalize_velocity(vector(1, 0, 0, 0))
 U_BOOSTED = normalize_velocity(vector(math.cosh(0.5), math.sinh(0.5), 0, 0))
-E0, E1, E2, E3 = fiducial_frame()
+E0, E1, E2, E3 = FRAME = tuple(vector(*row) for row in np.eye(4))
 ORIGIN = fiducial_origin()
 
 
 def coords(v):
-    return np.array(v.coordinates_in_basis(fiducial_frame()))
+    return np.array(v.coordinates_in_basis(FRAME))
 
 
 def box_corners(region):

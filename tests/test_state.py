@@ -145,6 +145,25 @@ class TestConfig:
         with pytest.raises(GeometryError):
             ModelConfig(N=16, mass=MeasureScalar(1.0, 1))
 
+    @pytest.mark.parametrize(
+        "kwargs, match",
+        [
+            ({"mass": MeasureScalar(math.nan, -1)}, "mass must be positive and finite"),
+            ({"mass": MeasureScalar(math.inf, -1)}, "mass must be positive and finite"),
+            ({"spacing": seconds(math.nan)}, "spacing must be positive and finite"),
+            ({"spacing": seconds(math.inf)}, "spacing must be positive and finite"),
+            ({"N": 32.5}, "lattice size must be an integer"),
+            ({"N": math.nan}, "lattice size must be an integer"),
+        ],
+        ids=["nan-mass", "inf-mass", "nan-spacing", "inf-spacing", "fractional-N", "nan-N"],
+    )
+    def test_non_finite_or_non_integral_refused(self, kwargs, match):
+        with pytest.raises(GeometryError, match=match):
+            ModelConfig(**kwargs)
+
+    def test_integral_float_size_accepted(self):
+        assert ModelConfig(N=32.0).N == 32
+
     def test_default_rapidity_cap_allows_quarter(self):
         c = ModelConfig(N=32)
         assert c.chi_max >= 0.25

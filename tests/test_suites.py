@@ -140,3 +140,52 @@ def test_each_splitting_check_timed_over_its_own_batch(capsys):
     split = [checks[n]["seconds"] for n in ("splitting-reconstruction", "splitting-orthogonality")]
     assert all(s > 0.0 for s in split)
     assert sum(split) <= wall
+
+
+ROWS = [
+    "splitting-reconstruction",
+    "splitting-orthogonality",
+    "product-preservation",
+    "simultaneous-space-positive",
+    "causal-partition",
+    "dimension-safety-error-path",
+    "group-laws",
+    "orientation-characters",
+    "velocity-stabilizers-differ",
+    "instant-stabilizer-isometry",
+    "time-inversion-stabilizes-instant",
+    "causal-growth-unit-speed",
+    "observer-time-space-covariance",
+]
+
+
+@pytest.mark.parametrize("seed", [5, 42])
+def test_observer_time_space_row_is_last_and_passes(seed):
+    checks = suites.run_geometry_suite(seed)
+    assert [c.name for c in checks] == ROWS
+    last = checks[-1]
+    assert last.passed and last.residual < 1e-13
+    assert last.details == {"samples": 20}
+
+
+def _fiducial_interval(t1, t2):
+    # the rest frame's time coordinate difference, blind to the instants' observer
+    return time_part(U0, t1.anchor - t2.anchor)
+
+
+def _anchor_difference(q1, q2):
+    # the anchors' difference, blind to where each sits on its world line
+    return q1.anchor - q2.anchor
+
+
+@pytest.mark.parametrize(
+    "name, coordinate_difference",
+    [("instant_subtract", _fiducial_interval), ("space_subtract", _anchor_difference)],
+)
+def test_observer_time_space_row_sees_a_coordinate_difference(
+    monkeypatch, name, coordinate_difference
+):
+    monkeypatch.setattr(suites, name, coordinate_difference)
+    last = suites.run_geometry_suite(42)[-1]
+    assert last.name == "observer-time-space-covariance"
+    assert not last.passed and last.residual > 1e-3
