@@ -8,7 +8,7 @@ Subcommands::
 
 Configuration is a flat JSON object (all keys optional); command-line
 flags override file values.  ``build_model`` checks the whole config
-before any work starts: finite numbers, non-empty lists, 0.0 in
+before any work starts: finite float values, non-empty lists, 0.0 in
 ``rapidity_sweep``, the bounds of ``MINIMUM`` (seeds >= 0, ``states``
 >= 1), ``delta_t_sweep`` entries > 0 (the zero interval is always its
 own row), the band-limit cap on every rapidity, a ``rapidity`` that
@@ -83,10 +83,11 @@ def load_config(path: str | None, overrides: dict) -> dict:
 
 
 def _is_number(value) -> bool:
+    # not math.isfinite, which raises on an int beyond the float range
     return (
         isinstance(value, (int, float))
         and not isinstance(value, bool)
-        and math.isfinite(value)
+        and abs(value) <= sys.float_info.max
     )
 
 
@@ -99,7 +100,7 @@ def build_model(config: dict) -> ModelConfig:
             raise ConfigError(f"{key} must be a non-empty list")
         values = value if isinstance(default, list) else [value]
         if not all(map(_is_number, values)):
-            raise ConfigError(f"{key} must hold finite numbers")
+            raise ConfigError(f"{key} must hold finite float values")
         kind = default[0] if isinstance(default, list) else default
         if isinstance(kind, int) and not all(float(v).is_integer() for v in values):
             raise ConfigError(f"{key} must hold integers")  # int() would drop the fraction

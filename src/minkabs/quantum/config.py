@@ -64,8 +64,8 @@ class ModelConfig:
         instant: Instant | None = None,
         origin: SpacetimePoint | None = None,
     ):
-        if not float(N).is_integer():
-            raise GeometryError("lattice size must be an integer")
+        if not (abs(N) <= sys.float_info.max and float(N).is_integer()):
+            raise GeometryError("lattice size must be an integer in the float range")
         N = int(N)
         if N < 8 or (N & (N - 1)) != 0:
             raise GeometryError("lattice size must be a power of two, at least 8")

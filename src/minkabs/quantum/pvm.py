@@ -37,7 +37,7 @@ from ..geometry import (
 from ..geometry import _METRIC, _product
 from ..groups import LorentzMap, PoincareMap, Region, make_boost
 from .config import ModelConfig, axis_views
-from .state import LatticeState, _act, _out, _represented, _to_momentum, _to_position
+from .state import LatticeState, _act, _represented, _to_momentum, _to_position
 from .state import represent_array
 
 __all__ = [
@@ -173,73 +173,27 @@ def _box_of(mask: np.ndarray):
     return [(i, None if len(rows[i]) == mask.shape[i] else rows[i]) for i in order]
 
 
-# numpy.fft is slow on short strided lines, so each cut or embed copy below
-# is made through a view with the axis of the next line transform last: the
-# copy's lines along it are contiguous, and it is handed on as a view in
-# lattice order.  The layout moves no value, since each line is transformed
-# alone.
-def _lines_last(arr: np.ndarray, line: int, axis: int) -> tuple[np.ndarray, int]:
-    """``arr`` viewed with lattice axis ``line`` moved last, and the position
-    of lattice axis ``axis`` in that view."""
-    order = [a for a in range(3) if a != line] + [line]
-    return np.moveaxis(arr, line - 3, -1), arr.ndim - 3 + order.index(axis)
-
-
-def _box_to_position(arr: np.ndarray, box, overwrite_x: bool = False) -> np.ndarray:
-    """``_to_position`` followed by the cut to the cells of ``box`` (see
-    ``_box_of``), as one line transform per axis in the box's order, each
-    output cut to the box's rows before the next (pruned output)."""
-    lead = arr.ndim - 3
-    for k, (axis, rows) in enumerate(box):
-        arr = np.fft.ifft(arr, axis=lead + axis, norm="ortho", out=_out(arr, overwrite_x))
-        if rows is not None:
-            line = box[k + 1][0] if k + 1 < len(box) else axis
-            view, at = _lines_last(arr, line, axis)
-            arr = np.moveaxis(view[(slice(None),) * at + (rows,)], -1, line - 3)
-        overwrite_x = True  # every later input is this function's own
-    return arr
-
-
-def _box_to_momentum(arr: np.ndarray, box, n: int) -> np.ndarray:
-    """``_to_momentum`` of the zero extension of the cells of ``box`` to the
-    ``n``-point lattice: per axis in reverse box order, embed the rows in
-    zeros and line-transform (pruned input).  The last embed is laid out in
-    lattice order, so the result is C-contiguous whenever it embeds at all.
-    ``arr`` may be overwritten."""
-    lead = arr.ndim - 3
-    for k, (axis, rows) in enumerate(reversed(box)):
-        if rows is not None:
-            line = axis if k + 1 < len(box) else 2
-            view, at = _lines_last(arr, line, axis)
-            full = np.zeros(view.shape[:at] + (n,) + view.shape[at + 1 :], complex)
-            full[(slice(None),) * at + (rows,)] = view
-            arr = np.moveaxis(full, -1, line - 3)
-        arr = np.fft.fft(arr, axis=lead + axis, norm="ortho", out=_out(arr, True))
-    return arr
-
-
 def _conjugate_mask(cfg: ModelConfig, states: np.ndarray, chain, mask: np.ndarray):
     """U M U^-1 on raw amplitudes: M is the position-space multiplier ``mask``
     (any real field broadcasting against the amplitudes), U represents the
     composite of ``chain`` (first element acts first).  Each map is prepared
     when it is reached, so one phase is alive at a time.
 
-    When ``mask`` is a box (``_box_of``: a boolean field equal to the outer
-    product of its per-axis rows, as a one-box region along the lattice axes
-    rasterizes), M is applied by pruned line transforms that keep only the
-    box's index rows: one cut copy after each forward line transform, one
-    index assignment into zeros before each back one (FFT pruning: Markel,
-    IEEE Trans. Audio Electroacoust. 19 (1971) 305).  Every other multiplier
-    (float fields, stacks, unions that are not one box, regions on a turned
-    frame) takes the full ``_to_position``/``_to_momentum`` pair."""
+    M is one ``_to_position``/``_to_momentum`` pair.  When ``mask`` is a box
+    (``_box_of``: a boolean field equal to the outer product of its per-axis
+    rows, as a one-box region along the lattice axes rasterizes), the pair
+    keeps only the box's index rows: one cut copy after each forward line
+    transform, one index assignment into zeros before each back one (FFT
+    pruning: Markel, IEEE Trans. Audio Electroacoust. 19 (1971) 305), and
+    nothing is multiplied.  Every other multiplier (float fields, stacks,
+    unions that are not one box, regions on a turned frame) multiplies the
+    whole position field."""
     arr, _ = _act(cfg, states, _represented(cfg, (P.inverse() for P in reversed(chain))))
     box = _box_of(mask)
+    arr = _to_position(arr, arr is not states, box)
     if box is None:
-        arr = _to_position(arr, overwrite_x=arr is not states) * mask  # always a new array
-        arr = _to_momentum(arr, overwrite_x=True)
-    else:
-        arr = _box_to_position(arr, box, overwrite_x=arr is not states)
-        arr = _box_to_momentum(arr, box, cfg.N)
+        arr = arr * mask
+    arr = _to_momentum(arr, True, box, cfg.N)
     return _act(cfg, arr, _represented(cfg, chain), overwrite_x=True)[0]
 
 

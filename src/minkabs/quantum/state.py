@@ -2,10 +2,11 @@
 
 Amplitudes live on the periodic momentum lattice of a
 :class:`~minkabs.quantum.config.ModelConfig`; their unitary discrete
-Fourier transform (one ``numpy.fft`` pair, ``_to_position`` and
-``_to_momentum``) gives amplitudes on the dual position lattice of the
-constructing instant (kernel ``exp(+i k.x)``, so a packet built with
-mean momentum ``k`` drifts along ``+k`` under time evolution).
+Fourier transform (``_to_position``/``_to_momentum``: per-axis
+``numpy.fft`` line transforms, pruned to a box of kept rows when given
+one) gives amplitudes on the dual position lattice of the constructing
+instant (kernel ``exp(+i k.x)``, so a packet built with mean momentum
+``k`` drifts along ``+k`` under time evolution).
 
 Two public entry points act on states: ``represent`` applies the
 covariance representation of an affine map, and ``apply_boost`` a
@@ -28,15 +29,16 @@ underneath:
   along a lattice axis) the interpolant is summed exactly: a 1-D
   transform along the moving axis, then a Horner sum.  Every other
   direction uses quintic spline interpolation on a twice-oversampled
-  grid (``scipy.ndimage``, imported on the first such boost).  Neither
-  path is exactly unitary; the norm drift is reported and the result
-  rescaled to the input norm.  The state-independent part of each
-  velocity change (labels, weight, interpolation nodes) is cached per
-  lattice and map, keyed by value.
+  grid, a pruned embed in zeros (``scipy.ndimage``, imported on the
+  first such boost).  Neither path is exactly unitary; the norm drift
+  is reported and the result rescaled to the input norm.  The
+  state-independent part of each velocity change (labels, weight,
+  interpolation nodes) is cached per lattice and map, keyed by value.
 
 Every represented map, and every projection that ``pvm`` defines by
 covariance as ``U M U^-1``, is applied through one loop, ``_act``, over
-a chain of prepared maps (homogeneous part and translation phase).
+the steps one generator, ``_represented``, builds from a chain of maps
+(homogeneous part and translation phase).
 
 Everything here is a pure function of immutable values.
 """
@@ -132,19 +134,56 @@ def _out(arr: np.ndarray, overwrite_x: bool) -> np.ndarray | None:
     return arr if overwrite_x and arr.dtype == np.complex128 else None
 
 
+# numpy.fft is slow on short strided lines, so each cut or embed copy below
+# is made through a view with the axis of the next line transform last: the
+# copy's lines along it are contiguous, and it is handed on as a view in
+# lattice order.  The layout moves no value, since each line is transformed
+# alone.
+def _lines_last(arr: np.ndarray, line: int, axis: int) -> tuple[np.ndarray, int]:
+    """``arr`` viewed with lattice axis ``line`` moved last, and the position
+    of lattice axis ``axis`` in that view."""
+    order = [a for a in range(3) if a != line] + [line]
+    return np.moveaxis(arr, line - 3, -1), arr.ndim - 3 + order.index(axis)
+
+
+_WHOLE = ((0, None), (1, None), (2, None))  # every row, lattice axes in order
+
+
 # One line transform per axis into one buffer: ``numpy.fft.ifftn`` would
 # allocate a new array per axis.  Pass ``overwrite_x=True`` only for a
-# temporary that nothing else reads.
-def _to_position(arr: np.ndarray, overwrite_x: bool = False) -> np.ndarray:
-    for axis in (-3, -2, -1):
-        arr = np.fft.ifft(arr, axis=axis, norm="ortho", out=_out(arr, overwrite_x))
-        overwrite_x = True
+# temporary that nothing else reads.  A ``box`` (see ``pvm._box_of``) lists
+# ``(axis, rows)`` per lattice axis, ``rows=None`` keeping every row.
+def _to_position(arr: np.ndarray, overwrite_x: bool = False, box=None) -> np.ndarray:
+    """Position amplitudes, cut to the cells of ``box``: one line transform
+    per axis in the box's order, each output cut to the box's rows before
+    the next (pruned output)."""
+    box = _WHOLE if box is None else box
+    lead = arr.ndim - 3
+    for k, (axis, rows) in enumerate(box):
+        arr = np.fft.ifft(arr, axis=lead + axis, norm="ortho", out=_out(arr, overwrite_x))
+        if rows is not None:
+            line = box[k + 1][0] if k + 1 < len(box) else axis
+            view, at = _lines_last(arr, line, axis)
+            arr = np.moveaxis(view[(slice(None),) * at + (rows,)], -1, line - 3)
+        overwrite_x = True  # every later input is this function's own
     return arr
 
 
-def _to_momentum(arr: np.ndarray, overwrite_x: bool = False) -> np.ndarray:
-    for axis in (-3, -2, -1):
-        arr = np.fft.fft(arr, axis=axis, norm="ortho", out=_out(arr, overwrite_x))
+def _to_momentum(arr: np.ndarray, overwrite_x: bool = False, box=None, n=None) -> np.ndarray:
+    """Momentum amplitudes of the zero extension of the cells of ``box`` to
+    the ``n``-point lattice: per axis in reverse box order, embed the rows
+    in zeros and line-transform (pruned input).  The last embed is laid out
+    in lattice order, so the result is C-contiguous whenever it embeds."""
+    box = _WHOLE if box is None else box[::-1]
+    lead = arr.ndim - 3
+    for k, (axis, rows) in enumerate(box):
+        if rows is not None:
+            line = axis if k + 1 < len(box) else 2
+            view, at = _lines_last(arr, line, axis)
+            full = np.zeros(view.shape[:at] + (n,) + view.shape[at + 1 :], complex)
+            full[(slice(None),) * at + (rows,)] = view
+            arr, overwrite_x = np.moveaxis(full, -1, line - 3), True
+        arr = np.fft.fft(arr, axis=lead + axis, norm="ortho", out=_out(arr, overwrite_x))
         overwrite_x = True
     return arr
 
@@ -165,7 +204,9 @@ def _translation_phase(cfg: ModelConfig, v: SpacetimeVector) -> np.ndarray:
         plane += kd2[:, None]
         plane += kd3
     np.multiply(phase, -1j, out=phase)
-    return np.exp(phase, out=phase)
+    np.exp(phase, out=phase)
+    phase.flags.writeable = False
+    return phase
 
 
 def signed_permutation_of(cfg: ModelConfig, L: LorentzMap) -> np.ndarray | None:
@@ -325,11 +366,10 @@ def _spline_pullback(
     ``_PAD``-refined grid."""
     from scipy import ndimage  # loaded by off-axis velocity changes only
 
-    npad = cfg.N * _PAD
-    padded = np.zeros((npad, npad, npad), dtype=complex)
-    ix = np.mod(cfg.signed_index, npad)
-    padded[np.ix_(ix, ix, ix)] = _to_position(arr)
-    fine = _to_momentum(padded) * _PAD**1.5
+    # the zero extension to the refined lattice, walked back along axes 0, 1, 2
+    ix = np.mod(cfg.signed_index, cfg.N * _PAD)
+    box = [(axis, ix) for axis in (2, 1, 0)]
+    fine = _to_momentum(_to_position(arr), True, box, cfg.N * _PAD) * _PAD**1.5
     return ndimage.map_coordinates(fine, plan.nodes, order=5, mode="grid-wrap", prefilter=True)
 
 
@@ -384,20 +424,9 @@ def _apply_linear(
     return out, chi, max(drift for _, drift in pieces)
 
 
-def _prepare(cfg: ModelConfig, P: PoincareMap) -> tuple[LorentzMap, np.ndarray | None]:
-    """The state-independent part of an affine map: its homogeneous part at the
-    lattice origin, and the read-only phase of its shift of the origin or ``None``."""
-    shift = P(cfg.origin) - cfg.origin
-    if np.all(shift._c == 0.0):
-        return P.linear, None
-    phase = _translation_phase(cfg, shift)
-    phase.flags.writeable = False
-    return P.linear, phase
-
-
 def _act(cfg: ModelConfig, arr: np.ndarray, steps, overwrite_x: bool = False):
-    """Apply prepared maps, first step first, to raw amplitudes (batch axes
-    allowed): the result and the worst norm drift of any step.  Phases go in
+    """Apply ``_represented`` steps, first step first, to raw amplitudes (batch
+    axes allowed): the result and the worst norm drift of any step.  Phases go in
     place into complex arrays the steps made, and into ``arr`` only with
     ``overwrite_x`` (an identity step hands ``arr`` back).  Each step is
     dropped once applied, so a generator keeps one phase alive at a time."""
@@ -494,13 +523,6 @@ def apply_boost(state: LatticeState, L: LorentzMap, return_report: bool = False)
 # ---------------------------------------------------------------------------
 
 
-def _time_twist(cfg: ModelConfig, P: PoincareMap) -> PoincareMap:
-    """Conjugate an affine map by the constructing observer's time inversion
-    anchored at the lattice origin."""
-    inv = PoincareMap.from_homogeneous(time_inversion(cfg.observer), cfg.origin)
-    return inv.compose(P).compose(inv)
-
-
 def represent_array(cfg: ModelConfig, arr: np.ndarray, P: PoincareMap):
     """The unitary of the covariance representation applied to raw amplitudes.
 
@@ -519,9 +541,16 @@ def represent_array(cfg: ModelConfig, arr: np.ndarray, P: PoincareMap):
 
 
 def _represented(cfg: ModelConfig, chain):
-    """The prepared maps of the representation of each map of ``chain``, first
-    map first, each prepared when it is reached."""
-    return (_prepare(cfg, _time_twist(cfg, P)) for P in chain)
+    """The steps that ``_act`` applies for the representation of each map of
+    ``chain``, first map first, each built when it is reached: the map
+    conjugated by the constructing observer's time inversion anchored at the
+    lattice origin, as its homogeneous part at the origin and the read-only
+    phase of its shift of the origin or ``None``."""
+    for P in chain:
+        inv = PoincareMap.from_homogeneous(time_inversion(cfg.observer), cfg.origin)
+        P = inv.compose(P).compose(inv)
+        shift = P(cfg.origin) - cfg.origin
+        yield P.linear, _translation_phase(cfg, shift) if np.any(shift._c != 0.0) else None
 
 
 def represent(state: LatticeState, P: PoincareMap) -> LatticeState:

@@ -67,6 +67,11 @@ class TestExitCodes:
         assert main(["verify-geometry", "--lattice", "7"]) == 2
         assert "power of two" in capsys.readouterr().err
 
+    def test_lattice_beyond_the_float_range(self, capsys):
+        # an int too large for a float is refused as a config, not a traceback
+        assert main(["verify-geometry", "--lattice", "1" + "0" * 400]) == 2
+        assert capsys.readouterr().err == "configuration error: N must hold finite float values\n"
+
     def test_csv_only_for_demo(self, capsys):
         # argparse refuses the flag on the other commands, with exit 2
         with pytest.raises(SystemExit) as exc:
@@ -272,6 +277,8 @@ class TestConfigValidation:
             ("verify-covariance", {"rapidity": 1e-300}),
             ("verify-covariance", {"rapidity": 1e-15}),
             ("demo-causality", {"delta_t_sweep": [0.0], "rapidity_sweep": [0.0]}),
+            ("verify-geometry", {"seed": 10**400}),
+            ("verify-covariance", {"convergence_seeds": [5, 10**400]}),
         ],
         ids=[
             "non-numeric",
@@ -305,6 +312,8 @@ class TestConfigValidation:
             "rapidity-1e-300",
             "rapidity-1e-15",
             "zero-delta-t",
+            "seed-beyond-float-range",
+            "convergence-seed-beyond-float-range",
         ],
     )
     def test_rejected_with_exit_2(self, tmp_path, capsys, command, extra):

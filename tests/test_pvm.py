@@ -449,17 +449,18 @@ class TestBoxPruning:
             box = _box_of(mask)
 
             def pruned(arr):
-                return pvm._box_to_momentum(pvm._box_to_position(arr, box), box, n)
+                return _to_momentum(_to_position(arr, box=box), True, box, n)
 
             assert np.array_equal(pruned(states), np.stack([pruned(s) for s in states]))
 
     @pytest.mark.parametrize("kind", ["box", "two-boxes", "turned-frame", "multiplier-stack"])
     def test_only_box_masks_are_pruned(self, cfg, kind, monkeypatch):
+        # one transform pair per projection; only a box's cuts rows
         calls = []
 
-        def counting(arr, overwrite_x=False):
-            calls.append(arr.shape)
-            return _to_position(arr, overwrite_x=overwrite_x)
+        def counting(arr, overwrite_x=False, box=None):
+            calls.append(box is not None and any(rows is not None for _, rows in box))
+            return _to_position(arr, overwrite_x, box)
 
         monkeypatch.setattr(pvm, "_to_position", counting)
         states = np.stack([random_state(cfg, seed).psi for seed in (3, 4)])
@@ -479,7 +480,7 @@ class TestBoxPruning:
         calls.clear()
         got = _conjugate_mask(cfg, states, [], mask)
         assert (_box_of(mask) is None) == (kind != "box")
-        assert len(calls) == (0 if kind == "box" else 1)
+        assert calls == [kind == "box"]
         assert np.max(np.abs(got - ref)) <= 1e-15
 
 

@@ -43,9 +43,10 @@ from minkabs.quantum.state import (
     _act,
     _apply_linear,
     _apply_perm,
-    _prepare,
+    _pullback_plan,
     _represented,
-    _time_twist,
+    _spline_pullback,
+    _to_momentum,
     _to_position,
     represent_array,
 )
@@ -154,8 +155,17 @@ class TestConfig:
             ({"spacing": seconds(math.inf)}, "spacing must be positive and finite"),
             ({"N": 32.5}, "lattice size must be an integer"),
             ({"N": math.nan}, "lattice size must be an integer"),
+            ({"N": 2**1100}, "lattice size must be an integer in the float range"),
         ],
-        ids=["nan-mass", "inf-mass", "nan-spacing", "inf-spacing", "fractional-N", "nan-N"],
+        ids=[
+            "nan-mass",
+            "inf-mass",
+            "nan-spacing",
+            "inf-spacing",
+            "fractional-N",
+            "nan-N",
+            "N-beyond-float-range",
+        ],
     )
     def test_non_finite_or_non_integral_refused(self, kwargs, match):
         with pytest.raises(GeometryError, match=match):
@@ -529,8 +539,12 @@ class TestActionWrappers:
         s = make_gaussian(cfg, width=seconds(1.0), mean_momentum=(0.5, 0.25, 0))
         L = make_boost(U0, boosted(0.25, axis))
         P = PoincareMap.from_homogeneous(L, cfg.origin)
+        # the represented step undoes the time twist of its map: that of P is L
+        twist = PoincareMap.from_homogeneous(time_inversion(cfg.observer), cfg.origin)
+        [(linear, phase)] = _represented(cfg, [twist.compose(P).compose(twist)])
+        assert np.array_equal(linear.matrix, L.matrix) and phase is None
         out, report = apply_boost(s, L, return_report=True)
-        psi, drift = _act(cfg, s.psi, [_prepare(cfg, P)])
+        psi, drift = _act(cfg, s.psi, [(linear, phase)])
         assert np.array_equal(out.psi, psi)
         assert drift > 0.0
         assert report.norm_drift == drift
@@ -548,7 +562,7 @@ class TestPreparedAction:
     def stepwise(cfg, arr, chain):
         drift = 0.0
         for P in chain:
-            linear, phase = _prepare(cfg, _time_twist(cfg, P))
+            [(linear, phase)] = _represented(cfg, [P])
             arr, _, step_drift = _apply_linear(cfg, arr, linear)
             arr = arr if phase is None else arr * phase
             drift = max(drift, step_drift)
@@ -584,6 +598,39 @@ class TestPreparedAction:
         assert out.tobytes() == ref.tobytes()
         assert drift == ref_drift
         assert (drift > 0.0) == (kind == "velocity")
+
+
+class TestTransformOrder:
+    # the reported bytes rest on these axis orders: the whole-field pair walks
+    # lattice axes 0, 1, 2 both ways, and the spline's pruned embed gives
+    # exactly the zero-padded (2N)^3 grid built in full
+    @pytest.mark.parametrize("n", [16, 32])
+    def test_whole_field_pair_walks_the_axes_in_order(self, n):
+        c = ModelConfig(N=n)
+        batch = np.stack([white_state(c, seed).psi for seed in (1, 2)])
+        pos, mom = batch, batch
+        for axis in (-3, -2, -1):
+            pos = np.fft.ifft(pos, axis=axis, norm="ortho")
+            mom = np.fft.fft(mom, axis=axis, norm="ortho")
+        assert np.array_equal(_to_position(batch), pos)
+        assert np.array_equal(_to_momentum(batch), mom)
+
+    @pytest.mark.parametrize("n", [16, 32])
+    def test_spline_grid_is_the_zero_padded_grid(self, n, monkeypatch):
+        from scipy import ndimage
+
+        c = ModelConfig(N=n)
+        psi = white_state(c, 3).psi
+        plan = _pullback_plan(c, make_boost(U0, boosted(0.25, (1, 1, 0))))
+        assert plan.axis is None
+        padded = np.zeros((2 * n,) * 3, dtype=complex)
+        ix = np.mod(c.signed_index, 2 * n)
+        padded[np.ix_(ix, ix, ix)] = _to_position(psi)
+        for axis in (-3, -2, -1):
+            padded = np.fft.fft(padded, axis=axis, norm="ortho")
+        # the interpolation hands its grid back
+        monkeypatch.setattr(ndimage, "map_coordinates", lambda grid, *args, **kwargs: grid)
+        assert np.array_equal(_spline_pullback(c, psi, plan), padded * 2**1.5)
 
 
 def test_hypothesis_exact_path_unitarity(cfg):
