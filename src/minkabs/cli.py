@@ -40,7 +40,7 @@ from .groups import PoincareMap, make_boost, make_rotation
 from .quantum import ModelConfig, apply_boost, make_gaussian
 from .quantum import verify as V
 from .quantum.state import check_packet_width, moves_labels
-from .report import RunReport, sweep_csv
+from .report import Checks, RunReport, sweep_csv
 from .suites import run_geometry_suite
 
 DEFAULTS = {
@@ -152,10 +152,7 @@ def _require_fit(cfg: ModelConfig, widths, trials=()) -> list:
 
 def cmd_verify_geometry(config: dict) -> RunReport:
     build_model(config)  # the same config checks as the quantum commands
-    report = RunReport("verify-geometry", config)
-    for check in run_geometry_suite(seed=int(config["seed"])):
-        report.add(check)
-    return report
+    return RunReport("verify-geometry", config, run_geometry_suite(seed=int(config["seed"])))
 
 
 def cmd_verify_covariance(config: dict) -> RunReport:
@@ -164,16 +161,14 @@ def cmd_verify_covariance(config: dict) -> RunReport:
     seed = int(config["seed"])
     chi = float(config["rapidity"])
     witness_chi = float(config["witness_rapidity"])
-    report = RunReport("verify-covariance", dict(config, **cfg.echo()))
-
-    for check in V.run_stabilizer_suite(
+    stabilizer = V.run_stabilizer_suite(
         cfg,
         n_states=int(config["states"]),
         seed=seed,
         translations=int(config["translations"]),
-    ):
-        report.add(check)
+    )
 
+    check = Checks(cfg.N)
     rng = np.random.default_rng(seed)
     white = V.random_states(cfg, rng, min(8, int(config["states"])))
     region = V.cell_region(cfg, (-3, -2, -4), (2, 3, 1))
@@ -182,75 +177,47 @@ def cmd_verify_covariance(config: dict) -> RunReport:
         make_rotation(cfg.observer, cfg.basis[2], np.pi / 2), cfg.origin
     )
     shift = PoincareMap.from_translation(cfg.lattice_vector((2, -3, 1)))
-
-    def roundtrip_drift():
-        b = make_boost(cfg.observer, V.boosted_velocity(chi))
-        packet = make_gaussian(cfg, width=cfg.spacing * 3.0)
-        _, boost_report = apply_boost(packet, b, return_report=True)
-        return boost_report.norm_drift, {
-            "rapidity": chi,
-            "rapidity_cap": boost_report.rapidity_cap,
-        }
-
-    def convergence():
-        rows = V.boost_convergence_rows(
-            cfg,
-            chi=chi,
-            seeds=tuple(int(s) for s in config["convergence_seeds"]),
-            n_states=2,
-            refinements=1,
-        )
-        report.tables["boost_convergence"] = rows
-        ratios = [r["ratio_to_previous"] for r in rows if r["ratio_to_previous"]]
-        return max(ratios), {"seeds": len(ratios)}
-
-    n = cfg.N
-    report.check(
-        "observer-step-label-change",
-        1e-10,
-        n,
-        lambda: V.label_change_residual(cfg, step, region, white[:3]),
+    check(
+        "observer-step-label-change", V.label_change_residual(cfg, step, region, white[:3]), 1e-10
     )
     for name, S in (("rotation", rot), ("shift", shift), ("composite", shift.compose(rot))):
-        report.check(
-            f"position-family/{name}",
-            1e-10,
-            n,
-            lambda: V.position_family_stabilizer_residual(cfg, S, white[:4]),
-        )
-    report.check(
-        "fixed-label-not-a-vector", 0.1, n, lambda: V.fixed_label_boost_witness(cfg, chi), False
-    )
+        residual = V.position_family_stabilizer_residual(cfg, S, white[:4])
+        check(f"position-family/{name}", residual, 1e-10)
+    check("fixed-label-not-a-vector", V.fixed_label_boost_witness(cfg, chi), 0.1, below=False)
     for name, u2, tolerance, below in (
         ("own-observer", cfg.observer, 1e-10, True),
         ("tilted-witness", V.boosted_velocity(witness_chi), 0.05, False),
     ):
-        report.check(
-            f"space-component/{name}",
-            tolerance,
-            n,
-            lambda: V.space_component_residual(cfg, u2, rot, white[:4]),
-            below,
-        )
-    report.check("time-variance/own-observer", 0.0, n, lambda: V.own_time_variance(cfg, 100, seed))
-    report.check(
-        "time-variance/tilted-witness",
-        0.01,
-        n,
-        lambda: V.time_variance_witness(cfg, witness_chi),
-        False,
-    )
+        residual = V.space_component_residual(cfg, u2, rot, white[:4])
+        check(f"space-component/{name}", residual, tolerance, below)
+    check("time-variance/own-observer", V.own_time_variance(cfg, 100, seed), 0.0)
+    residual = V.time_variance_witness(cfg, witness_chi)
+    check("time-variance/tilted-witness", residual, 0.01, below=False)
+    b = make_boost(cfg.observer, V.boosted_velocity(chi))
+    packet = make_gaussian(cfg, width=cfg.spacing * 3.0)
+    _, boost_report = apply_boost(packet, b, return_report=True)
     # measured drift of the default packet at quarter rapidity, frozen
     # with headroom; small boxes are wrap-tail dominated
-    drift_bound = {8: 5e-1, 16: 5e-2, 32: 5e-4}.get(n, 1e-6)
-    report.check("velocity-roundtrip-drift", drift_bound, n, roundtrip_drift)
-    report.check("global-equivariance", 1e-10, n, lambda: V.equivariance_residual(cfg, seed))
-    report.check("factorization-convergence-ratio", 0.6, n, convergence)
-    return report
+    drift_bound = {8: 5e-1, 16: 5e-2, 32: 5e-4}.get(cfg.N, 1e-6)
+    details = {"rapidity": chi, "rapidity_cap": boost_report.rapidity_cap}
+    check("velocity-roundtrip-drift", boost_report.norm_drift, drift_bound, **details)
+    check("global-equivariance", V.equivariance_residual(cfg, seed), 1e-10)
+    rows = V.boost_convergence_rows(
+        cfg,
+        chi=chi,
+        seeds=tuple(int(s) for s in config["convergence_seeds"]),
+        n_states=2,
+        refinements=1,
+    )
+    ratios = [r["ratio_to_previous"] for r in rows if r["ratio_to_previous"]]
+    check("factorization-convergence-ratio", max(ratios), 0.6, seeds=len(ratios))
+    echo = dict(config, **cfg.echo())
+    return RunReport("verify-covariance", echo, stabilizer + check, {"boost_convergence": rows})
 
 
 def cmd_demo_causality(config: dict) -> RunReport:
     cfg = build_model(config)
+    check = Checks(cfg.N)
     a = cfg.spacing.value
     # the observer of each sweep rapidity; None is the constructing one
     observer = {c: V.boosted_velocity(float(c)) if c else None for c in config["rapidity_sweep"]}
@@ -262,7 +229,6 @@ def cmd_demo_causality(config: dict) -> RunReport:
     *shadows, wide = _require_fit(cfg, (3.0 * a,), trials)
     shadow = dict(zip(rows, shadows))
     phi = V.localized_state(cfg)
-    report = RunReport("demo-causality", dict(config, **cfg.echo()))
     leakage = {}  # (delta_t, chi) -> leakage of that trial, each trial run once
 
     def least(trials):
@@ -272,32 +238,22 @@ def cmd_demo_causality(config: dict) -> RunReport:
                 leakage[trial] = V.causality_experiment(cfg, phi, shadow[trial])
         return min(leakage[trial] for trial in trials)
 
-    report.check("leakage/zero-interval", 1e-10, cfg.N, lambda: least([(0.0, 0.0)]))
+    check("leakage/zero-interval", least([(0.0, 0.0)]), 1e-10)
     for suffix, boosted in (("", False), ("-boosted", True)):
         kind = [(dt, chi) for dt, chi in sweep if bool(chi) is boosted]
         if kind:
-            report.check(
-                f"leakage/strictly-positive{suffix}", 1e-6, cfg.N, lambda: least(kind), False
-            )
-    report.tables["leakage_sweep"] = [
+            check(f"leakage/strictly-positive{suffix}", least(kind), 1e-6, below=False)
+    table = [
         {"delta_t_sec": dt, "rapidity": float(chi), "leakage": leakage[dt, chi], "N": cfg.N}
         for dt, chi in rows
     ]
-
-    def margin_change():
-        return abs(leakage[longest, 0.0] - V.causality_experiment(cfg, phi, wide))
-
-    def same_instant():
-        # region_a is the default: cells (-5, -2, -2)..(-2, 1, 1) on the constructing instant
-        reg_b = V.cell_region(cfg, (2, -2, -2), (5, 1, 1))
-        return V.commutator_witness(cfg, region_b=reg_b)
-
-    report.check("leakage/margin-doubling-stable", 1e-10, cfg.N, margin_change)
-    report.check(
-        "commutator/cross-instant-witness", 1e-4, cfg.N, lambda: V.commutator_witness(cfg), False
-    )
-    report.check("commutator/same-instant-disjoint", 1e-12, cfg.N, same_instant)
-    return report
+    margin_change = abs(leakage[longest, 0.0] - V.causality_experiment(cfg, phi, wide))
+    check("leakage/margin-doubling-stable", margin_change, 1e-10)
+    check("commutator/cross-instant-witness", V.commutator_witness(cfg), 1e-4, below=False)
+    # region_a is the default: cells (-5, -2, -2)..(-2, 1, 1) on the constructing instant
+    reg_b = V.cell_region(cfg, (2, -2, -2), (5, 1, 1))
+    check("commutator/same-instant-disjoint", V.commutator_witness(cfg, region_b=reg_b), 1e-12)
+    return RunReport("demo-causality", dict(config, **cfg.echo()), check, {"leakage_sweep": table})
 
 
 # ---------------------------------------------------------------------------

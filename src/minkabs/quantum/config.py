@@ -41,7 +41,7 @@ class ModelConfig:
     ----------
     N:
         Lattice points per axis; a power of two, at least 8 (a float
-        must be integral).
+        must be integral), whose N^3 complex field numpy can index.
     spacing:
         Lattice spacing in seconds (dim 1), positive and finite.
     mass:
@@ -69,6 +69,8 @@ class ModelConfig:
         N = int(N)
         if N < 8 or (N & (N - 1)) != 0:
             raise GeometryError("lattice size must be a power of two, at least 8")
+        if N**3 * np.dtype(complex).itemsize > np.iinfo(np.intp).max:
+            raise GeometryError("lattice size too large: an N^3 field exceeds numpy's array limit")
         if not isinstance(spacing, MeasureScalar) or spacing.dim != 1:
             raise GeometryError("spacing must carry sec^1")
         if not 0 < spacing.value < math.inf:

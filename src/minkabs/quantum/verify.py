@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import math
 import os
-import time
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -46,7 +45,7 @@ from ..groups import (
     lattice_point_group,
     make_boost,
 )
-from ..report import CheckResult
+from ..report import CheckResult, Checks
 from .config import ModelConfig
 from .pvm import (
     NwPosition,
@@ -251,17 +250,12 @@ def run_stabilizer_suite(
 
     def job(group):
         carried_mask, members = group
-        t0 = time.perf_counter()
+        check = Checks(cfg.N)
         rhs = _conjugate_mask(cfg, states, [], carried_mask)
-        out = []
-        for idx, name, S in members:
+        for _, name, S in members:
             res = stabilizer_covariance_residual(cfg, S, mask, states, rhs)
-            check = CheckResult.make(
-                f"stabilizer-covariance/{name}", res, 1e-10, cfg.N, t0, states=n_states
-            )
-            out.append((idx, check))
-            t0 = time.perf_counter()
-        return out
+            check(f"stabilizer-covariance/{name}", res, 1e-10, states=n_states)
+        return zip([idx for idx, _, _ in members], check)
 
     done = _fan_out(job, groups.values(), worker_cap())
     results = sorted((pair for part in done for pair in part), key=lambda pair: pair[0])

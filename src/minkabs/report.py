@@ -11,7 +11,7 @@ import json
 import time
 from dataclasses import dataclass, field
 
-__all__ = ["CheckResult", "RunReport", "sweep_csv", "SWEEP_CSV_HEADER"]
+__all__ = ["CheckResult", "Checks", "RunReport", "sweep_csv", "SWEEP_CSV_HEADER"]
 
 SWEEP_CSV_HEADER = "delta_t_sec,rapidity,leakage,N"
 
@@ -29,20 +29,24 @@ class CheckResult:
     details: dict = field(default_factory=dict)
     below: bool = True  # the residual must stay at or below the tolerance
 
-    @staticmethod
-    def make(name, residual, tolerance, n, t0, below=True, **details):
-        """A check timed from ``t0``; ``n`` is the lattice size, 0 without one."""
-        ok = residual <= tolerance if below else residual >= tolerance
-        return CheckResult(
-            name=name,
-            residual=float(residual),
-            tolerance=float(tolerance),
-            passed=bool(ok),
-            n=n,
-            seconds=time.perf_counter() - t0,
-            details=details,
-            below=below,
-        )
+
+class Checks(list):
+    """Checks recorded in order, as ``check(name, residual, tolerance,
+    below=True, **details)``; each is timed over the work since the previous
+    record, the first since the recorder was made.  ``n`` is the lattice
+    size, 0 without one."""
+
+    def __init__(self, n: int = 0):
+        super().__init__()
+        self.n = n
+        self._since = time.perf_counter()
+
+    def __call__(self, name, residual, tolerance, below=True, **details) -> None:
+        now = time.perf_counter()
+        ok = bool(residual <= tolerance if below else residual >= tolerance)
+        seconds, self._since = now - self._since, now
+        residual, tolerance = float(residual), float(tolerance)
+        self.append(CheckResult(name, residual, tolerance, ok, self.n, seconds, details, below))
 
 
 @dataclass
@@ -57,14 +61,6 @@ class RunReport:
     def add(self, check: CheckResult) -> CheckResult:
         self.checks.append(check)
         return check
-
-    def check(self, name, tolerance, n, thunk, below=True) -> CheckResult:
-        """Add the check of ``thunk()``, timed over that call alone: ``thunk``
-        returns the residual, or the residual and a dict of details."""
-        t0 = time.perf_counter()
-        out = thunk()
-        residual, details = out if isinstance(out, tuple) else (out, {})
-        return self.add(CheckResult.make(name, residual, tolerance, n, t0, below, **details))
 
     def all_passed(self) -> bool:
         return all(c.passed for c in self.checks)

@@ -1,14 +1,13 @@
 """Randomized invariant suites for the geometry and group layers.
 
-Each function measures one residual (or exercises one error path) over
-seeded random inputs and returns a :class:`CheckResult`.  These back the
-``verify-geometry`` command.
+``run_geometry_suite`` measures each invariant's residual (or exercises
+one error path) over seeded random inputs and records it as one timed
+check; its list of checks backs the ``verify-geometry`` command.
 """
 
 from __future__ import annotations
 
 import math
-import time
 
 import numpy as np
 
@@ -47,7 +46,7 @@ from .groups import (
     time_inversion,
 )
 from .groups import _boosts, _lorentz_rows, _rotations  # stack kernel
-from .report import CheckResult
+from .report import CheckResult, Checks
 
 __all__ = ["run_geometry_suite"]
 
@@ -113,27 +112,20 @@ def _maps(draws) -> np.ndarray:
 
 def run_geometry_suite(seed: int = 42) -> list[CheckResult]:
     """All geometry and group invariants at their stated tolerances."""
+    check = Checks()
     rng = np.random.default_rng(seed)
-    results = []
 
     # observer splitting, each check over one stack of all its samples
-    t0 = time.perf_counter()
     u, x = _observed_vectors(rng, _HEAVY_SAMPLES)
     t, space = _split(u, x)
     scale = np.maximum(1.0, np.abs(x).max(axis=1))
     worst = (np.abs(u * t[:, None] + space - x).max(axis=1) / scale).max(initial=0.0)
-    results.append(
-        CheckResult.make("splitting-reconstruction", worst, 1e-12, 0, t0, samples=_HEAVY_SAMPLES)
-    )
-    t0 = time.perf_counter()
+    check("splitting-reconstruction", worst, 1e-12, samples=_HEAVY_SAMPLES)
     # float_power squares with the C pow as Python's ``**`` does; t * t may differ
     worst = (abs(_product(u, space)) / np.maximum(1.0, np.float_power(t, 2))).max(initial=0.0)
-    results.append(
-        CheckResult.make("splitting-orthogonality", worst, 1e-12, 0, t0, samples=_HEAVY_SAMPLES)
-    )
+    check("splitting-orthogonality", worst, 1e-12, samples=_HEAVY_SAMPLES)
 
     # product preservation under composed maps
-    t0 = time.perf_counter()
     draws, xy = [], np.empty((1000, 2, 4))
     for i in range(1000):
         draws.append(_draw_map(rng))
@@ -143,22 +135,16 @@ def run_geometry_suite(seed: int = 42) -> list[CheckResult]:
     x, y, mx, my = xy[:, 0], xy[:, 1], mxy[:, 0], mxy[:, 1]
     scale = np.maximum(1.0, np.maximum(abs(_product(x, x)), abs(_product(y, y))))
     worst = (abs(_product(mx, my) - _product(x, y)) / scale).max()
-    results.append(CheckResult.make("product-preservation", worst, 1e-9, 0, t0, samples=1000))
+    check("product-preservation", worst, 1e-9, samples=1000)
 
     # restriction to a simultaneity space is positive definite
-    t0 = time.perf_counter()
     u, x = _observed_vectors(rng, 1000)
     v = _split(u, x)[1]
     v = v[np.abs(v).max(axis=1) > 1e-10]
     min_norm = _product(v, v).min(initial=math.inf)
-    results.append(
-        CheckResult.make(
-            "simultaneous-space-positive", min_norm, 1e-12, 0, t0, below=False, samples=1000
-        )
-    )
+    check("simultaneous-space-positive", min_norm, 1e-12, below=False, samples=1000)
 
     # causal classification partitions nonzero vectors
-    t0 = time.perf_counter()
     bad = 0
     for _ in range(1000):
         x = vector(*rng.uniform(-3, 3, 4))
@@ -171,10 +157,9 @@ def run_geometry_suite(seed: int = 42) -> list[CheckResult]:
     light = vector(1, 1, 0, 0)
     if causal_class(light) is not CausalClass.LIGHTLIKE:
         bad += 1
-    results.append(CheckResult.make("causal-partition", float(bad), 0.0, 0, t0, samples=1001))
+    check("causal-partition", float(bad), 0.0, samples=1001)
 
     # dimensional safety must be an error, not a coercion
-    t0 = time.perf_counter()
     caught = 0
     try:
         seconds(1.0) + MeasureScalar(1.0, 2)
@@ -184,12 +169,9 @@ def run_geometry_suite(seed: int = 42) -> list[CheckResult]:
         MeasureScalar(1.0, 0) - seconds(2.0)
     except DimensionMismatchError:
         caught += 1
-    results.append(
-        CheckResult.make("dimension-safety-error-path", float(2 - caught), 0.0, 0, t0, samples=2)
-    )
+    check("dimension-safety-error-path", float(2 - caught), 0.0, samples=2)
 
     # group laws over random composites
-    t0 = time.perf_counter()
     a, b, c = _maps([_draw_map(rng) for _ in range(300)]).reshape(100, 3, 4, 4).swapaxes(0, 1)
     ab = a @ b
     worst = max(
@@ -197,10 +179,9 @@ def run_geometry_suite(seed: int = 42) -> list[CheckResult]:
         np.abs(a @ np.linalg.inv(a) - np.eye(4)).max(),
         np.abs(ab @ c - a @ (b @ c)).max(),
     )
-    results.append(CheckResult.make("group-laws", worst, 1e-10, 0, t0, samples=100))
+    check("group-laws", worst, 1e-10, samples=100)
 
     # orientation characters compose as expected
-    t0 = time.perf_counter()
     u0 = normalize_velocity(vector(1, 0, 0, 0))
     a, b = _maps([_draw_map(rng) for _ in range(100)]).reshape(50, 2, 4, 4).swapaxes(0, 1)
     bad = int((~((a @ b)[:, 0, 0] > 0.0)).sum())
@@ -209,10 +190,9 @@ def run_geometry_suite(seed: int = 42) -> list[CheckResult]:
     flip = time_inversion(_random_velocity(rng))
     if is_orthochronous(flip.compose(LorentzMap(_maps([_draw_map(rng)])[0], check=False))):
         bad += 1
-    results.append(CheckResult.make("orientation-characters", float(bad), 0.0, 0, t0, samples=52))
+    check("orientation-characters", float(bad), 0.0, samples=52)
 
     # velocity stabilizers of different observers differ
-    t0 = time.perf_counter()
     misses = 0
     rotations = [make_rotation(u0, vector(*axis), 0.9) for axis in _AXES]
     for _ in range(50):
@@ -221,12 +201,9 @@ def run_geometry_suite(seed: int = 42) -> list[CheckResult]:
             continue
         if not any(in_O_u(r, u0) and not in_O_u(r, u2) for r in rotations):
             misses += 1
-    results.append(
-        CheckResult.make("velocity-stabilizers-differ", float(misses), 0.0, 0, t0, samples=50)
-    )
+    check("velocity-stabilizers-differ", float(misses), 0.0, samples=50)
 
     # instant stabilizers restrict to isometries of the hyperplane
-    t0 = time.perf_counter()
     worst = 0.0
     o = fiducial_origin()
     t_inst = Instant(u0, o)
@@ -245,12 +222,9 @@ def run_geometry_suite(seed: int = 42) -> list[CheckResult]:
         d0 = lorentz_product(p - q, p - q).value
         d1 = lorentz_product(m(p) - m(q), m(p) - m(q)).value
         worst = max(worst, abs(d1 - d0) / max(1.0, abs(d0)))
-    results.append(
-        CheckResult.make("instant-stabilizer-isometry", worst, 1e-10, 0, t0, samples=50)
-    )
+    check("instant-stabilizer-isometry", worst, 1e-10, samples=50)
 
     # the time inversion about an instant stabilizes it
-    t0 = time.perf_counter()
     bad = 0
     for _ in range(20):
         u = _random_velocity(rng)
@@ -261,12 +235,9 @@ def run_geometry_suite(seed: int = 42) -> list[CheckResult]:
             bad += 1
         if inv.is_orthochronous():
             bad += 1
-    results.append(
-        CheckResult.make("time-inversion-stabilizes-instant", float(bad), 0.0, 0, t0, samples=20)
-    )
+    check("time-inversion-stabilizes-instant", float(bad), 0.0, samples=20)
 
     # causal growth: light-speed box growth and the no-interval limit
-    t0 = time.perf_counter()
     reg = Region(t_inst, [((0.0, 0.0, 0.0), (1.0, 1.0, 1.0))])
     t_later = Instant(u0, o + vector(1, 0, 0, 0))
     grown = grow_region_causally(reg, t_later)
@@ -275,10 +246,9 @@ def run_geometry_suite(seed: int = 42) -> list[CheckResult]:
     same = grow_region_causally(reg, t_inst)
     lo0, hi0 = same.boxes[0]
     worst = max(worst, float(np.max(np.abs(lo0))), float(np.max(np.abs(hi0 - 1.0))))
-    results.append(CheckResult.make("causal-growth-unit-speed", worst, 1e-10, 0, t0, samples=2))
+    check("causal-growth-unit-speed", worst, 1e-10, samples=2)
 
     # an observer's time and space, carried by Poincare maps, keep their differences
-    t0 = time.perf_counter()
     draws, chi, d, samples = [], np.empty(20), np.empty((20, 3)), []
     for i in range(20):
         draws.append(_draw_map(rng))
@@ -304,8 +274,6 @@ def run_geometry_suite(seed: int = 42) -> list[CheckResult]:
         line = SpacePoint(u2, P(a[0]) + u2 * seconds(slides[0]))
         if carried[0] != line or not (is_lorentz(P.linear) and is_proper(P.linear)):
             worst = max(worst, 1.0)
-    results.append(
-        CheckResult.make("observer-time-space-covariance", worst, 1e-10, 0, t0, samples=20)
-    )
+    check("observer-time-space-covariance", worst, 1e-10, samples=20)
 
-    return results
+    return check

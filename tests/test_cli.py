@@ -3,7 +3,9 @@
 import json
 import re
 from pathlib import Path
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from minkabs.cli import (
@@ -14,7 +16,8 @@ from minkabs.cli import (
     load_config,
     main,
 )
-from minkabs.report import SWEEP_CSV_HEADER, CheckResult, RunReport, sweep_csv
+from minkabs import report as report_module
+from minkabs.report import SWEEP_CSV_HEADER, CheckResult, Checks, RunReport, sweep_csv
 
 
 def small_config(tmp_path, **extra):
@@ -71,6 +74,13 @@ class TestExitCodes:
         # an int too large for a float is refused as a config, not a traceback
         assert main(["verify-geometry", "--lattice", "1" + "0" * 400]) == 2
         assert capsys.readouterr().err == "configuration error: N must hold finite float values\n"
+
+    def test_lattice_beyond_numpy_array_size(self, capsys):
+        # numpy cannot index an N^3 field of 2**60 points per axis: a config error, no traceback
+        assert main(["verify-geometry", "--lattice", str(2**60)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: lattice size too large")
+        assert err.count("\n") == 1  # one line, no traceback
 
     def test_csv_only_for_demo(self, capsys):
         # argparse refuses the flag on the other commands, with exit 2
@@ -217,12 +227,37 @@ class TestReport:
         assert data["checks"][0]["passed"] and not data["checks"][1]["passed"]
 
     def test_timed_check_records_bound_and_details(self):
-        report = RunReport("demo", {})
-        report.check("witness", 0.1, 8, lambda: (0.5, {"seeds": 3}), below=False)
+        check = Checks(8)
+        check("witness", 0.5, 0.1, below=False, seeds=3)
+        report = RunReport("demo", {}, check)
         data = report.to_dict()["checks"][0]
         assert data["passed"] and data["bound"] == "lower"
         assert data["details"] == {"seeds": 3}
         assert report.summary_lines() == ["PASS witness: residual 5.000e-01 >= 1.000e-01"]
+
+    def test_each_check_timed_since_the_previous_record(self, monkeypatch):
+        clock = iter([10.0, 10.5, 12.0, 12.25])  # construction, then one tick per record
+        monkeypatch.setattr(report_module, "time", SimpleNamespace(perf_counter=clock.__next__))
+        check = Checks(8)
+        check("a", 1e-12, 1e-10)
+        check("b", 0.05, 0.1, below=False, seeds=3)
+        check("c", np.float64(2.0), 1)
+        assert [c.seconds for c in check] == [0.5, 1.5, 0.25]
+        report = RunReport("demo", {}, check)
+        rows = report.to_dict(include_timings=True)["checks"]
+        assert [(r["seconds"], r["N"], r["bound"], r["passed"]) for r in rows] == [
+            (0.5, 8, "upper", True),
+            (1.5, 8, "lower", False),
+            (0.25, 8, "upper", False),
+        ]
+        assert [r["details"] for r in rows] == [{}, {"seeds": 3}, {}]
+        assert type(rows[2]["residual"]) is float and type(rows[2]["tolerance"]) is float
+        assert [r["seconds"] for r in report.to_dict()["checks"]] == [0.0] * 3
+        assert report.summary_lines() == [
+            "PASS a: residual 1.000e-12 <= 1.000e-10",
+            "FAIL b: residual 5.000e-02 >= 1.000e-01",
+            "FAIL c: residual 2.000e+00 <= 1.000e+00",
+        ]
 
     def test_out_file(self, tmp_path, capsys):
         out = tmp_path / "report.json"

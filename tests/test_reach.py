@@ -38,6 +38,9 @@ ALLOWED = {
     ("groups.py", "PoincareMap.approx_eq"): "the coordinate-free comparison of opaque values",
     ("geometry.py", "SpacetimeVector.coordinates_in_basis"): "the README's basis query",
     ("geometry.py", "Velocity.as_vector"): "the benchmark's direct-sum oracle reads it",
+    ("report.py", "RunReport.add"): (
+        "the benchmark's stabilizer-exact workload builds its report with it"
+    ),
     ("quantum/state.py", "represent"): "the state-level form of represent_array",
     ("quantum/state.py", "_spline_pullback"): "off-axis velocity changes; no report makes one yet",
 }

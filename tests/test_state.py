@@ -171,6 +171,12 @@ class TestConfig:
         with pytest.raises(GeometryError, match=match):
             ModelConfig(**kwargs)
 
+    @pytest.mark.parametrize("N", [2**20, 2**60])
+    def test_field_beyond_numpy_array_limit_refused(self, N):
+        # 16 N^3 bytes past numpy's index range, refused before any array is made
+        with pytest.raises(GeometryError, match="exceeds numpy's array limit"):
+            ModelConfig(N=N)
+
     def test_integral_float_size_accepted(self):
         assert ModelConfig(N=32.0).N == 32
 

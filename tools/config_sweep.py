@@ -26,7 +26,7 @@ Usage::
     python3 tools/config_sweep.py
 
 Standard library plus the package under ``src``.  On a 2-core Xeon the
-101 runs take about 15 s.
+103 runs take about 15 s.
 """
 
 from __future__ import annotations
@@ -55,7 +55,7 @@ BASE = {
 }
 CAP = ModelConfig(N=16).chi_max  # the band-limit rapidity cap of the base lattice
 VARIANTS = {
-    "N": [8, 4, 0, -16, 12, 16.0, 16.5, 32, 1048576, 10**400],
+    "N": [8, 4, 0, -16, 12, 16.0, 16.5, 32, 1048576, 2**60, 10**400],
     "spacing_sec": [0.39, 0.4, 0.125, 0.0, -0.25, 1e-150, 1e-300],
     "mass_inv_sec": [1.57, 1.58, 0.0, -1.0, 1e-150, 1e-170],
     "seed": [0, -1, 2**40, 1e20, 10**400],
