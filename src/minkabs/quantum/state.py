@@ -27,10 +27,15 @@ underneath:
   interpolant of the amplitudes at the pulled-back labels.  When two of
   the three labels stay on their lattice points (a velocity change
   along a lattice axis) the interpolant is summed exactly: a 1-D
-  transform along the moving axis, then a Horner sum.  Every other
-  direction uses quintic spline interpolation on a twice-oversampled
-  grid, a pruned embed in zeros (``scipy.ndimage``, imported on the
-  first such boost).  Neither path is exactly unitary; the norm drift
+  transform along the moving axis, then the sum over its positions.  The
+  moving label depends on the fixed ones only through the sum of their
+  squares, so the transverse columns with the same unordered pair of
+  absolute labels share their nodes, and the sum is one matrix product
+  per class with the Vandermonde matrix of those nodes, batched over
+  blocks of classes and over states.  Every other direction uses
+  quintic spline interpolation on a twice-oversampled grid, a pruned
+  embed in zeros (``scipy.ndimage``, imported on the first such
+  boost).  Neither path is exactly unitary; the norm drift
   is reported and the result rescaled to the input norm.  The
   state-independent part of each velocity change (labels, weight,
   interpolation nodes) is cached per lattice and map, keyed by value.
@@ -255,6 +260,9 @@ def rapidity_of(cfg: ModelConfig, L: LorentzMap) -> float:
 
 _LABEL_TOL = 1e-12  # lattice steps within which a pulled-back label stays fixed
 _PAD = 2  # oversampling of the spline grid
+# classes per Vandermonde block: N * 32 * N complex powers, 2 MiB at N=64,
+# so a block stays in the L2 cache between its build and its products
+_CLASS_CHUNK = 32
 _PLAN_CACHE_SIZE = 4  # two maps (a boost and its inverse) at two lattice sizes
 _PLAN_CACHE: OrderedDict[tuple, "_PullbackPlan"] = OrderedDict()
 _PLAN_LOCK = threading.Lock()
@@ -265,16 +273,25 @@ class _PullbackPlan:
     """The state-independent part of one velocity change on one lattice.
 
     ``axis`` is the one lattice axis whose pulled-back labels leave the
-    lattice (exact path), or ``None`` (spline path).  On the exact path
-    ``nodes`` holds ``z = exp(-i q a)`` with the moving axis first and
-    ``weight`` includes the ``z**(-N/2) / sqrt(N)`` that recenters the
-    Horner sum on signed positions; on the spline path ``nodes`` holds
-    the coordinates on the ``_PAD``-refined grid.
+    lattice (exact path), or ``None`` (spline path).  On the spline path
+    ``nodes`` holds the coordinates on the ``_PAD``-refined grid.  On the
+    exact path a transverse column (the flat index of the two fixed
+    labels) is pulled back at nodes ``z = exp(-i q a)`` that depend only
+    on the column's class, the unordered pair of its absolute labels:
+    ``order`` lists the columns by class size, then by class, with the
+    members of a class adjacent; ``inverse`` undoes it; ``sizes`` gives
+    (class size, number of classes) in that order; and ``nodes`` holds one
+    row of ``z`` per class, shape (classes, N).  ``weight`` includes the
+    ``z**(-N/2) / sqrt(N)`` that recenters the powers ``z**0 .. z**(N-1)``
+    on signed positions.
     """
 
     axis: int | None
     nodes: np.ndarray
     weight: np.ndarray
+    order: np.ndarray | None = None
+    inverse: np.ndarray | None = None
+    sizes: tuple[tuple[int, int], ...] = ()
 
 
 def _free_axes(cfg: ModelConfig, q: np.ndarray) -> list[int]:
@@ -315,9 +332,26 @@ def _build_plan(cfg: ModelConfig, L: LorentzMap) -> _PullbackPlan:
         return _PullbackPlan(None, coords, weight)
     axis = free[0]
     qa = q[..., axis] * cfg.spacing.value
-    z = np.ascontiguousarray(np.moveaxis(np.exp(-1j * qa), axis, 0))
     recenter = np.exp(0.5j * cfg.N * qa) / math.sqrt(cfg.N)
-    return _PullbackPlan(axis, z, weight * recenter)
+    # the two fixed labels stay on the lattice, so L acts on the moving axis
+    # and the time axis alone and q_a depends on k_a and k_b^2 + k_c^2 only:
+    # columns with the same unordered pair (|n_b|, |n_c|) share their nodes
+    n = np.abs(cfg.signed_index)
+    nb, nc = n[:, None], n[None, :]
+    key = (np.minimum(nb, nc) * cfg.N + np.maximum(nb, nc)).ravel()
+    _, cls, size = np.unique(key, return_inverse=True, return_counts=True)
+    order = np.lexsort((cls, size[cls]))
+    first = order[np.flatnonzero(np.diff(cls[order], prepend=-1))]
+    rows = np.moveaxis(qa, axis, 0).reshape(cfg.N, -1)[:, first]
+    counts = np.unique(size[cls[first]], return_counts=True)
+    return _PullbackPlan(
+        axis,
+        np.ascontiguousarray(np.exp(-1j * rows).T),
+        weight * recenter,
+        order,
+        np.argsort(order),
+        tuple((int(s), int(c)) for s, c in zip(*counts)),
+    )
 
 
 def _pullback_plan(cfg: ModelConfig, L: LorentzMap) -> _PullbackPlan:
@@ -343,20 +377,49 @@ def _pullback_plan(cfg: ModelConfig, L: LorentzMap) -> _PullbackPlan:
     return plan
 
 
+def _class_products(coef: np.ndarray, plan: _PullbackPlan) -> None:
+    """Replace the coefficients ``coef`` (states, moving axis, columns in
+    class order) by the interpolant at each class's nodes, in place: one
+    matmul per block of ``_CLASS_CHUNK`` classes of one size."""
+    states, n, _ = coef.shape
+    vander = np.empty((n, min(_CLASS_CHUNK, len(plan.nodes)), n), dtype=complex)
+    col = cls = 0
+    for size, count in plan.sizes:
+        for lo in range(cls, cls + count, _CLASS_CHUNK):
+            hi = min(lo + _CLASS_CHUNK, cls + count)
+            w, z = vander[:, : hi - lo], plan.nodes[lo:hi]
+            # z**j goes to row (j + N/2) mod N, the row of the fftshift
+            w[n // 2] = 1.0
+            for j in range(1, n):
+                np.multiply(w[(j - 1 + n // 2) % n], z, out=w[(j + n // 2) % n])
+            block = coef[:, :, col : col + (hi - lo) * size]
+            block = block.reshape(states, n, hi - lo, size).transpose(0, 2, 1, 3)
+            # in place: numpy buffers an output that overlaps an input
+            np.matmul(w.transpose(1, 2, 0), block, out=block)
+            col += (hi - lo) * size
+        cls += count
+
+
 def _exact_pullback(arr: np.ndarray, plan: _PullbackPlan) -> np.ndarray:
-    """Trigonometric interpolant at labels that leave the lattice along
-    one axis only: a 1-D transform along that axis, then a Horner sum in
-    ``z`` over the signed positions."""
-    # the pinned kernel error holds for numpy.fft's rounding (scipy's FFT moves it)
-    part = np.fft.ifft(arr, axis=plan.axis, norm="ortho")
-    coef = np.fft.fftshift(np.moveaxis(part, plan.axis, 0), axes=0)
-    z = plan.nodes
-    acc = np.empty_like(z)
-    acc[...] = coef[-1]
-    for c in coef[-2::-1]:
-        acc *= z
-        acc += c
-    return np.moveaxis(acc, 0, plan.axis)
+    """Trigonometric interpolant of each field of the batch ``arr`` at labels
+    that leave the lattice along one axis only.
+
+    A 1-D transform along that axis gives the coefficients of each
+    transverse column; the columns of one class share their nodes ``z``,
+    so a class is one product of the Vandermonde matrix ``z**m`` (powers
+    in the transform's unshifted order) with the coefficient block of its
+    members in every state.  Returns a view in lattice index order of the
+    batch laid out with the moving axis first.
+    """
+    states, n = len(arr), arr.shape[-1]
+    coef = np.empty((states, n, n, n), dtype=complex)
+    for i in range(states):
+        # the pinned kernel error holds for numpy.fft's rounding (scipy's FFT moves it)
+        np.fft.ifft(arr[i], axis=plan.axis, norm="ortho", out=np.moveaxis(coef[i], 0, plan.axis))
+    coef = np.take(coef.reshape(states, n, n * n), plan.order, axis=2)
+    _class_products(coef, plan)
+    out = np.take(coef, plan.inverse, axis=2).reshape(states, n, n, n)
+    return np.moveaxis(out, 1, plan.axis + 1)
 
 
 def _spline_pullback(
@@ -376,24 +439,33 @@ def _spline_pullback(
 def _boost_array(
     cfg: ModelConfig, arr: np.ndarray, L: LorentzMap
 ) -> tuple[np.ndarray, float]:
-    """Mass-shell pullback of one amplitude field along ``L``.
+    """Mass-shell pullback of a batch of amplitude fields along ``L``.
 
-    Returns the transformed field rescaled to the input norm, plus the
-    relative norm drift of the raw pullback.
+    Returns the transformed fields, each rescaled to its input norm, plus
+    the largest relative norm drift of the raw pullbacks.
     """
-    norm_in = float(np.linalg.norm(arr))
-    if norm_in == 0.0:
-        return arr.copy(), 0.0
-    plan = _pullback_plan(cfg, L)
-    if plan.axis is None:
-        raw = _spline_pullback(cfg, arr, plan)
-    else:
-        raw = _exact_pullback(arr, plan)
-    out = raw * plan.weight
-    norm_out = float(np.linalg.norm(out))
-    if norm_out == 0.0:
-        raise GeometryError("velocity transform annihilated the state")
-    return out * (norm_in / norm_out), abs(norm_out / norm_in - 1.0)
+    norms = [float(np.linalg.norm(one)) for one in arr]
+    live = [i for i, norm_in in enumerate(norms) if norm_in != 0.0]
+    zero = [i for i, norm_in in enumerate(norms) if norm_in == 0.0]
+    raws = ()
+    if live:
+        plan = _pullback_plan(cfg, L)
+        batch = arr if len(live) == len(arr) else arr[live]
+        if plan.axis is None:
+            raws = (_spline_pullback(cfg, one, plan) for one in batch)
+        else:
+            raws = _exact_pullback(batch, plan)
+    out = np.empty(arr.shape, dtype=complex)
+    out[zero] = arr[zero]  # a zero field comes back as it is
+    drift = 0.0
+    for i, raw in zip(live, raws):
+        np.multiply(raw, plan.weight, out=raw)
+        norm_out = float(np.linalg.norm(raw))
+        if norm_out == 0.0:
+            raise GeometryError("velocity transform annihilated the state")
+        np.multiply(raw, norms[i] / norm_out, out=out[i])
+        drift = max(drift, abs(norm_out / norms[i] - 1.0))
+    return out, drift
 
 
 def _apply_linear(
@@ -419,9 +491,8 @@ def _apply_linear(
         raise GeometryError(
             f"rapidity {chi:.4f} exceeds the band-limit cap {cfg.chi_max:.4f}"
         )
-    pieces = [_boost_array(cfg, one, L) for one in arr.reshape(-1, cfg.N, cfg.N, cfg.N)]
-    out = np.stack([res for res, _ in pieces]).reshape(arr.shape)
-    return out, chi, max(drift for _, drift in pieces)
+    out, drift = _boost_array(cfg, arr.reshape(-1, cfg.N, cfg.N, cfg.N), L)
+    return out.reshape(arr.shape), chi, drift
 
 
 def _act(cfg: ModelConfig, arr: np.ndarray, steps, overwrite_x: bool = False):

@@ -43,6 +43,7 @@ from minkabs.quantum.state import (
     _act,
     _apply_linear,
     _apply_perm,
+    _exact_pullback,
     _pullback_plan,
     _represented,
     _spline_pullback,
@@ -88,29 +89,53 @@ def white_state(cfg, seed):
     return LatticeState(cfg, psi / np.linalg.norm(psi))
 
 
-def direct_sum_pullback(cfg, psi, L):
-    """Oracle for the velocity change: the trigonometric interpolant of
-    ``psi`` summed directly over all positions at the pulled-back labels,
-    times the on-shell weight, rescaled to the input norm."""
+def pulled_labels(cfg, L):
+    """Labels ``q_i = -<L^-1 p, b_i>`` of each on-shell ``p = omega u - sum_j
+    k_j b_j``, shape (N, N, N, 3)."""
     inv = L.inverse()
     u = cfg.observer.as_vector()
-    # labels q_i = -<L^-1 p, b_i> of p = omega u - sum_j k_j b_j
     a = np.array([lorentz_product(inv(u), b).value for b in cfg.basis])
     m = np.array(
         [[lorentz_product(inv(bj), bi).value for bj in cfg.basis] for bi in cfg.basis]
     )
-    grid = np.meshgrid(cfg.k1d, cfg.k1d, cfg.k1d, indexing="ij")
-    k = np.stack(grid, axis=-1).reshape(-1, 3)
-    q = -cfg.omega.reshape(-1, 1) * a + k @ m.T
+    k = np.stack(np.meshgrid(cfg.k1d, cfg.k1d, cfg.k1d, indexing="ij"), axis=-1)
+    return -cfg.omega[..., None] * a + k @ m.T
+
+
+def weighted_to_norm(cfg, psi, q, vals):
+    """The on-shell weight at labels ``q``, then the rescale to ``psi``'s norm."""
+    omega_q = np.sqrt(cfg.mass.value**2 + np.sum(q * q, axis=-1))
+    out = vals * np.sqrt(omega_q / cfg.omega)
+    return out * (np.linalg.norm(psi) / np.linalg.norm(out))
+
+
+def direct_sum_pullback(cfg, psi, L):
+    """Oracle for the velocity change: the trigonometric interpolant of
+    ``psi`` summed directly over all positions at the pulled-back labels,
+    times the on-shell weight, rescaled to the input norm."""
+    q = pulled_labels(cfg, L).reshape(-1, 3)
     grid = np.meshgrid(cfg.x1d, cfg.x1d, cfg.x1d, indexing="ij")
     x = np.stack(grid, axis=-1).reshape(-1, 3)
     pos = np.fft.ifftn(psi, norm="ortho").reshape(-1)
     chunks = np.array_split(q, max(1, len(q) // 512))
     vals = np.concatenate([np.exp(-1j * (c @ x.T)) @ pos for c in chunks])
-    omega_q = np.sqrt(cfg.mass.value**2 + np.sum(q * q, axis=-1))
-    out = vals / cfg.N**1.5 * np.sqrt(omega_q / cfg.omega.reshape(-1))
-    out = out.reshape(psi.shape)
-    return out * (np.linalg.norm(psi) / np.linalg.norm(out))
+    vals = vals.reshape(psi.shape) / cfg.N**1.5
+    return weighted_to_norm(cfg, psi, q.reshape(psi.shape + (3,)), vals)
+
+
+def axis_sum_pullback(cfg, psi, L, axis):
+    """The same oracle for a velocity change that keeps the labels
+    transverse to ``axis`` on the lattice: ordinary DFTs across, then the
+    direct sum over the positions along ``axis``."""
+    q = pulled_labels(cfg, L)
+    fixed = tuple(i for i in range(3) if i != axis)
+    pos = np.fft.ifftn(psi, norm="ortho")
+    part = np.moveaxis(np.fft.fftn(pos, axes=fixed, norm="ortho"), axis, 0)
+    qa = np.moveaxis(q[..., axis], axis, 0)
+    vals = np.stack(
+        [np.einsum("bcn,nbc->bc", np.exp(-1j * row[..., None] * cfg.x1d), part) for row in qa]
+    )
+    return weighted_to_norm(cfg, psi, q, np.moveaxis(vals, 0, axis) / math.sqrt(cfg.N))
 
 
 @pytest.fixture
@@ -462,7 +487,7 @@ class TestBoost:
 
 class TestVelocityKernel:
     @pytest.mark.parametrize("n", [8, 16])
-    @pytest.mark.parametrize("axis", [(1, 0, 0), (0, 1, 0), (0, 0, 1)])
+    @pytest.mark.parametrize("axis", [(1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, 0, 0)])
     def test_lattice_axis_boost_is_exact(self, n, axis, spline_calls):
         c = ModelConfig(N=n)
         s = white_state(c, 3)
@@ -472,6 +497,46 @@ class TestVelocityKernel:
             ref = direct_sum_pullback(c, s.psi, L)
             assert np.linalg.norm(out.psi - ref) <= 1e-12
         assert not spline_calls
+
+    @pytest.mark.parametrize("axis", [0, 1, 2])
+    def test_lattice_axis_boost_matches_axis_sum(self, axis, spline_calls):
+        # N=32, where the full 3-D direct sum (N^6 terms) is too slow
+        c = ModelConfig(N=32)
+        s = white_state(c, 4)
+        b = make_boost(U0, boosted(0.25, np.eye(3)[axis]))
+        for L in (b, b.inverse()):
+            ref = axis_sum_pullback(c, s.psi, L, axis)
+            assert np.linalg.norm(apply_boost(s, L).psi - ref) <= 1e-12
+        assert not spline_calls
+
+    @pytest.mark.parametrize("n", [16, 32, 64])
+    @pytest.mark.parametrize("axis", [0, 1, 2])
+    def test_columns_of_a_class_share_their_nodes(self, n, axis):
+        # the kernel evaluates every transverse column at its class's nodes
+        c = ModelConfig(N=n)
+        L = make_boost(U0, boosted(0.25, np.eye(3)[axis]))
+        plan = _pullback_plan(c, L)
+        assert plan.axis == axis
+        assert np.array_equal(plan.order[plan.inverse], np.arange(n * n))
+        assert {size for size, _ in plan.sizes} <= {1, 2, 4, 8}
+        assert sum(size * count for size, count in plan.sizes) == n * n
+        assert sum(count for _, count in plan.sizes) == len(plan.nodes)
+        qa = pulled_labels(c, L)[..., axis] * c.spacing.value
+        z = np.moveaxis(np.exp(-1j * qa), axis, 0).reshape(n, n * n)
+        sizes = [size for size, count in plan.sizes for _ in range(count)]
+        rows = np.repeat(plan.nodes, sizes, axis=0)
+        assert np.max(np.abs(z[:, plan.order] - rows.T)) <= 1e-14
+
+    @pytest.mark.parametrize("axis", [(0, 1, 0), (1, 1, 0)])
+    def test_batch_matches_single_states(self, cfg32, axis):
+        # one kernel call per batch gives each state's bytes, a zero field included
+        zero = np.zeros((cfg32.N,) * 3, dtype=complex)
+        batch = np.stack([white_state(cfg32, 1).psi, zero, white_state(cfg32, 2).psi])
+        L = make_boost(U0, boosted(0.25, axis))
+        out, _, drift = _apply_linear(cfg32, batch, L)
+        singles = [_apply_linear(cfg32, one, L) for one in batch]
+        assert out.tobytes() == np.stack([one for one, _, _ in singles]).tobytes()
+        assert drift == max(d for _, _, d in singles)
 
     def test_diagonal_boost_takes_spline_path(self, cfg, spline_calls):
         s = make_gaussian(cfg, width=seconds(1.0))
@@ -672,6 +737,38 @@ def test_hypothesis_exact_path_unitarity(cfg):
         assert np.max(np.linalg.norm((back - arr).reshape(2, -1), axis=1)) <= 1e-13
 
     run()
+
+
+@pytest.mark.skipif(
+    (os.cpu_count() or 1) < 2, reason="needs 2 CPUs: OpenBLAS runs one thread per CPU"
+)
+def test_exact_pullback_does_not_depend_on_blas_threads():
+    # the raw interpolant before the norms, which np.linalg.norm splits over
+    # BLAS threads; white states, normalized by a per-axis (ufunc) norm
+    script = (
+        "import hashlib\n"
+        "import numpy as np\n"
+        "from minkabs.groups import make_boost\n"
+        "from minkabs.quantum import ModelConfig\n"
+        "from minkabs.quantum import verify as V\n"
+        "from minkabs.quantum.state import _exact_pullback, _pullback_plan\n"
+        "for n in (32, 64):\n"
+        "    cfg = ModelConfig(N=n)\n"
+        "    states = V.random_states(cfg, np.random.default_rng(0), 2)\n"
+        "    plan = _pullback_plan(cfg, make_boost(cfg.observer, V.boosted_velocity(0.25)))\n"
+        "    raw = np.ascontiguousarray(_exact_pullback(states, plan))\n"
+        "    print(n, hashlib.sha256(raw.tobytes()).hexdigest())\n"
+    )
+    src = Path(minkabs.__file__).resolve().parent.parent
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS=threads)
+        proc = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(proc.stdout)
+    assert outputs[0] == outputs[1]
 
 
 def test_light_commands_load_no_scipy():
