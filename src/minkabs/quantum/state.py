@@ -14,10 +14,12 @@ homogeneous map at the lattice origin.  Three flavors of action sit
 underneath:
 
 * translations act by momentum-space phases
-  ``exp(-i (omega(k) dt + k . dx))`` and are exactly unitary; lattice
-  steps become exact cyclic shifts of the position amplitudes.  There
-  is one convention: ``represent`` takes the phase of the time-inverted
-  shift (see ``represent_array``);
+  ``exp(-i omega(k) dt) exp(-i k . dx)`` and are exactly unitary; lattice
+  steps become exact cyclic shifts of the position amplitudes.  The
+  spatial factor is the outer product of three 1-D exponentials, and the
+  time factor is taken on the labels 0..N/2 and mirrored, since omega is
+  even in each label.  There is one convention: ``represent`` takes the
+  phase of the time-inverted shift (see ``represent_array``);
 * maps fixing the constructing observer whose spatial restriction is a
   signed permutation of the lattice axes act by exact index
   permutations;
@@ -196,20 +198,34 @@ def _to_momentum(arr: np.ndarray, overwrite_x: bool = False, box=None, n=None) -
 def _translation_phase(cfg: ModelConfig, v: SpacetimeVector) -> np.ndarray:
     dt, spatial = _split(cfg.observer._c, v._c)
     d = _product(cfg.axes, spatial)
-    # exp(-1j * (omega dt + k1 d0 + k2 d1 + k3 d2)) in one complex buffer: the
-    # angle is summed in its real part in that order, one first-axis plane at
-    # a time, because a broadcast add over the whole field takes a ufunc
-    # buffer of up to 8192 values
-    phase = np.zeros(cfg.omega.shape, complex)
-    angle = phase.real
-    np.multiply(cfg.omega, dt, out=angle)
-    kd1, kd2, kd3 = (cfg.k1d * x for x in d)
-    for plane, kd in zip(angle, kd1):
-        plane += kd
-        plane += kd2[:, None]
-        plane += kd3
-    np.multiply(phase, -1j, out=phase)
-    np.exp(phase, out=phase)
+    # exp(-1j omega dt) exp(-1j k.d) with no N^3 transcendental, built one
+    # first-axis plane at a time.  omega is even in each signed label, bit
+    # for bit, so the time factor is taken on the labels 0..N/2 and copied to
+    # the mirrored ones (label -n at index N - n, as in _apply_perm).  The
+    # spatial factor is the outer product of three 1-D exp(-1j k d_a), built
+    # row by row: a broadcast complex product takes a ufunc buffer of up to
+    # 8192 values, so every product here is of one shape or by a scalar
+    h = cfg.N // 2 + 1
+    timed, moved = dt != 0.0, bool(np.any(d != 0.0))
+    phase = np.empty(cfg.omega.shape, complex)
+    if timed or not moved:
+        for plane, w in zip(phase, cfg.omega[:h, :h, :h]):
+            t = np.exp(-1j * (w * dt))
+            plane[:h, :h] = t
+            plane[:h, h:] = t[:, h - 2 : 0 : -1]
+            plane[h:] = plane[h - 2 : 0 : -1]
+        phase[h:] = phase[h - 2 : 0 : -1]
+    if moved:
+        x1, x2, x3 = (np.exp(-1j * (cfg.k1d * x)) for x in d)
+        x23 = np.empty(cfg.omega.shape[1:], complex)
+        for row, x in zip(x23, x2):
+            np.multiply(x3, x, out=row)
+        for plane, x in zip(phase, x1):
+            if timed:
+                plane *= x23
+                plane *= x
+            else:
+                np.multiply(x23, x, out=plane)
     phase.flags.writeable = False
     return phase
 
