@@ -199,7 +199,7 @@ def cmd_verify_covariance(config: dict) -> RunReport:
     # measured drift of the default packet at quarter rapidity, frozen
     # with headroom; small boxes are wrap-tail dominated
     drift_bound = {8: 5e-1, 16: 5e-2, 32: 5e-4}.get(cfg.N, 1e-6)
-    details = {"rapidity": chi, "rapidity_cap": boost_report.rapidity_cap}
+    details = {"rapidity": chi, "rapidity_cap": cfg.chi_max}
     check("velocity-roundtrip-drift", boost_report.norm_drift, drift_bound, **details)
     check("global-equivariance", V.equivariance_residual(cfg, seed), 1e-10)
     rows = V.boost_convergence_rows(

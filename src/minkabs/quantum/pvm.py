@@ -2,8 +2,9 @@
 
 A localization projection family is labeled by an instant alone: the
 instant is a simultaneity hyperplane of one observer, so it fixes the
-observer too.  For the constructing instant, the projection of a region
-is realized directly: transform to the position lattice, keep the
+observer too.  Every region sits on its instant, so the region alone
+names its projection.  For the constructing instant, the projection of a
+region is realized directly: transform to the position lattice, keep the
 amplitudes whose cells lie in the region, transform back.  For any other
 instant the projection is *defined* by covariance: conjugate the
 constructing projection with the represented canonical map carrying the
@@ -41,7 +42,6 @@ from .state import LatticeState, _act, _represented, _to_momentum, _to_position
 from .state import represent_array
 
 __all__ = [
-    "PvmHandle",
     "NwPosition",
     "NwComponentStats",
     "rasterize",
@@ -57,8 +57,8 @@ _SNAP = 1e-9  # fraction of a lattice spacing
 
 @dataclass(frozen=True)
 class PvmHandle:
-    """Label of one localization projection family: its instant, which
-    also fixes the observer."""
+    """The instant of one localization projection family, as the benchmark
+    tracer's ``_project_raw`` hook reads it."""
 
     instant: Instant
 
@@ -197,43 +197,41 @@ def _conjugate_mask(cfg: ModelConfig, states: np.ndarray, chain, mask: np.ndarra
     return _act(cfg, arr, _represented(cfg, chain), overwrite_x=True)[0]
 
 
-def _projection(handle: PvmHandle, region: Region, cfg: ModelConfig):
-    """The localization projection of ``region`` through ``handle`` as the
-    ``(chain, mask)`` that ``_conjugate_mask`` applies: ``chain`` is ``[]`` on
-    the constructing instant and ``[carry]`` elsewhere."""
-    if handle.is_constructing(cfg):
+def _projection(region: Region, cfg: ModelConfig):
+    """The localization projection of ``region`` as the ``(chain, mask)``
+    that ``_conjugate_mask`` applies: ``chain`` is ``[]`` on the constructing
+    instant and ``[carry]`` to the region's instant elsewhere."""
+    if region.instant == cfg.instant:
         return [], rasterize(cfg, region)
-    carry = canonical_map(cfg, handle.instant)
+    carry = canonical_map(cfg, region.instant)
     return [carry], rasterize(cfg, _pullback_region(cfg, carry, region))
 
 
 def _project_raw(
     handle: PvmHandle, region: Region, psi: np.ndarray, cfg: ModelConfig
 ) -> np.ndarray:
-    return _conjugate_mask(cfg, psi, *_projection(handle, region, cfg))
+    return _conjugate_mask(cfg, psi, *_projection(region, cfg))
 
 
-def pvm_project(handle: PvmHandle, region: Region, state: LatticeState) -> LatticeState:
+def pvm_project(region: Region, state: LatticeState) -> LatticeState:
     """Apply the localization projection of ``region`` (unnormalized).
 
-    The region must sit on the handle's instant.  On the constructing
+    The region's instant labels the family.  On the constructing
     instant this is the exact cell indicator conjugated by the position
     transform: idempotent, self-adjoint and additive over disjoint
     regions.  On other instants it is the covariance-pulled version,
     exact for lattice-symmetric label changes and convergent for
     velocity changes.
     """
-    if not region.instant == handle.instant:
-        raise GeometryError("region does not sit on the handle instant")
-    return LatticeState(state.cfg, _project_raw(handle, region, state.psi, state.cfg))
+    # PvmHandle is built only for the benchmark tracer's _project_raw hook
+    psi = _project_raw(PvmHandle(region.instant), region, state.psi, state.cfg)
+    return LatticeState(state.cfg, psi)
 
 
-def localization_probability(
-    handle: PvmHandle, region: Region, state: LatticeState
-) -> float:
+def localization_probability(region: Region, state: LatticeState) -> float:
     """Squared norm of the projected state; in [0, 1] for unit states
     and monotone in the region."""
-    raw = pvm_project(handle, region, state).psi
+    raw = pvm_project(region, state).psi
     # a ufunc reduction: BLAS's vdot rounds by its thread count from N=32
     return float(np.add.reduce((raw.real**2 + raw.imag**2).ravel()))
 

@@ -125,7 +125,6 @@ class BoostReport:
     """Diagnostics of one velocity-transform application."""
 
     rapidity: float
-    rapidity_cap: float
     norm_drift: float  # relative norm change before rescaling
 
 
@@ -602,7 +601,7 @@ def apply_boost(state: LatticeState, L: LorentzMap, return_report: bool = False)
     """
     psi, chi, drift = _apply_linear(state.cfg, state.psi, L)
     out = LatticeState(state.cfg, psi)
-    return (out, BoostReport(chi, state.cfg.chi_max, drift)) if return_report else out
+    return (out, BoostReport(chi, drift)) if return_report else out
 
 
 # ---------------------------------------------------------------------------

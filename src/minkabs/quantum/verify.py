@@ -49,7 +49,6 @@ from ..report import CheckResult, Checks
 from .config import ModelConfig
 from .pvm import (
     NwPosition,
-    PvmHandle,
     _conjugate_mask,
     _projection,
     canonical_map,
@@ -83,7 +82,7 @@ __all__ = [
     "localized_state",
     "causality_experiment",
     "commutator_witness",
-    "handle_covariance_residual",
+    "region_covariance_residual",
     "equivariance_residual",
 ]
 
@@ -279,8 +278,7 @@ def label_change_residual(
     """
     if not L.is_orthochronous():
         raise GeometryError("covariance drivers take orthochronous maps")
-    handle = PvmHandle(L.transform_instant(cfg.instant))
-    chain, carried = _projection(handle, L.transform_region(region), cfg)
+    chain, carried = _projection(L.transform_region(region), cfg)
     lhs = _conjugate_mask(cfg, states, [L], rasterize(cfg, region))
     return _batch_max_norm(lhs - _conjugate_mask(cfg, states, chain, carried))
 
@@ -489,7 +487,7 @@ def localized_state(cfg: ModelConfig) -> np.ndarray:
         float(0.5 * (lo[m] + hi[m])) * b for m, b in enumerate(region.basis)
     )
     packet = make_gaussian(cfg, center=box_center, width=cfg.spacing * 3.0)
-    return pvm_project(PvmHandle(cfg.instant), region, packet).normalized().psi
+    return pvm_project(region, packet).normalized().psi
 
 
 def causality_experiment(cfg: ModelConfig, phi: np.ndarray, shadow) -> float:
@@ -534,8 +532,8 @@ def commutator_witness(
         region_b = cell_region(cfg, (2, -2, -2), (5, 1, 1), instant=t2)
     if not all(r.instant.observer.approx_eq(cfg.observer) for r in (region_a, region_b)):
         raise GeometryError("commutator witness needs instants of the constructing observer")
-    proj_a = _projection(PvmHandle(region_a.instant), region_a, cfg)
-    proj_b = _projection(PvmHandle(region_b.instant), region_b, cfg)
+    proj_a = _projection(region_a, cfg)
+    proj_b = _projection(region_b, cfg)
     sigma = np.linalg.svd(_overlap(cfg, proj_a, proj_b), compute_uv=False)
     # sigma may round to 1 or above (identical boxes: K[0] is exactly 1.0)
     return float(np.max(sigma * np.sqrt(np.maximum(0.0, 1.0 - sigma * sigma)), initial=0.0))
@@ -569,10 +567,11 @@ def _overlap(cfg: ModelConfig, proj_a, proj_b) -> np.ndarray:
     return K.ravel()[flat]
 
 
-def _project_arr(cfg, handle, region, arr):
-    from .pvm import _project_raw
+def _project_arr(cfg, region, arr):
+    from .pvm import PvmHandle, _project_raw
 
-    return _project_raw(handle, region, arr, cfg)
+    # PvmHandle is built only for the benchmark tracer's _project_raw hook
+    return _project_raw(PvmHandle(region.instant), region, arr, cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -580,19 +579,13 @@ def _project_arr(cfg, handle, region, arr):
 # ---------------------------------------------------------------------------
 
 
-def handle_covariance_residual(
-    cfg: ModelConfig,
-    S: PoincareMap,
-    handle: PvmHandle,
-    region: Region,
-    states: np.ndarray,
+def region_covariance_residual(
+    cfg: ModelConfig, S: PoincareMap, region: Region, states: np.ndarray
 ) -> float:
-    """Conjugation-vs-carried-labels residual through arbitrary handles."""
-    carried_handle = PvmHandle(S.transform_instant(handle.instant))
-    carried_region = S.transform_region(region)
+    """Conjugation-vs-carried-region residual for a region on any instant."""
     back, _ = represent_array(cfg, states, S.inverse())
-    lhs, _ = represent_array(cfg, _project_arr(cfg, handle, region, back), S)
-    diff = lhs - _project_arr(cfg, carried_handle, carried_region, states)
+    lhs, _ = represent_array(cfg, _project_arr(cfg, region, back), S)
+    diff = lhs - _project_arr(cfg, S.transform_region(region), states)
     # one norm per state: the batched BLAS reduction rounds differently
     ones = diff.reshape(-1, cfg.N, cfg.N, cfg.N)
     return max([0.0] + [float(np.linalg.norm(one)) for one in ones])
@@ -613,7 +606,7 @@ def _probe_bundle(
 ) -> dict[str, float]:
     """Reported numbers with every input optionally carried by ``P``.
 
-    All quantities go through the label-handle machinery, so the carried
+    All quantities go through the region-labeled projections, so the carried
     variant exercises exactly the same public surface with transformed
     observers, instants, origins, regions and states.
     """
@@ -624,16 +617,15 @@ def _probe_bundle(
     region = cell_region(cfg, (-3, -2, -4), (2, 3, 1))
     moved_region = ident.transform_region(region)
     t1 = ident.transform_instant(cfg.instant)
-    handle = PvmHandle(t1)
     out: dict[str, float] = {}
     for i in range(3):
         out[f"localization-{i}"] = localization_probability(
-            handle, moved_region, LatticeState(cfg, moved_states[i])
+            moved_region, LatticeState(cfg, moved_states[i])
         )
     gauss = make_gaussian(cfg, width=seconds(STANDARD_PACKET_WIDTH))
     mg, _ = represent_array(cfg, gauss.psi, ident)
     mg_state = LatticeState(cfg, mg)
-    out["localization-gauss"] = localization_probability(handle, moved_region, mg_state)
+    out["localization-gauss"] = localization_probability(moved_region, mg_state)
 
     w = NwPosition(t1, ident(cfg.origin))
     own = nw_component_stats(w, t1.observer, mg_state)
@@ -644,22 +636,19 @@ def _probe_bundle(
 
     S = PoincareMap.from_homogeneous(lattice_point_group(cfg.observer, cfg.basis)[9], cfg.origin)
     moved_S = ident.compose(S).compose(ident.inverse())
-    out["covariance-residual"] = handle_covariance_residual(
-        cfg, moved_S, handle, moved_region, moved_states
+    out["covariance-residual"] = region_covariance_residual(
+        cfg, moved_S, moved_region, moved_states
     )
 
     # causal leakage with a non-cell-aligned horizon
-    phi_raw = _project_arr(cfg, handle, moved_region, mg)
+    phi_raw = _project_arr(cfg, moved_region, mg)
     phi = phi_raw / np.linalg.norm(phi_raw)
     dt = 0.8
     t2 = ident.transform_instant(
         Instant(cfg.observer, cfg.origin + cfg.observer * seconds(dt))
     )
     shadow = grow_region_causally(moved_region, t2)
-    h2 = PvmHandle(t2)
-    out["causality-leakage"] = 1.0 - localization_probability(
-        h2, shadow, LatticeState(cfg, phi)
-    )
+    out["causality-leakage"] = 1.0 - localization_probability(shadow, LatticeState(cfg, phi))
     return out
 
 

@@ -12,7 +12,7 @@ import pytest
 
 from minkabs.geometry import normalize_velocity, vector
 from minkabs.groups import PoincareMap, make_rotation
-from minkabs.quantum import LatticeState, ModelConfig, PvmHandle
+from minkabs.quantum import LatticeState, ModelConfig
 import minkabs.quantum.verify as V
 from minkabs.suites import run_geometry_suite
 
@@ -157,9 +157,7 @@ def test_criterion_7_causality_leakage(cfg32):
     leak32 = V.causality_experiment(cfg32, phi, V.causal_shadow(cfg32, delta_t=2.0))
     elapsed32 = time.perf_counter() - t0
     region = V.cell_region(cfg32, (-2, -2, -2), (1, 1, 1))
-    localized = V.localization_probability(
-        PvmHandle(cfg32.instant), region, LatticeState(cfg32, phi)
-    )
+    localized = V.localization_probability(region, LatticeState(cfg32, phi))
     cfg64 = ModelConfig(N=64)
     leak64 = V.causality_experiment(
         cfg64, V.localized_state(cfg64), V.causal_shadow(cfg64, delta_t=2.0)

@@ -41,14 +41,15 @@ def test_each_hook_reads_its_call(layers_and_tracer):
     from minkabs import cli
     from minkabs.geometry import Instant, seconds
     from minkabs.groups import make_boost
-    from minkabs.quantum import LatticeState, ModelConfig, PvmHandle, make_gaussian, pvm
+    from minkabs.quantum import LatticeState, ModelConfig, make_gaussian, pvm
     from minkabs.quantum import verify as V
     from minkabs.quantum.state import represent_array
 
     layers, Tracer = layers_and_tracer
     cfg = ModelConfig(N=16)
     later = Instant(cfg.observer, cfg.origin + cfg.observer * seconds(0.5))
-    region = V.cell_region(cfg, (-2, -2, -2), (1, 1, 1), instant=later)
+    # the program builds the handle from the region: one on each branch
+    regions = [V.cell_region(cfg, (-2, -2, -2), (1, 1, 1), instant=t) for t in (None, later)]
     phi = V.localized_state(cfg)
     shadow = V.causal_shadow(cfg, delta_t=1.0, u2=V.boosted_velocity(0.1))
     _, drift = represent_array(cfg, phi, shadow[0].inverse())
@@ -57,12 +58,13 @@ def test_each_hook_reads_its_call(layers_and_tracer):
     tracer = Tracer()
     try:
         layers.install(tracer)
-        pvm.pvm_project(PvmHandle(later), region, LatticeState(cfg, phi))
+        for region in regions:
+            pvm.pvm_project(region, LatticeState(cfg, phi))
         V.causality_experiment(cfg, phi, shadow)
         _, report = cli.apply_boost(packet, L, return_report=True)
     finally:
         tracer.restore()
-    assert _attrs(tracer, "pvm._project_raw") == [{"covariant": True}]
+    assert _attrs(tracer, "pvm._project_raw") == [{"covariant": False}, {"covariant": True}]
     assert _attrs(tracer, "state.represent_array") == [
         {"N": 16, "states": 1, "velocity": True, "drift": drift}
     ]

@@ -21,6 +21,7 @@ from minkabs.geometry import (
     lorentz_product,
     normalize_velocity,
     seconds,
+    space_part,
     vector,
 )
 from minkabs.groups import (
@@ -34,7 +35,6 @@ from minkabs.groups import (
 from minkabs.quantum import (
     ModelConfig,
     NwPosition,
-    PvmHandle,
     canonical_map,
     localization_probability,
     make_gaussian,
@@ -69,10 +69,6 @@ def cfg():
 @pytest.fixture(scope="module")
 def cfg32():
     return ModelConfig(N=32)
-
-
-def handle(cfg):
-    return PvmHandle(cfg.instant)
 
 
 def cell_box(cfg, lo_cells, hi_cells):
@@ -174,33 +170,31 @@ class TestProjection:
         s = random_state(cfg, 1)
         half = 0.5 * cfg.box_length
         reg = Region(cfg.instant, [((-half, -half, -half), (half, half, half))])
-        out = pvm_project(handle(cfg), reg, s)
+        out = pvm_project(reg, s)
         assert np.max(np.abs(out.psi - s.psi)) <= 1e-12
 
     def test_idempotent_and_self_adjoint(self, cfg):
         s = random_state(cfg, 2)
         t = random_state(cfg, 3)
         reg = region_of_cells(cfg, (-3, -3, -3), (2, 2, 2))
-        h = handle(cfg)
-        once = pvm_project(h, reg, s)
-        twice = pvm_project(h, reg, once)
+        once = pvm_project(reg, s)
+        twice = pvm_project(reg, once)
         assert np.max(np.abs(twice.psi - once.psi)) <= 1e-12
         lhs = np.vdot(t.psi, once.psi)
-        rhs = np.vdot(pvm_project(h, reg, t).psi, s.psi)
+        rhs = np.vdot(pvm_project(reg, t).psi, s.psi)
         assert abs(lhs - rhs) <= 1e-12
 
     def test_additive_over_disjoint_regions(self, cfg):
         s = random_state(cfg, 4)
-        h = handle(cfg)
         r1 = region_of_cells(cfg, (-4, -4, -4), (-1, -1, -1))
         r2 = region_of_cells(cfg, (0, 0, 0), (3, 3, 3))
         both = Region(
             cfg.instant,
             [cell_box(cfg, (-4, -4, -4), (-1, -1, -1)), cell_box(cfg, (0, 0, 0), (3, 3, 3))],
         )
-        p1 = localization_probability(h, r1, s)
-        p2 = localization_probability(h, r2, s)
-        p12 = localization_probability(h, both, s)
+        p1 = localization_probability(r1, s)
+        p2 = localization_probability(r2, s)
+        p12 = localization_probability(both, s)
         assert abs(p1 + p2 - p12) <= 1e-12
 
     def test_gaussian_mostly_inside_its_box(self, cfg32):
@@ -209,16 +203,15 @@ class TestProjection:
             cfg32.instant,
             [((-2.375, -2.375, -2.375), (2.375, 2.375, 2.375))],  # > 3 sigma
         )
-        out = pvm_project(handle(cfg32), reg, s)
+        out = pvm_project(reg, s)
         assert np.linalg.norm(out.psi - s.psi) <= 0.1
 
     def test_probability_bounds_and_monotonicity(self, cfg):
         s = random_state(cfg, 5)
-        h = handle(cfg)
         small = region_of_cells(cfg, (-1, -1, -1), (0, 0, 0))
         large = region_of_cells(cfg, (-3, -3, -3), (2, 2, 2))
-        ps = localization_probability(h, small, s)
-        pl = localization_probability(h, large, s)
+        ps = localization_probability(small, s)
+        pl = localization_probability(large, s)
         assert 0.0 <= ps <= pl <= 1.0 + 1e-12
 
     def test_empty_region_gives_zero(self, cfg):
@@ -226,7 +219,7 @@ class TestProjection:
         a = cfg.spacing.value
         # a sliver between cell centers holds no cells
         reg = Region(cfg.instant, [((0.1 * a, 0, 0), (0.2 * a, a, a))])
-        assert localization_probability(handle(cfg), reg, s) <= 1e-15
+        assert localization_probability(reg, s) <= 1e-15
 
     def test_half_box_on_even_gaussian(self, cfg32):
         # symmetry oracle: a packet centered at the cut plane puts half
@@ -238,15 +231,32 @@ class TestProjection:
         reg = Region(
             cfg32.instant, [((-half, -half, -half), (-0.5 * a, half, half))]
         )
-        p = localization_probability(handle(cfg32), reg, s)
+        p = localization_probability(reg, s)
         assert abs(p - 0.5) <= 2.0 / cfg32.N
 
-    def test_region_on_wrong_instant_rejected(self, cfg):
-        s = random_state(cfg, 7)
+    def test_rasterize_rejects_region_off_constructing_instant(self, cfg):
+        # the one instant check left: a projection carries a region on any
+        # other instant back before it rasterizes it
         other = Instant(U0, ORIGIN + vector(1, 0, 0, 0))
         reg = Region(other, [((0, 0, 0), (1, 1, 1))])
-        with pytest.raises(GeometryError):
-            pvm_project(handle(cfg), reg, s)
+        with pytest.raises(GeometryError, match="constructing instant"):
+            rasterize(cfg, reg)
+
+    @pytest.mark.parametrize("chi", [0.0, 0.2])
+    def test_depends_on_hyperplane_not_its_anchor(self, cfg32, chi):
+        # two labels of one hyperplane, anchored a simultaneous step apart,
+        # name the same projection of a region with the same boxes and anchor
+        u2 = boosted_velocity(chi)
+        t = Instant(u2, cfg32.origin + u2 * seconds(0.5))
+        t_moved = Instant(u2, t.anchor + space_part(u2, vector(0, 1.3, -0.4, 2.0)))
+        assert t_moved == t and t_moved.anchor != t.anchor
+        s = make_gaussian(cfg32, width=seconds(0.75))
+        box = cell_box(cfg32, (-2, -2, -2), (1, 1, 1))
+        p, p_moved = (
+            localization_probability(Region(inst, [box], anchor=t.anchor), s)
+            for inst in (t, t_moved)
+        )
+        assert abs(p - p_moved) <= 1e-12
 
     def test_covariant_handle_time_translation(self, cfg):
         # localization of a state at a later instant equals localization
@@ -255,16 +265,15 @@ class TestProjection:
         s = make_gaussian(cfg, width=seconds(0.8))
         dt = 0.75
         later = Instant(U0, ORIGIN + vector(dt, 0, 0, 0))
-        h2 = PvmHandle(later)
         reg2 = Region(later, [cell_box(cfg, (-2, -2, -2), (1, 1, 1))], anchor=later.anchor)
-        p_later = localization_probability(h2, reg2, s)
+        p_later = localization_probability(reg2, s)
         reg0 = Region(cfg.instant, [cell_box(cfg, (-2, -2, -2), (1, 1, 1))])
         forward = PoincareMap.from_translation(time_inversion(U0)(vector(dt, 0, 0, 0)))
         evolved = represent(s, forward)
-        p_evolved = localization_probability(handle(cfg), reg0, evolved)
+        p_evolved = localization_probability(reg0, evolved)
         assert abs(p_later - p_evolved) <= 1e-10
         # the packet spreads, so the later-instant probability drops
-        p_now = localization_probability(handle(cfg), reg0, s)
+        p_now = localization_probability(reg0, s)
         assert p_later < p_now
 
 
@@ -508,7 +517,7 @@ class TestPreparedProjection:
         reg = Region(inst, [cell_box(cfg, (-2, -2, -2), (1, 1, 1))], anchor=inst.anchor)
         carry = canonical_map(cfg, inst)
         mask = rasterize(cfg, carry.inverse().transform_region(reg))
-        proj = _projection(PvmHandle(inst), reg, cfg)
+        proj = _projection(reg, cfg)
         for seed in (11, 12):
             psi = random_state(cfg, seed).psi
             back, _ = represent_array(cfg, psi, carry.inverse())
@@ -519,7 +528,7 @@ class TestPreparedProjection:
     def test_repeated_application_is_identical(self, cfg, kind):
         inst = self.labels(cfg, kind)
         reg = Region(inst, [cell_box(cfg, (-2, -2, -2), (1, 1, 1))], anchor=inst.anchor)
-        chain, mask = _projection(PvmHandle(inst), reg, cfg)
+        chain, mask = _projection(reg, cfg)
         assert len(chain) == (0 if kind == "constructing" else 1)
         batch = np.stack([random_state(cfg, seed).psi for seed in (13, 14)])
         before = mask.tobytes(), batch.tobytes()
@@ -535,14 +544,14 @@ def test_localization_probability_does_not_depend_on_blas_threads():
     # a 12^3-cell box at N=32, where BLAS splits a dot product over its threads
     script = (
         "import numpy as np\n"
-        "from minkabs.quantum import LatticeState, ModelConfig, PvmHandle\n"
+        "from minkabs.quantum import LatticeState, ModelConfig\n"
         "from minkabs.quantum import localization_probability\n"
         "from minkabs.quantum import verify as V\n"
         "cfg = ModelConfig(N=32)\n"
         "psi = V.random_states(cfg, np.random.default_rng(0), 1)[0]\n"
         "region = V.cell_region(cfg, (-6, -6, -6), (5, 5, 5))\n"
         "state = LatticeState(cfg, psi)\n"
-        "print(repr(localization_probability(PvmHandle(cfg.instant), region, state)))\n"
+        "print(repr(localization_probability(region, state)))\n"
     )
     src = Path(minkabs.__file__).resolve().parent.parent
     outputs = []

@@ -41,6 +41,9 @@ ALLOWED = {
     ("report.py", "RunReport.add"): (
         "the benchmark's stabilizer-exact workload builds its report with it"
     ),
+    ("quantum/pvm.py", "PvmHandle.is_constructing"): (
+        "the benchmark tracer's _project_raw hook reads it"
+    ),
     ("quantum/state.py", "represent"): "the state-level form of represent_array",
     ("quantum/state.py", "_spline_pullback"): "off-axis velocity changes; no report makes one yet",
 }

@@ -13,7 +13,7 @@ import pytest
 import minkabs
 from minkabs.geometry import Instant, normalize_velocity, point, seconds, vector
 from minkabs.groups import PoincareMap, Region, make_boost, make_rotation
-from minkabs.quantum import LatticeState, ModelConfig, PvmHandle, rapidity_of
+from minkabs.quantum import LatticeState, ModelConfig, rapidity_of
 import minkabs.quantum.pvm as pvm
 import minkabs.quantum.verify as V
 
@@ -211,7 +211,7 @@ class TestCausality:
     def test_state_is_localized_in_the_region(self, cfg32):
         region = V.cell_region(cfg32, (-2, -2, -2), (1, 1, 1))
         phi = LatticeState(cfg32, V.localized_state(cfg32))
-        assert V.localization_probability(PvmHandle(cfg32.instant), region, phi) >= 1 - 1e-6
+        assert V.localization_probability(region, phi) >= 1 - 1e-6
 
     def test_no_interval_no_leakage(self, cfg32):
         shadow = V.causal_shadow(cfg32, delta_t=0.0)
@@ -244,7 +244,7 @@ class TestCausality:
 
 def _full_space_witness(cfg, region_a=None, region_b=None, seed=42, starts=3, iterations=12):
     """A power iteration on N^3 fields: a lower bound of the commutator norm."""
-    from minkabs.quantum.pvm import PvmHandle, _conjugate_mask, _projection
+    from minkabs.quantum.pvm import _conjugate_mask, _projection
 
     if region_a is None:
         region_a = V.cell_region(cfg, (-5, -2, -2), (-2, 1, 1))
@@ -252,8 +252,8 @@ def _full_space_witness(cfg, region_a=None, region_b=None, seed=42, starts=3, it
         t2 = Instant(cfg.observer, cfg.origin + cfg.observer * seconds(0.5))
         region_b = V.cell_region(cfg, (2, -2, -2), (5, 1, 1), instant=t2)
     # each projection is rasterized once, then applied by the power iteration
-    proj_a = _projection(PvmHandle(region_a.instant), region_a, cfg)
-    proj_b = _projection(PvmHandle(region_b.instant), region_b, cfg)
+    proj_a = _projection(region_a, cfg)
+    proj_b = _projection(region_b, cfg)
 
     def pa(arr):
         return _conjugate_mask(cfg, arr, *proj_a)
@@ -280,11 +280,11 @@ def _full_space_witness(cfg, region_a=None, region_b=None, seed=42, starts=3, it
 
 def _dense_commutator_norm(cfg, region_a, region_b):
     """Spectral norm of ``Pa Pb - Pb Pa`` from the dense N^3 x N^3 projections."""
-    from minkabs.quantum.pvm import PvmHandle, _conjugate_mask, _projection
+    from minkabs.quantum.pvm import _conjugate_mask, _projection
 
     units = np.eye(cfg.N**3, dtype=complex).reshape((-1,) + (cfg.N,) * 3)
     pa, pb = (
-        _conjugate_mask(cfg, units, *_projection(PvmHandle(r.instant), r, cfg))
+        _conjugate_mask(cfg, units, *_projection(r, cfg))
         .reshape(cfg.N**3, -1)
         .T
         for r in (region_a, region_b)
@@ -421,7 +421,6 @@ class TestEquivariance:
         # the interpolation tolerance of the velocity transform
         from minkabs.geometry import seconds
         from minkabs.quantum import (
-            PvmHandle,
             localization_probability,
             make_gaussian,
             pvm_project,
@@ -429,18 +428,14 @@ class TestEquivariance:
         )
 
         region = V.cell_region(cfg32, (-3, -3, -3), (2, 2, 2))
-        handle = PvmHandle(cfg32.instant)
-        phi = pvm_project(
-            handle, region, make_gaussian(cfg32, width=seconds(0.75))
-        ).normalized()
-        p0 = localization_probability(handle, region, phi)
+        phi = pvm_project(region, make_gaussian(cfg32, width=seconds(0.75))).normalized()
+        p0 = localization_probability(region, phi)
         assert p0 >= 1 - 1e-12
 
         boost = make_boost(cfg32.observer, V.boosted_velocity(0.2))
         carry = PoincareMap.from_homogeneous(boost, cfg32.origin)
         moved_region = carry.transform_region(region)
-        moved_handle = PvmHandle(carry.transform_instant(cfg32.instant))
-        p1 = localization_probability(moved_handle, moved_region, represent(phi, carry))
+        p1 = localization_probability(moved_region, represent(phi, carry))
         assert abs(p1 - p0) <= 1e-2  # boost-tolerance scale at N=32
 
 
@@ -460,22 +455,21 @@ class TestBatchedDrivers:
         states = V.random_states(cfg, np.random.default_rng(1), 3)
         region = V.cell_region(cfg, (-3, -2, -4), (2, 3, 1))
         for L in maps(cfg):
-            handle = PvmHandle(L.transform_instant(cfg.instant))
             moved = L.transform_region(region)
-            chain, carried = pvm._projection(handle, moved, cfg)
+            chain, carried = pvm._projection(moved, cfg)
             lhs = pvm._conjugate_mask(cfg, states, [L], V.rasterize(cfg, region))
             rhs = np.stack([pvm._conjugate_mask(cfg, one, chain, carried) for one in states])
             want = V._batch_max_norm(lhs - rhs)
             assert V.label_change_residual(cfg, L, region, states) == want
 
-            later = PvmHandle(L.transform_instant(handle.instant))
+            later = pvm._projection(L.transform_region(moved), cfg)
             want = 0.0
             for one in states:
                 back, _ = represent_array(cfg, one, L.inverse())
-                lhs, _ = represent_array(cfg, pvm._project_raw(handle, moved, back, cfg), L)
-                rhs = pvm._project_raw(later, L.transform_region(moved), one, cfg)
+                lhs, _ = represent_array(cfg, pvm._conjugate_mask(cfg, back, chain, carried), L)
+                rhs = pvm._conjugate_mask(cfg, one, *later)
                 want = max(want, float(np.linalg.norm(lhs - rhs)))
-            assert V.handle_covariance_residual(cfg, L, handle, moved, states) == want
+            assert V.region_covariance_residual(cfg, L, moved, states) == want
 
         for n in (16, 32):
             cfg = ModelConfig(N=n)

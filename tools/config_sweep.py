@@ -26,7 +26,7 @@ Usage::
     python3 tools/config_sweep.py
 
 Standard library plus the package under ``src``.  On a 2-core Xeon the
-103 runs take about 15 s.
+103 runs take 7-12 s.
 """
 
 from __future__ import annotations
