@@ -177,9 +177,8 @@ def cmd_verify_covariance(config: dict) -> RunReport:
         make_rotation(cfg.observer, cfg.basis[2], np.pi / 2), cfg.origin
     )
     shift = PoincareMap.from_translation(cfg.lattice_vector((2, -3, 1)))
-    check(
-        "observer-step-label-change", V.label_change_residual(cfg, step, region, white[:3]), 1e-10
-    )
+    residual = V.region_covariance_residual(cfg, step, region, white[:3])
+    check("observer-step-label-change", residual, 1e-10)
     for name, S in (("rotation", rot), ("shift", shift), ("composite", shift.compose(rot))):
         residual = V.position_family_stabilizer_residual(cfg, S, white[:4])
         check(f"position-family/{name}", residual, 1e-10)

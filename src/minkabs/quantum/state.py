@@ -124,7 +124,6 @@ class LatticeState:
 class BoostReport:
     """Diagnostics of one velocity-transform application."""
 
-    rapidity: float
     norm_drift: float  # relative norm change before rescaling
 
 
@@ -485,20 +484,19 @@ def _boost_array(
 
 def _apply_linear(
     cfg: ModelConfig, arr: np.ndarray, L: LorentzMap
-) -> tuple[np.ndarray, float, float]:
+) -> tuple[np.ndarray, float]:
     """Apply a homogeneous map at the lattice origin to raw amplitudes.
 
     Classifies ``L`` as the identity (``arr`` itself comes back), a signed
     permutation of the lattice axes (exact), or an orthochronous velocity
     change under the rapidity cap (pullback of each state).  Returns the
-    result, the rapidity of ``L`` and the worst norm drift, both 0 on
-    exact paths.
+    result and the worst norm drift, 0 on exact paths.
     """
     if np.array_equal(L.matrix, np.eye(4)):
-        return arr, 0.0, 0.0
+        return arr, 0.0
     r3 = signed_permutation_of(cfg, L)
     if r3 is not None:
-        return _apply_perm(arr, r3), 0.0, 0.0
+        return _apply_perm(arr, r3), 0.0
     if not is_orthochronous(L):
         raise GeometryError("only orthochronous maps are represented")
     chi = rapidity_of(cfg, L)
@@ -507,7 +505,7 @@ def _apply_linear(
             f"rapidity {chi:.4f} exceeds the band-limit cap {cfg.chi_max:.4f}"
         )
     out, drift = _boost_array(cfg, arr.reshape(-1, cfg.N, cfg.N, cfg.N), L)
-    return out.reshape(arr.shape), chi, drift
+    return out.reshape(arr.shape), drift
 
 
 def _act(cfg: ModelConfig, arr: np.ndarray, steps, overwrite_x: bool = False):
@@ -519,7 +517,7 @@ def _act(cfg: ModelConfig, arr: np.ndarray, steps, overwrite_x: bool = False):
     keep = None if overwrite_x else arr
     drift = 0.0
     for linear, phase in steps:
-        arr, _, step_drift = _apply_linear(cfg, arr, linear)
+        arr, step_drift = _apply_linear(cfg, arr, linear)
         if phase is not None:
             fresh = arr is not keep and arr.dtype == phase.dtype
             arr = np.multiply(arr, phase, out=arr if fresh else None)
@@ -599,9 +597,9 @@ def apply_boost(state: LatticeState, L: LorentzMap, return_report: bool = False)
     result keeps the input norm; the measured relative norm drift is
     available through ``return_report=True``.
     """
-    psi, chi, drift = _apply_linear(state.cfg, state.psi, L)
+    psi, drift = _apply_linear(state.cfg, state.psi, L)
     out = LatticeState(state.cfg, psi)
-    return (out, BoostReport(chi, drift)) if return_report else out
+    return (out, BoostReport(drift)) if return_report else out
 
 
 # ---------------------------------------------------------------------------

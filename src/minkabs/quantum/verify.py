@@ -58,7 +58,7 @@ from .pvm import (
     pvm_project,
     rasterize,
 )
-from .state import LatticeState, _represented, _to_position, make_gaussian, represent_array
+from .state import LatticeState, _act, _represented, _to_position, make_gaussian, represent_array
 from .state import _to_momentum  # noqa: F401  bound here for the benchmark tracer
 
 __all__ = [
@@ -70,7 +70,6 @@ __all__ = [
     "stabilizer_elements",
     "stabilizer_covariance_residual",
     "run_stabilizer_suite",
-    "label_change_residual",
     "factorization_residual",
     "boost_convergence_rows",
     "position_family_stabilizer_residual",
@@ -262,25 +261,8 @@ def run_stabilizer_suite(
 
 
 # ---------------------------------------------------------------------------
-# label changes (definition and factorization probes)
+# velocity changes (factorization probe)
 # ---------------------------------------------------------------------------
-
-
-def label_change_residual(
-    cfg: ModelConfig, L: PoincareMap, region: Region, states: np.ndarray
-) -> float:
-    """Residual of conjugation against the canonically defined projection
-    at the carried labels.
-
-    Exact (rounding level) for stabilizer elements and steps along the
-    constructing observer; near zero by construction for canonical
-    velocity changes, whose genuine check is the factorization probe.
-    """
-    if not L.is_orthochronous():
-        raise GeometryError("covariance drivers take orthochronous maps")
-    chain, carried = _projection(L.transform_region(region), cfg)
-    lhs = _conjugate_mask(cfg, states, [L], rasterize(cfg, region))
-    return _batch_max_norm(lhs - _conjugate_mask(cfg, states, chain, carried))
 
 
 def factorization_residual(
@@ -553,10 +535,8 @@ def _overlap(cfg: ModelConfig, proj_a, proj_b) -> np.ndarray:
     cells_a, cells_b = np.nonzero(mask_a), np.nonzero(mask_b)
     if cells_a[0].size * cells_b[0].size > n**3:
         raise GeometryError("commutator witness regions: overlap matrix larger than one field")
-    D = np.ones((n, n, n), dtype=complex)
-    for _, phase in _represented(cfg, [*chain_b, *(P.inverse() for P in reversed(chain_a))]):
-        if phase is not None:
-            D *= phase
+    steps = _represented(cfg, [*chain_b, *(P.inverse() for P in reversed(chain_a))])
+    D, _ = _act(cfg, np.ones((n, n, n), complex), steps, True)
     # the default-normalized inverse: its 1/n per axis is exact for the
     # power-of-two N, so identical boxes keep K[0] at exactly 1.0
     K = np.fft.ifftn(D)
@@ -575,20 +555,25 @@ def _project_arr(cfg, region, arr):
 
 
 # ---------------------------------------------------------------------------
-# global equivariance
+# covariance on any instant and global equivariance
 # ---------------------------------------------------------------------------
 
 
 def region_covariance_residual(
     cfg: ModelConfig, S: PoincareMap, region: Region, states: np.ndarray
 ) -> float:
-    """Conjugation-vs-carried-region residual for a region on any instant."""
+    """Residual of the projection of ``region``, on any instant, conjugated
+    by ``S`` against the projection of the carried region.
+
+    Exact (rounding level) for stabilizer elements and steps along the
+    constructing observer; near zero by construction for canonical
+    velocity changes, whose genuine check is the factorization probe.
+    """
+    if not S.is_orthochronous():
+        raise GeometryError("covariance drivers take orthochronous maps")
     back, _ = represent_array(cfg, states, S.inverse())
     lhs, _ = represent_array(cfg, _project_arr(cfg, region, back), S)
-    diff = lhs - _project_arr(cfg, S.transform_region(region), states)
-    # one norm per state: the batched BLAS reduction rounds differently
-    ones = diff.reshape(-1, cfg.N, cfg.N, cfg.N)
-    return max([0.0] + [float(np.linalg.norm(one)) for one in ones])
+    return _batch_max_norm(lhs - _project_arr(cfg, S.transform_region(region), states))
 
 
 def _random_lattice_map(cfg: ModelConfig, rng: np.random.Generator) -> PoincareMap:
@@ -641,14 +626,13 @@ def _probe_bundle(
     )
 
     # causal leakage with a non-cell-aligned horizon
-    phi_raw = _project_arr(cfg, moved_region, mg)
-    phi = phi_raw / np.linalg.norm(phi_raw)
+    phi = pvm_project(moved_region, mg_state).normalized()
     dt = 0.8
     t2 = ident.transform_instant(
         Instant(cfg.observer, cfg.origin + cfg.observer * seconds(dt))
     )
     shadow = grow_region_causally(moved_region, t2)
-    out["causality-leakage"] = 1.0 - localization_probability(shadow, LatticeState(cfg, phi))
+    out["causality-leakage"] = 1.0 - localization_probability(shadow, phi)
     return out
 
 

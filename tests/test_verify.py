@@ -11,8 +11,8 @@ import numpy as np
 import pytest
 
 import minkabs
-from minkabs.geometry import Instant, normalize_velocity, point, seconds, vector
-from minkabs.groups import PoincareMap, Region, make_boost, make_rotation
+from minkabs.geometry import GeometryError, Instant, normalize_velocity, point, seconds, vector
+from minkabs.groups import PoincareMap, Region, make_boost, make_rotation, time_inversion
 from minkabs.quantum import LatticeState, ModelConfig, rapidity_of
 import minkabs.quantum.pvm as pvm
 import minkabs.quantum.verify as V
@@ -131,14 +131,14 @@ class TestLabelChanges:
     def test_time_translation_is_exact(self, cfg, white):
         region = V.cell_region(cfg, (-2, -2, -1), (2, 1, 1))
         L = PoincareMap.from_translation(vector(0.7, 0, 0, 0))
-        assert V.label_change_residual(cfg, L, region, white[:3]) <= 1e-10
+        assert V.region_covariance_residual(cfg, L, region, white[:3]) <= 1e-10
 
     def test_stabilizer_reduces_to_suite(self, cfg, white):
         region = V.cell_region(cfg, (-2, -2, -1), (2, 1, 1))
         rot = PoincareMap.from_homogeneous(
             make_rotation(U0, vector(0, 0, 0, 1), math.pi / 2), cfg.origin
         )
-        assert V.label_change_residual(cfg, rot, region, white[:3]) <= 1e-10
+        assert V.region_covariance_residual(cfg, rot, region, white[:3]) <= 1e-10
 
     def test_factorization_probe_converges(self):
         residuals = {}
@@ -455,21 +455,17 @@ class TestBatchedDrivers:
         states = V.random_states(cfg, np.random.default_rng(1), 3)
         region = V.cell_region(cfg, (-3, -2, -4), (2, 3, 1))
         for L in maps(cfg):
-            moved = L.transform_region(region)
-            chain, carried = pvm._projection(moved, cfg)
-            lhs = pvm._conjugate_mask(cfg, states, [L], V.rasterize(cfg, region))
-            rhs = np.stack([pvm._conjugate_mask(cfg, one, chain, carried) for one in states])
-            want = V._batch_max_norm(lhs - rhs)
-            assert V.label_change_residual(cfg, L, region, states) == want
-
-            later = pvm._projection(L.transform_region(moved), cfg)
-            want = 0.0
-            for one in states:
-                back, _ = represent_array(cfg, one, L.inverse())
-                lhs, _ = represent_array(cfg, pvm._conjugate_mask(cfg, back, chain, carried), L)
-                rhs = pvm._conjugate_mask(cfg, one, *later)
-                want = max(want, float(np.linalg.norm(lhs - rhs)))
-            assert V.region_covariance_residual(cfg, L, moved, states) == want
+            for here in (region, L.transform_region(region)):
+                chain, mask = pvm._projection(here, cfg)
+                later = pvm._projection(L.transform_region(here), cfg)
+                lhs, rhs = [], []
+                for one in states:
+                    back, _ = represent_array(cfg, one, L.inverse())
+                    side, _ = represent_array(cfg, pvm._conjugate_mask(cfg, back, chain, mask), L)
+                    lhs.append(side)
+                    rhs.append(pvm._conjugate_mask(cfg, one, *later))
+                want = V._batch_max_norm(np.stack(lhs) - np.stack(rhs))
+                assert V.region_covariance_residual(cfg, L, here, states) == want
 
         for n in (16, 32):
             cfg = ModelConfig(N=n)
@@ -481,6 +477,35 @@ class TestBatchedDrivers:
             got = pvm._conjugate_mask(cfg, states, chain, mask)
             ref = np.stack([pvm._conjugate_mask(cfg, one, chain, mask) for one in states])
             assert np.array_equal(got, ref)
+
+    @pytest.mark.parametrize("n", [16, 32])
+    def test_two_factorizations_are_one(self, n):
+        # the projection of a region conjugated by S, built as one chain
+        # [*carry, S] or as represent(S) . project . represent(S^-1), is the
+        # same array bit for bit, on the constructing instant and off it
+        from minkabs.quantum.state import represent_array
+
+        cfg = ModelConfig(N=n)
+        states = V.random_states(cfg, np.random.default_rng(1), 3)
+        step = PoincareMap.from_translation(cfg.observer * seconds(0.7))
+        turn = PoincareMap.from_homogeneous(
+            make_rotation(cfg.observer, cfg.basis[2], math.pi / 2), cfg.origin
+        )
+        lattice = V._random_lattice_map(cfg, np.random.default_rng(142))
+        region = V.cell_region(cfg, (-3, -2, -4), (2, 3, 1))
+        for here in (region, lattice.transform_region(region)):
+            chain, mask = pvm._projection(here, cfg)
+            for S in (step, turn, lattice):
+                back, _ = represent_array(cfg, states, S.inverse())
+                want, _ = represent_array(cfg, V._project_arr(cfg, here, back), S)
+                got = pvm._conjugate_mask(cfg, states, [*chain, S], mask)
+                assert got.tobytes() == want.tobytes()
+
+    def test_covariance_driver_refuses_time_reversal(self, cfg, white):
+        flip = PoincareMap.from_homogeneous(time_inversion(cfg.observer), cfg.origin)
+        region = V.cell_region(cfg, (-2, -2, -1), (2, 1, 1))
+        with pytest.raises(GeometryError, match="covariance drivers take orthochronous maps"):
+            V.region_covariance_residual(cfg, flip, region, white[:1])
 
 
 class TestMovingLatticeFrame:
@@ -509,7 +534,7 @@ class TestMovingLatticeFrame:
         white = V.random_states(moving, np.random.default_rng(3), 3)
         region = V.cell_region(moving, (-3, -2, -4), (2, 3, 1))
         step = PoincareMap.from_translation(moving.observer * seconds(0.7))
-        assert V.label_change_residual(moving, step, region, white) <= 1e-10
+        assert V.region_covariance_residual(moving, step, region, white) <= 1e-10
 
 
 class TestWorkerCap:
