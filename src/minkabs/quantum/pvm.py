@@ -182,12 +182,12 @@ def _conjugate_mask(cfg: ModelConfig, states: np.ndarray, chain, mask: np.ndarra
     M is one ``_to_position``/``_to_momentum`` pair.  When ``mask`` is a box
     (``_box_of``: a boolean field equal to the outer product of its per-axis
     rows, as a one-box region along the lattice axes rasterizes), the pair
-    keeps only the box's index rows: one cut copy after each forward line
-    transform, one index assignment into zeros before each back one (FFT
-    pruning: Markel, IEEE Trans. Audio Electroacoust. 19 (1971) 305), and
-    nothing is multiplied.  Every other multiplier (float fields, stacks,
-    unions that are not one box, regions on a turned frame) multiplies the
-    whole position field."""
+    keeps only the box's rows (FFT pruning: Markel, IEEE Trans. Audio
+    Electroacoust. 19 (1971) 305), multiplying nothing: a cut copy after each
+    forward line transform and an embed in zeros before each back one, or,
+    by a rule on the box alone, partial-DFT matmuls for the outer axis when
+    it keeps at most a quarter of its rows.  Every other multiplier (float
+    fields, stacks, non-box unions, turned frames) multiplies the whole field."""
     arr, _ = _act(cfg, states, _represented(cfg, (P.inverse() for P in reversed(chain))))
     box = _box_of(mask)
     arr = _to_position(arr, arr is not states, box)

@@ -4,9 +4,10 @@ Amplitudes live on the periodic momentum lattice of a
 :class:`~minkabs.quantum.config.ModelConfig`; their unitary discrete
 Fourier transform (``_to_position``/``_to_momentum``: per-axis
 ``numpy.fft`` line transforms, pruned to a box of kept rows when given
-one) gives amplitudes on the dual position lattice of the constructing
-instant (kernel ``exp(+i k.x)``, so a packet built with mean momentum
-``k`` drifts along ``+k`` under time evolution).
+one, but partial-DFT matmuls for the full-size pair of a box's outer axis
+cut to at most a quarter of its rows) gives amplitudes on the dual position
+lattice of the constructing instant (kernel ``exp(+i k.x)``, so a packet
+built with mean momentum ``k`` drifts along ``+k`` under time evolution).
 
 Two public entry points act on states: ``represent`` applies the
 covariance representation of an affine map, and ``apply_boost`` a
@@ -52,6 +53,7 @@ Everything here is a pure function of immutable values.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import threading
@@ -154,6 +156,29 @@ def _lines_last(arr: np.ndarray, line: int, axis: int) -> tuple[np.ndarray, int]
 _WHOLE = ((0, None), (1, None), (2, None))  # every row, lattice axes in order
 
 
+@functools.lru_cache(maxsize=32)
+def _dft_rows(n: int, rows: bytes, sign: int) -> np.ndarray:
+    """Rows ``rows`` (``intp`` bytes) of the unitary DFT ``exp(sign 2 pi i r j / n)``, read
+    from one table of roots of unity at ``(j r) mod n``: a row's bits ignore the row set."""
+    roots = np.exp(sign * 2j * np.pi * np.arange(n) / n) / math.sqrt(n)
+    mat = roots[np.outer(np.frombuffer(rows, np.intp), np.arange(n)) % n]
+    mat.flags.writeable = False
+    return mat
+
+
+def _outer_dft(arr: np.ndarray, axis: int, rows, n: int, sign: int, out=None) -> np.ndarray:
+    """``rows`` of the ``+1`` transform along lattice ``axis``, or the ``-1``
+    one from ``rows`` to all ``n`` into ``out``: FFT output or input pruning
+    (Sorensen & Burrus, IEEE Trans. Signal Process. 41 (1993) 1184) as a gemm
+    per lattice plane through ``axis`` and the last axis, too small to thread."""
+    mat = _dft_rows(n, np.asarray(rows, np.intp).tobytes(), sign)
+    mat = mat if sign > 0 else mat.T  # (rows out, rows in)
+    if axis == 2:
+        return np.matmul(arr, mat.T, out=out)
+    planes = None if out is None else np.moveaxis(out, axis - 3, -2)
+    return np.moveaxis(np.matmul(mat, np.moveaxis(arr, axis - 3, -2), out=planes), -2, axis - 3)
+
+
 # One line transform per axis into one buffer: ``numpy.fft.ifftn`` would
 # allocate a new array per axis.  Pass ``overwrite_x=True`` only for a
 # temporary that nothing else reads.  A ``box`` (see ``pvm._box_of``) lists
@@ -161,11 +186,16 @@ _WHOLE = ((0, None), (1, None), (2, None))  # every row, lattice axes in order
 def _to_position(arr: np.ndarray, overwrite_x: bool = False, box=None) -> np.ndarray:
     """Position amplitudes, cut to the cells of ``box``: one line transform
     per axis in the box's order, each output cut to the box's rows before
-    the next (pruned output)."""
+    the next (pruned output).  The first is ``_outer_dft`` when it keeps at
+    most a quarter of the rows (a rule on the box alone)."""
     box = _WHOLE if box is None else box
     lead = arr.ndim - 3
     for k, (axis, rows) in enumerate(box):
-        arr = np.fft.ifft(arr, axis=lead + axis, norm="ortho", out=_out(arr, overwrite_x))
+        if k == 0 and rows is not None and 4 * len(rows) <= arr.shape[lead + axis]:
+            arr = _outer_dft(arr, axis, rows, arr.shape[lead + axis], 1)
+            rows = np.arange(len(rows))  # kept already: the cut below lays out
+        else:
+            arr = np.fft.ifft(arr, axis=lead + axis, norm="ortho", out=_out(arr, overwrite_x))
         if rows is not None:
             line = box[k + 1][0] if k + 1 < len(box) else axis
             view, at = _lines_last(arr, line, axis)
@@ -177,11 +207,15 @@ def _to_position(arr: np.ndarray, overwrite_x: bool = False, box=None) -> np.nda
 def _to_momentum(arr: np.ndarray, overwrite_x: bool = False, box=None, n=None) -> np.ndarray:
     """Momentum amplitudes of the zero extension of the cells of ``box`` to
     the ``n``-point lattice: per axis in reverse box order, embed the rows
-    in zeros and line-transform (pruned input).  The last embed is laid out
-    in lattice order, so the result is C-contiguous whenever it embeds."""
+    in zeros and line-transform (pruned input); the last is ``_outer_dft``
+    into a new field by ``_to_position``'s rule, or its embed is laid out in
+    lattice order, so the result is C-contiguous whenever it cuts."""
     box = _WHOLE if box is None else box[::-1]
     lead = arr.ndim - 3
     for k, (axis, rows) in enumerate(box):
+        if k + 1 == len(box) and rows is not None and 4 * len(rows) <= n:
+            full = np.empty(arr.shape[: lead + axis] + (n,) + arr.shape[lead + axis + 1 :], complex)
+            return _outer_dft(arr, axis, rows, n, -1, out=full)
         if rows is not None:
             line = axis if k + 1 < len(box) else 2
             view, at = _lines_last(arr, line, axis)
@@ -191,6 +225,12 @@ def _to_momentum(arr: np.ndarray, overwrite_x: bool = False, box=None, n=None) -
         arr = np.fft.fft(arr, axis=lead + axis, norm="ortho", out=_out(arr, overwrite_x))
         overwrite_x = True
     return arr
+
+
+def _row_norms(flat: np.ndarray) -> np.ndarray:
+    """Row 2-norms, ``c_einsum`` on the float view: no ``conj`` copy, no BLAS call."""
+    v = np.ascontiguousarray(flat).view(np.float64)
+    return np.sqrt(np.einsum("ij,ij->i", v, v))
 
 
 def _translation_phase(cfg: ModelConfig, v: SpacetimeVector) -> np.ndarray:

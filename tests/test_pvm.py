@@ -424,6 +424,12 @@ class TestBoxPruning:
         return mask
 
     @staticmethod
+    def by_matmul(mask):
+        # the rule: the outer (narrowest) axis keeps at most a quarter of its rows
+        rows = _box_of(mask)[0][1]
+        return rows is not None and 4 * len(rows) <= mask.shape[0]
+
+    @staticmethod
     def random_rows(rng, n):
         kind = rng.integers(3)
         if kind == 0:  # a run of cells, wrapping the torus when it passes n - 1
@@ -442,6 +448,7 @@ class TestBoxPruning:
             states = states[0]
         wrapped = (np.arange(n - 3, n + 4) % n, np.arange(n), np.arange(2, 5))
         masks = [self.box(n, wrapped), np.zeros((n,) * 3, dtype=bool)]
+        assert self.by_matmul(masks[1])  # the empty box takes the partial DFTs
         masks += [self.box(n, [self.random_rows(rng, n) for _ in range(3)]) for _ in range(12)]
         for mask in masks:
             assert _box_of(mask) is not None
@@ -452,15 +459,20 @@ class TestBoxPruning:
 
     @pytest.mark.parametrize("n", [16, 32])
     def test_batches_transform_bit_for_bit(self, n):
-        # numpy.fft transforms each line alone, in any memory layout: a batch
-        # equals its stacked single states exactly (the batched drivers and
-        # the stabilizer suite rely on it)
+        # numpy.fft transforms each line alone, in any memory layout, and the
+        # partial DFTs are one gemm per lattice plane: a batch equals its
+        # stacked single states exactly (the batched drivers and the
+        # stabilizer suite rely on it)
         cfg = ModelConfig(N=n)
         states = np.stack([random_state(cfg, seed).psi for seed in (5, 6, 7)])
         for transform in (_to_position, _to_momentum):
             assert np.array_equal(transform(states), np.stack([transform(s) for s in states]))
         wrapped = np.arange(n - 3, n + 4) % n
         rows = [(wrapped, np.arange(n), np.arange(2, 5)), (np.arange(2), wrapped, np.arange(5))]
+        # outer axis 5 of 16 rows: pruned numpy.fft lines only
+        rows.append((np.arange(n // 4 + 1), np.arange(n // 2), np.arange(n // 4 + 2)))
+        # the first two outer axes take the partial-DFT products, the third does not
+        assert [self.by_matmul(self.box(n, r)) for r in rows] == [True, True, False]
         for mask in (self.box(n, r) for r in rows):
             box = _box_of(mask)
 
@@ -468,6 +480,60 @@ class TestBoxPruning:
                 return _to_momentum(_to_position(arr, box=box), True, box, n)
 
             assert np.array_equal(pruned(states), np.stack([pruned(s) for s in states]))
+
+    # an outer axis of at most n/4 rows takes a partial DFT by matmul for the
+    # first forward and the last back transform; it must agree with the full
+    # pair on every outer axis, on a row set that wraps the torus
+    @pytest.mark.parametrize("n", [16, 32, 64])
+    @pytest.mark.parametrize("outer", [0, 1, 2])
+    @pytest.mark.parametrize("batched", [False, True])
+    def test_partial_dft_matches_full_transforms(self, n, outer, batched):
+        cfg = ModelConfig(N=n)
+        states = np.stack([random_state(cfg, seed).psi for seed in (1, 2)])
+        if not batched:
+            states = states[0]
+        rows = [np.arange(3, 8), np.arange(n - 3, n + 3) % n]
+        rows.insert(outer, np.array([n - 2, n - 1, 0, 1]))
+        mask = self.box(n, rows)
+        assert _box_of(mask)[0][0] == outer and self.by_matmul(mask)
+        ref = _to_momentum(_to_position(states) * mask)
+        got = _conjugate_mask(cfg, states, [], mask)
+        assert got.shape == states.shape and got.flags.c_contiguous
+        assert np.max(np.abs(got - ref)) <= 1e-15
+
+    # neither transform writes into an input it does not own, on either path
+    def test_read_only_input_comes_back_unwritten(self, cfg):
+        states = np.stack([random_state(cfg, seed).psi for seed in (3, 4)])
+        states.flags.writeable = False
+        before = states.tobytes()
+        n = cfg.N
+        for rows in [(np.arange(4), np.arange(6), np.arange(n)), (np.arange(5),) * 3]:
+            box = _box_of(self.box(n, rows))
+            _conjugate_mask(cfg, states, [], self.box(n, rows))
+            cut = _to_position(states, box=box)
+            assert states.tobytes() == before
+            cut.flags.writeable = False
+            kept = cut.tobytes()
+            _to_momentum(cut, False, box, n)
+            assert cut.tobytes() == kept
+
+    # the rule is on the box alone: an outer axis of more than n/4 rows makes
+    # one numpy.fft line transform per axis each way, the partial-DFT box one
+    # fewer each way
+    @pytest.mark.parametrize("outer_rows, calls", [(5, 3), (4, 2)])
+    def test_rule_counts_fft_calls(self, cfg, outer_rows, calls, monkeypatch):
+        counts = {"ifft": 0, "fft": 0}
+        for name in counts:
+
+            def counting(*args, _name=name, _f=getattr(np.fft, name), **kwargs):
+                counts[_name] += 1
+                return _f(*args, **kwargs)
+
+            monkeypatch.setattr(np.fft, name, counting)
+        states = np.stack([random_state(cfg, seed).psi for seed in (3, 4)])
+        mask = self.box(cfg.N, (np.arange(6), np.arange(outer_rows), np.arange(7)))
+        _conjugate_mask(cfg, states, [], mask)
+        assert counts == {"ifft": calls, "fft": calls}
 
     @pytest.mark.parametrize("kind", ["box", "two-boxes", "turned-frame", "multiplier-stack"])
     def test_only_box_masks_are_pruned(self, cfg, kind, monkeypatch):
@@ -535,6 +601,46 @@ class TestPreparedProjection:
         first = _conjugate_mask(cfg, batch, chain, mask)
         assert np.array_equal(first, _conjugate_mask(cfg, batch, chain, mask))
         assert (mask.tobytes(), batch.tobytes()) == before
+
+
+@pytest.mark.skipif(
+    (os.cpu_count() or 1) < 2, reason="needs 2 CPUs: OpenBLAS runs one thread per CPU"
+)
+def test_partial_dft_sandwich_does_not_depend_on_blas_threads():
+    # the stabilizer suite's box (outer axis 4 rows) takes one gemm per
+    # lattice plane each way, whatever the batch size; the projected batch and
+    # its residual norm must have the same bytes at 1 and 2 BLAS threads
+    script = (
+        "import hashlib\n"
+        "import numpy as np\n"
+        "from minkabs.quantum import ModelConfig, rasterize\n"
+        "from minkabs.quantum import verify as V\n"
+        "from minkabs.quantum.pvm import _conjugate_mask\n"
+        "for n in (32, 64):\n"
+        "    cfg = ModelConfig(N=n)\n"
+        "    lo, hi = (-n // 8, -n // 8 + 1, -2), (n // 8, n // 8 - 1, 1)\n"
+        "    mask = rasterize(cfg, V.cell_region(cfg, lo, hi))\n"
+        "    for count in (1, 10, 50):\n"
+        "        rng = np.random.default_rng(count)\n"
+        "        states = np.empty((count, n, n, n), complex)\n"
+        "        states.real = rng.normal(size=states.shape)\n"
+        "        states.imag = rng.normal(size=states.shape)\n"
+        "        out = _conjugate_mask(cfg, states, [], mask)\n"
+        "        del states\n"
+        "        digest = hashlib.sha256(out.tobytes()).hexdigest()\n"
+        "        print(n, count, digest, repr(V._batch_max_norm(out)))\n"
+    )
+    src = Path(minkabs.__file__).resolve().parent.parent
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS=threads)
+        proc = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=300
+        )
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(proc.stdout)
+    assert len(outputs[0].splitlines()) == 6
+    assert outputs[0] == outputs[1]
 
 
 @pytest.mark.skipif(
