@@ -161,12 +161,8 @@ def cmd_verify_covariance(config: dict) -> RunReport:
     seed = int(config["seed"])
     chi = float(config["rapidity"])
     witness_chi = float(config["witness_rapidity"])
-    stabilizer = V.run_stabilizer_suite(
-        cfg,
-        n_states=int(config["states"]),
-        seed=seed,
-        translations=int(config["translations"]),
-    )
+    n_states, translations = int(config["states"]), int(config["translations"])
+    stabilizer = V.run_stabilizer_suite(cfg, n_states, seed, translations)
 
     check = Checks(cfg.N)
     rng = np.random.default_rng(seed)
@@ -201,13 +197,7 @@ def cmd_verify_covariance(config: dict) -> RunReport:
     details = {"rapidity": chi, "rapidity_cap": cfg.chi_max}
     check("velocity-roundtrip-drift", boost_report.norm_drift, drift_bound, **details)
     check("global-equivariance", V.equivariance_residual(cfg, seed), 1e-10)
-    rows = V.boost_convergence_rows(
-        cfg,
-        chi=chi,
-        seeds=tuple(int(s) for s in config["convergence_seeds"]),
-        n_states=2,
-        refinements=1,
-    )
+    rows = V.boost_convergence_rows(cfg, chi, tuple(int(s) for s in config["convergence_seeds"]))
     ratios = [r["ratio_to_previous"] for r in rows if r["ratio_to_previous"]]
     check("factorization-convergence-ratio", max(ratios), 0.6, seeds=len(ratios))
     echo = dict(config, **cfg.echo())

@@ -125,13 +125,7 @@ class ModelConfig:
 
     def refined(self) -> "ModelConfig":
         """Same physics on a lattice with twice the points per axis."""
-        return ModelConfig(
-            N=self.N * 2,
-            spacing=self.spacing,
-            mass=self.mass,
-            instant=self.instant,
-            origin=self.origin,
-        )
+        return ModelConfig(self.N * 2, self.spacing, self.mass, self.instant, self.origin)
 
     def lattice_vector(self, steps) -> SpacetimeVector:
         """The spatial displacement of integer ``steps`` along the lattice axes."""

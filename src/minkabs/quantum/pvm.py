@@ -173,11 +173,15 @@ def _box_of(mask: np.ndarray):
     return [(i, None if len(rows[i]) == mask.shape[i] else rows[i]) for i in order]
 
 
-def _conjugate_mask(cfg: ModelConfig, states: np.ndarray, chain, mask: np.ndarray):
+def _conjugate_mask(cfg: ModelConfig, states: np.ndarray, chain, mask, work=(None, None)):
     """U M U^-1 on raw amplitudes: M is the position-space multiplier ``mask``
     (any real field broadcasting against the amplitudes), U represents the
     composite of ``chain`` (first element acts first).  Each map is prepared
-    when it is reached, so one phase is alive at a time.
+    when it is reached, so one phase is alive at a time.  ``work`` is two
+    complex fields of the states' shape (``None``: new arrays).  The inverse
+    steps and the back transform write into the first, dead once the forward
+    transform has cut, and the outer steps into the second; the result may be
+    either, and ``states`` is never written.
 
     M is one ``_to_position``/``_to_momentum`` pair.  When ``mask`` is a box
     (``_box_of``: a boolean field equal to the outer product of its per-axis
@@ -188,13 +192,14 @@ def _conjugate_mask(cfg: ModelConfig, states: np.ndarray, chain, mask: np.ndarra
     by a rule on the box alone, partial-DFT matmuls for the outer axis when
     it keeps at most a quarter of its rows.  Every other multiplier (float
     fields, stacks, non-box unions, turned frames) multiplies the whole field."""
-    arr, _ = _act(cfg, states, _represented(cfg, (P.inverse() for P in reversed(chain))))
+    inverse = _represented(cfg, (P.inverse() for P in reversed(chain)))
+    arr, _ = _act(cfg, states, inverse, out=work[0])
     box = _box_of(mask)
     arr = _to_position(arr, arr is not states, box)
     if box is None:
         arr = arr * mask
-    arr = _to_momentum(arr, True, box, cfg.N)
-    return _act(cfg, arr, _represented(cfg, chain), overwrite_x=True)[0]
+    arr = _to_momentum(arr, True, box, cfg.N, out=work[0])
+    return _act(cfg, arr, _represented(cfg, chain), overwrite_x=True, out=work[1])[0]
 
 
 def _projection(region: Region, cfg: ModelConfig):

@@ -204,21 +204,25 @@ def _to_position(arr: np.ndarray, overwrite_x: bool = False, box=None) -> np.nda
     return arr
 
 
-def _to_momentum(arr: np.ndarray, overwrite_x: bool = False, box=None, n=None) -> np.ndarray:
+def _to_momentum(arr: np.ndarray, overwrite_x: bool = False, box=None, n=None, out=None):
     """Momentum amplitudes of the zero extension of the cells of ``box`` to
     the ``n``-point lattice: per axis in reverse box order, embed the rows
     in zeros and line-transform (pruned input); the last is ``_outer_dft``
-    into a new field by ``_to_position``'s rule, or its embed is laid out in
-    lattice order, so the result is C-contiguous whenever it cuts."""
+    into ``out`` (a new field if ``None``) by ``_to_position``'s rule, or its
+    embed is laid out in lattice order, so the result is C-contiguous
+    whenever it cuts.  Other paths ignore ``out``: use the return value."""
     box = _WHOLE if box is None else box[::-1]
     lead = arr.ndim - 3
     for k, (axis, rows) in enumerate(box):
         if k + 1 == len(box) and rows is not None and 4 * len(rows) <= n:
-            full = np.empty(arr.shape[: lead + axis] + (n,) + arr.shape[lead + axis + 1 :], complex)
-            return _outer_dft(arr, axis, rows, n, -1, out=full)
+            shape = arr.shape[: lead + axis] + (n,) + arr.shape[lead + axis + 1 :]
+            out = np.empty(shape, complex) if out is None else out
+            return _outer_dft(arr, axis, rows, n, -1, out=out)
         if rows is not None:
             line = axis if k + 1 < len(box) else 2
             view, at = _lines_last(arr, line, axis)
+            # an index assignment from a strided view is several times slower than from a copy
+            view = view if view.strides[-1] == view.itemsize else np.ascontiguousarray(view)
             full = np.zeros(view.shape[:at] + (n,) + view.shape[at + 1 :], complex)
             full[(slice(None),) * at + (rows,)] = view
             arr, overwrite_x = np.moveaxis(full, -1, line - 3), True
@@ -290,14 +294,16 @@ def signed_permutation_of(cfg: ModelConfig, L: LorentzMap) -> np.ndarray | None:
     return rounded
 
 
-def _apply_perm(arr: np.ndarray, r3: np.ndarray) -> np.ndarray:
+def _apply_perm(arr: np.ndarray, r3: np.ndarray, out=None) -> np.ndarray:
     """``out[k] = arr[r3.T k]`` on signed labels (batch axes allowed), as one
-    strided copy of the transposed last three axes: a flipped axis reads
-    index ``-k mod N``, index 0 in place and indices 1..N-1 reversed."""
+    strided copy of the transposed last three axes into ``out`` (a new array
+    if ``None``, never ``arr``): a flipped axis reads index ``-k mod N``,
+    index 0 in place and indices 1..N-1 reversed."""
     lead = arr.ndim - 3
     src = np.abs(r3).argmax(axis=1)  # out axis i reads arr axis src[i]
     view = arr.transpose(*range(lead), *(lead + src))
-    out = np.empty(view.shape, arr.dtype)  # empty_like would keep the transposed layout
+    if out is None:
+        out = np.empty(view.shape, arr.dtype)  # empty_like would keep the transposed layout
     same = [(slice(None), slice(None))]  # (out, view) slice pairs along one axis
     flipped = [(slice(0, 1), slice(0, 1)), (slice(1, None), slice(None, 0, -1))]
     for cut in itertools.product(*(flipped if r3[i, j] < 0 else same for i, j in enumerate(src))):
@@ -411,13 +417,7 @@ def _build_plan(cfg: ModelConfig, L: LorentzMap) -> _PullbackPlan:
 def _pullback_plan(cfg: ModelConfig, L: LorentzMap) -> _PullbackPlan:
     """The plan of ``L`` on ``cfg``'s lattice, from a small LRU cache keyed
     by value."""
-    key = (
-        cfg.N,
-        cfg.spacing.value,
-        cfg.mass.value,
-        cfg.observer._c.tobytes(),
-        L.matrix.tobytes(),
-    )
+    key = (cfg.N, cfg.spacing.value, cfg.mass.value, cfg.observer._c.tobytes(), L.matrix.tobytes())
     with _PLAN_LOCK:
         plan = _PLAN_CACHE.get(key)
         if plan is not None:
@@ -523,20 +523,20 @@ def _boost_array(
 
 
 def _apply_linear(
-    cfg: ModelConfig, arr: np.ndarray, L: LorentzMap
+    cfg: ModelConfig, arr: np.ndarray, L: LorentzMap, out=None
 ) -> tuple[np.ndarray, float]:
     """Apply a homogeneous map at the lattice origin to raw amplitudes.
 
     Classifies ``L`` as the identity (``arr`` itself comes back), a signed
-    permutation of the lattice axes (exact), or an orthochronous velocity
-    change under the rapidity cap (pullback of each state).  Returns the
-    result and the worst norm drift, 0 on exact paths.
+    permutation of the lattice axes (exact, into ``out`` when given), or an
+    orthochronous velocity change under the rapidity cap (pullback of each
+    state).  Returns the result and the worst norm drift, 0 on exact paths.
     """
     if np.array_equal(L.matrix, np.eye(4)):
         return arr, 0.0
     r3 = signed_permutation_of(cfg, L)
     if r3 is not None:
-        return _apply_perm(arr, r3), 0.0
+        return _apply_perm(arr, r3, out), 0.0
     if not is_orthochronous(L):
         raise GeometryError("only orthochronous maps are represented")
     chi = rapidity_of(cfg, L)
@@ -548,19 +548,21 @@ def _apply_linear(
     return out.reshape(arr.shape), drift
 
 
-def _act(cfg: ModelConfig, arr: np.ndarray, steps, overwrite_x: bool = False):
+def _act(cfg: ModelConfig, arr: np.ndarray, steps, overwrite_x: bool = False, out=None):
     """Apply ``_represented`` steps, first step first, to raw amplitudes (batch
     axes allowed): the result and the worst norm drift of any step.  Phases go in
     place into complex arrays the steps made, and into ``arr`` only with
-    ``overwrite_x`` (an identity step hands ``arr`` back).  Each step is
-    dropped once applied, so a generator keeps one phase alive at a time."""
+    ``overwrite_x`` (an identity step hands ``arr`` back).  A complex work field
+    ``out`` of the result's shape takes a permutation whose input is not ``out``
+    itself, and a phase of the caller's ``arr``; the result may be ``out``.  Each
+    step is dropped once applied, so a generator keeps one phase alive at a time."""
     keep = None if overwrite_x else arr
     drift = 0.0
     for linear, phase in steps:
-        arr, step_drift = _apply_linear(cfg, arr, linear)
+        arr, step_drift = _apply_linear(cfg, arr, linear, None if arr is out else out)
         if phase is not None:
             fresh = arr is not keep and arr.dtype == phase.dtype
-            arr = np.multiply(arr, phase, out=arr if fresh else None)
+            arr = np.multiply(arr, phase, out=arr if fresh else out)
         drift = max(drift, step_drift)
         del linear, phase
     return arr, drift

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import math
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -205,16 +206,25 @@ def _batch_max_norm(diff: np.ndarray) -> float:
 
 
 def stabilizer_covariance_residual(
-    cfg: ModelConfig, S: PoincareMap, mask: np.ndarray, states: np.ndarray, carried: np.ndarray
+    cfg: ModelConfig, S: PoincareMap, mask, states: np.ndarray, carried, work=(None, None)
 ) -> float:
     """Max residual of conjugation-vs-carried-region on the given states:
     ``mask`` is ``rasterize(cfg, region)`` and ``carried`` the right side, the
     projection of the carried region ``S.transform_region(region)`` applied
     to ``states``; elements that carry the region onto the same cells share
-    it."""
-    lhs = _conjugate_mask(cfg, states, [S], mask)
+    it.  ``work`` is ``_conjugate_mask``'s pair of work fields."""
+    lhs = _conjugate_mask(cfg, states, [S], mask, work)
     lhs -= carried
     return _batch_max_norm(lhs)
+
+
+def _state_blocks(n: int, n_states: int) -> list[slice]:
+    """Near-equal blocks of states, of at most 5 MiB of ``n``-point fields where two
+    states fit, and never of one state when there are two or more: ``_row_norms``
+    of one row rounds differently from the same row in a batch."""
+    count = max(1, min(math.ceil(16 * n**3 * n_states / (5 << 20)), n_states // 2))
+    ends = [n_states * i // count for i in range(count + 1)]
+    return [slice(a, b) for a, b in zip(ends, ends[1:])]
 
 
 def run_stabilizer_suite(
@@ -228,12 +238,15 @@ def run_stabilizer_suite(
     not change which elements are checked.  Elements are grouped by the
     cells they carry the region onto (the suite's box is symmetric, so the
     48 axis symmetries share 12 carried masks; at the default config all 56
-    elements share 20).  Each group computes its right side once and passes
-    it as ``carried`` to every member, then drops it before the next group,
-    so at most one right side per worker is live.  The groups fan out over ``worker_cap()``
-    threads; results come back in element order, and each group's first
-    check is also timed over its right side.  Every check must stay at or
-    below 1e-10.
+    elements share 20).  Each group computes its right side over all states
+    once and passes it as ``carried`` to every member, then drops it before
+    the next group, so at most one right side per worker is live.  A member's
+    left side runs per ``_state_blocks`` block, through two work fields of the
+    largest block that each worker thread allocates once and the suite frees;
+    its residual is the max over blocks, which is exact.  The groups fan out
+    over ``worker_cap()`` threads; results come back in element order, and
+    each group's first check is also timed over its right side.  Every check
+    must stay at or below 1e-10.
     """
     states = random_states(cfg, np.random.default_rng(seed), n_states)
     region = cell_region(
@@ -246,12 +259,19 @@ def run_stabilizer_suite(
         carried_mask = rasterize(cfg, S.transform_region(region))
         groups.setdefault(carried_mask.tobytes(), (carried_mask, []))[1].append((idx, name, S))
 
+    blocks = _state_blocks(cfg.N, n_states)
+    size = max(b.stop - b.start for b in blocks)
+    local = threading.local()  # one work pair per worker thread, freed with the suite
+
     def job(group):
         carried_mask, members = group
         check = Checks(cfg.N)
         rhs = _conjugate_mask(cfg, states, [], carried_mask)
+        if not hasattr(local, "work"):
+            local.work = np.empty((2, size, *states.shape[1:]), complex)
         for _, name, S in members:
-            res = stabilizer_covariance_residual(cfg, S, mask, states, rhs)
+            parts = ((states[b], rhs[b], local.work[:, : b.stop - b.start]) for b in blocks)
+            res = max(stabilizer_covariance_residual(cfg, S, mask, *part) for part in parts)
             check(f"stabilizer-covariance/{name}", res, 1e-10, states=n_states)
         return zip([idx for idx, _, _ in members], check)
 
@@ -322,15 +342,8 @@ def boost_convergence_rows(
             region = cell_region(cfg, (-3, -3, -3), (2, 2, 2))
             boost = make_boost(cfg.observer, u2)
             res = factorization_residual(cfg, boost, region, states, rng)
-            rows.append(
-                {
-                    "seed": int(seed),
-                    "N": cfg.N,
-                    "rapidity": chi,
-                    "residual": res,
-                    "ratio_to_previous": (res / prev) if prev else None,
-                }
-            )
+            row = dict(seed=int(seed), N=cfg.N, rapidity=chi, residual=res)
+            rows.append(dict(row, ratio_to_previous=res / prev if prev else None))
             prev = res
             if step < refinements:
                 cfg = cfg.refined()

@@ -566,6 +566,55 @@ class TestBoxPruning:
         assert np.max(np.abs(got - ref)) <= 1e-15
 
 
+class TestWorkFields:
+    # caller-owned work fields change where the sandwich writes, never its
+    # bytes, and a read-only input comes back unwritten
+    @pytest.mark.parametrize("kind", ["partial-dft", "pruned", "whole"])
+    def test_back_transform_into_work_field(self, cfg, kind):
+        n = cfg.N
+        rows = {
+            "partial-dft": (np.arange(6), np.arange(n - 2, n + 2) % n, np.arange(7)),
+            "pruned": (np.arange(5), np.arange(6), np.arange(7)),
+        }.get(kind)
+        box = None if rows is None else _box_of(TestBoxPruning.box(n, rows))
+        states = np.stack([random_state(cfg, seed).psi for seed in (3, 4, 5)])
+        cut = _to_position(states, box=box)
+        cut.flags.writeable = False
+        out = np.full(states.shape, np.nan, complex)
+        got = _to_momentum(cut, False, box, n, out=out)
+        assert np.shares_memory(got, out) == (kind == "partial-dft")
+        assert got.tobytes() == _to_momentum(cut, False, box, n).tobytes()
+
+    @pytest.mark.parametrize("kind", ["symmetry", "carry-then-symmetry", "two-symmetries",
+                                      "identity", "lattice-shift"])
+    @pytest.mark.parametrize("mask_kind", ["partial-dft", "union"])
+    def test_conjugation_into_work_fields(self, cfg, kind, mask_kind):
+        group = lattice_point_group(U0, cfg.basis)
+        turn, flip = (PoincareMap.from_homogeneous(group[i], cfg.origin) for i in (7, 40))
+        shift = PoincareMap.from_translation(cfg.lattice_vector((2, -1, 3)))
+        boosted = boosted_velocity(0.2)
+        carry = canonical_map(cfg, Instant(boosted, cfg.origin + boosted * seconds(0.5)))
+        chain = {
+            "symmetry": [shift.compose(turn)],
+            "carry-then-symmetry": [carry, shift.compose(turn)],  # the covariance driver's
+            "two-symmetries": [turn, flip],  # a permutation reads the work field it fills
+            "identity": [PoincareMap.identity()],
+            "lattice-shift": [shift],
+        }[kind]
+        box = cell_box(cfg, (-2, -1, -2), (2, 1, 1))
+        boxes = [box] if mask_kind == "partial-dft" else [box, cell_box(cfg, (4, 3, 3), (5, 4, 4))]
+        mask = rasterize(cfg, Region(cfg.instant, boxes))
+        assert (_box_of(mask) is None) == (mask_kind == "union")
+        states = np.stack([random_state(cfg, seed).psi for seed in (6, 7, 8)])
+        states.flags.writeable = False
+        before = states.tobytes()
+        ref = _conjugate_mask(cfg, states, chain, mask)
+        work = np.full((2, *states.shape), np.nan, complex)
+        got = _conjugate_mask(cfg, states, chain, mask, work)
+        assert got.tobytes() == ref.tobytes()
+        assert states.tobytes() == before
+
+
 class TestPreparedProjection:
     # a projection is the (chain, mask) that _conjugate_mask applies: it must
     # act like the one-shot definition (carry back, mask, carry forward) and

@@ -429,6 +429,19 @@ class TestRotation:
             assert out.tobytes() == gathered.tobytes()
             assert _apply_perm(batch[1], r3).tobytes() == gathered[1].tobytes()
 
+    def test_copy_into_work_field_matches_new_array(self, cfg):
+        # a caller's out= changes where the permuted batch goes, not its bytes
+        batch = np.stack([white_state(cfg, seed).psi for seed in (1, 2)])
+        batch.flags.writeable = False
+        out = np.empty_like(batch)
+        group = lattice_point_group(U0, cfg.basis)
+        assert len(group) == 48
+        for L in group:
+            r3 = signed_permutation_of(cfg, L)
+            out.fill(np.nan)
+            assert _apply_perm(batch, r3, out) is out
+            assert out.tobytes() == _apply_perm(batch, r3).tobytes()
+
     def test_reflection_is_exact_involution(self, cfg):
         s = make_gaussian(
             cfg,

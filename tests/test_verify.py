@@ -127,6 +127,38 @@ class TestStabilizerCovariance:
         assert [r.residual for r in serial] == [r.residual for r in threaded]
 
 
+class TestStateBlocks:
+    # the suite's left sides run per block of states through per-worker work
+    # fields; blocks come from the lattice alone and never hold one state,
+    # because _row_norms of one row rounds differently from a batch at N >= 32
+    @pytest.mark.parametrize("n", [16, 32, 64])
+    @pytest.mark.parametrize("n_states", [1, 2, 3, 10, 11, 50, 51])
+    def test_block_rule(self, n, n_states):
+        blocks = V._state_blocks(n, n_states)
+        sizes = [b.stop - b.start for b in blocks]
+        assert [b.start for b in blocks] == [0, *(b.stop for b in blocks[:-1])]
+        assert blocks[-1].stop == n_states
+        assert max(sizes) - min(sizes) <= 1
+        assert n_states < 2 or min(sizes) >= 2
+        field = 16 * n**3
+        if 2 * field <= 5 << 20:
+            assert max(sizes) * field <= 5 << 20
+        if n == 32 and n_states in (10, 50):
+            assert sizes == [10] * (n_states // 10)
+
+    @pytest.mark.parametrize("n_states", [11, 50])
+    def test_blocked_suite_matches_one_batch(self, cfg32, n_states, monkeypatch):
+        # uneven blocks (5 + 6) and five blocks of 10 give the residuals of
+        # one batch of all states without work fields, bit for bit
+        monkeypatch.setenv("MINKABS_THREADS", "2")
+        results = V.run_stabilizer_suite(cfg32, n_states=n_states, seed=42, translations=4)
+        states = V.random_states(cfg32, np.random.default_rng(42), n_states)
+        region = V.cell_region(cfg32, (-4, -3, -2), (4, 3, 1))
+        elements = V.stabilizer_elements(cfg32, np.random.default_rng((42, 1)), 4)
+        expected = [_standalone_residual(cfg32, S, region, states) for _, S in elements]
+        assert [r.residual for r in results] == expected
+
+
 class TestLabelChanges:
     def test_time_translation_is_exact(self, cfg, white):
         region = V.cell_region(cfg, (-2, -2, -1), (2, 1, 1))
