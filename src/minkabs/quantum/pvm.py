@@ -147,7 +147,7 @@ def canonical_map(cfg: ModelConfig, instant: Instant) -> PoincareMap:
     return PoincareMap.from_translation(observer * gap).compose(hom)
 
 
-def _pullback_region(cfg: ModelConfig, P: PoincareMap, region: Region) -> Region:
+def _pullback_region(P: PoincareMap, region: Region) -> Region:
     """Region carried back to the constructing instant by ``P`` inverse."""
     return P.inverse().transform_region(region)
 
@@ -198,7 +198,7 @@ def _conjugate_mask(cfg: ModelConfig, states: np.ndarray, chain, mask, work=(Non
     arr = _to_position(arr, arr is not states, box)
     if box is None:
         arr = arr * mask
-    arr = _to_momentum(arr, True, box, cfg.N, out=work[0])
+    arr = _to_momentum(arr, box, cfg.N, out=work[0])
     return _act(cfg, arr, _represented(cfg, chain), overwrite_x=True, out=work[1])[0]
 
 
@@ -209,7 +209,7 @@ def _projection(region: Region, cfg: ModelConfig):
     if region.instant == cfg.instant:
         return [], rasterize(cfg, region)
     carry = canonical_map(cfg, region.instant)
-    return [carry], rasterize(cfg, _pullback_region(cfg, carry, region))
+    return [carry], rasterize(cfg, _pullback_region(carry, region))
 
 
 def _project_raw(

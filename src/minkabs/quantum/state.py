@@ -41,7 +41,7 @@ underneath:
   boost).  Neither path is exactly unitary; the norm drift
   is reported and the result rescaled to the input norm.  The
   state-independent part of each velocity change (labels, weight,
-  interpolation nodes) is cached per lattice and map, keyed by value.
+  interpolation nodes) is cached per lattice and map, built from its value key.
 
 Every represented map, and every projection that ``pvm`` defines by
 covariance as ``U M U^-1``, is applied through one loop, ``_act``, over
@@ -56,8 +56,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import threading
-from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -70,7 +68,7 @@ from ..geometry import (
     SpacetimeVector,
     Velocity,
 )
-from ..geometry import _METRIC, _product, _split
+from ..geometry import _METRIC, Instant, _product, _split, fiducial_origin
 from ..groups import LorentzMap, PoincareMap, in_O_u, is_orthochronous, make_boost, time_inversion
 from .config import ModelConfig, axis_views
 
@@ -134,13 +132,6 @@ class BoostReport:
 # ---------------------------------------------------------------------------
 
 
-def _out(arr: np.ndarray, overwrite_x: bool) -> np.ndarray | None:
-    """The ``out=`` of a transform of ``arr``: ``arr`` itself, transformed in
-    place, when ``overwrite_x`` says nothing else reads it and it is complex;
-    otherwise ``None`` (a new array)."""
-    return arr if overwrite_x and arr.dtype == np.complex128 else None
-
-
 # numpy.fft is slow on short strided lines, so each cut or embed copy below
 # is made through a view with the axis of the next line transform last: the
 # copy's lines along it are contiguous, and it is handed on as a view in
@@ -180,9 +171,9 @@ def _outer_dft(arr: np.ndarray, axis: int, rows, n: int, sign: int, out=None) ->
 
 
 # One line transform per axis into one buffer: ``numpy.fft.ifftn`` would
-# allocate a new array per axis.  Pass ``overwrite_x=True`` only for a
-# temporary that nothing else reads.  A ``box`` (see ``pvm._box_of``) lists
-# ``(axis, rows)`` per lattice axis, ``rows=None`` keeping every row.
+# allocate a new array per axis; ``_to_momentum`` always, and ``_to_position``
+# with ``overwrite_x=True``, transforms in place.  A ``box`` (see ``pvm._box_of``)
+# lists ``(axis, rows)`` per lattice axis, ``rows=None`` keeping every row.
 def _to_position(arr: np.ndarray, overwrite_x: bool = False, box=None) -> np.ndarray:
     """Position amplitudes, cut to the cells of ``box``: one line transform
     per axis in the box's order, each output cut to the box's rows before
@@ -195,7 +186,8 @@ def _to_position(arr: np.ndarray, overwrite_x: bool = False, box=None) -> np.nda
             arr = _outer_dft(arr, axis, rows, arr.shape[lead + axis], 1)
             rows = np.arange(len(rows))  # kept already: the cut below lays out
         else:
-            arr = np.fft.ifft(arr, axis=lead + axis, norm="ortho", out=_out(arr, overwrite_x))
+            out = arr if overwrite_x and arr.dtype == np.complex128 else None
+            arr = np.fft.ifft(arr, axis=lead + axis, norm="ortho", out=out)
         if rows is not None:
             line = box[k + 1][0] if k + 1 < len(box) else axis
             view, at = _lines_last(arr, line, axis)
@@ -204,13 +196,14 @@ def _to_position(arr: np.ndarray, overwrite_x: bool = False, box=None) -> np.nda
     return arr
 
 
-def _to_momentum(arr: np.ndarray, overwrite_x: bool = False, box=None, n=None, out=None):
+def _to_momentum(arr: np.ndarray, box=None, n=None, out=None):
     """Momentum amplitudes of the zero extension of the cells of ``box`` to
     the ``n``-point lattice: per axis in reverse box order, embed the rows
     in zeros and line-transform (pruned input); the last is ``_outer_dft``
     into ``out`` (a new field if ``None``) by ``_to_position``'s rule, or its
     embed is laid out in lattice order, so the result is C-contiguous
-    whenever it cuts.  Other paths ignore ``out``: use the return value."""
+    whenever it cuts.  Other paths ignore ``out``: use the return value, as
+    the complex input ``arr`` is consumed (line-transformed in place)."""
     box = _WHOLE if box is None else box[::-1]
     lead = arr.ndim - 3
     for k, (axis, rows) in enumerate(box):
@@ -225,9 +218,8 @@ def _to_momentum(arr: np.ndarray, overwrite_x: bool = False, box=None, n=None, o
             view = view if view.strides[-1] == view.itemsize else np.ascontiguousarray(view)
             full = np.zeros(view.shape[:at] + (n,) + view.shape[at + 1 :], complex)
             full[(slice(None),) * at + (rows,)] = view
-            arr, overwrite_x = np.moveaxis(full, -1, line - 3), True
-        arr = np.fft.fft(arr, axis=lead + axis, norm="ortho", out=_out(arr, overwrite_x))
-        overwrite_x = True
+            arr = np.moveaxis(full, -1, line - 3)
+        arr = np.fft.fft(arr, axis=lead + axis, norm="ortho", out=arr)
     return arr
 
 
@@ -323,9 +315,6 @@ _PAD = 2  # oversampling of the spline grid
 # classes per Vandermonde block: N * 32 * N complex powers, 2 MiB at N=64,
 # so a block stays in the L2 cache between its build and its products
 _CLASS_CHUNK = 32
-_PLAN_CACHE_SIZE = 4  # two maps (a boost and its inverse) at two lattice sizes
-_PLAN_CACHE: OrderedDict[tuple, "_PullbackPlan"] = OrderedDict()
-_PLAN_LOCK = threading.Lock()
 
 
 @dataclass(frozen=True)
@@ -414,21 +403,18 @@ def _build_plan(cfg: ModelConfig, L: LorentzMap) -> _PullbackPlan:
     )
 
 
+@functools.lru_cache(maxsize=4)  # two maps (a boost and its inverse) at two lattice sizes
+def _plan_of(N: int, spacing: float, mass: float, observer: bytes, matrix: bytes) -> _PullbackPlan:
+    """The plan of ``matrix`` on a lattice rebuilt from the key alone (any origin will do)."""
+    instant = Instant(Velocity(np.frombuffer(observer)), fiducial_origin())
+    cfg = ModelConfig(N, MeasureScalar(spacing, 1), MeasureScalar(mass, -1), instant)
+    return _build_plan(cfg, LorentzMap(np.frombuffer(matrix).reshape(4, 4), check=False))
+
+
 def _pullback_plan(cfg: ModelConfig, L: LorentzMap) -> _PullbackPlan:
-    """The plan of ``L`` on ``cfg``'s lattice, from a small LRU cache keyed
-    by value."""
+    """The plan of ``L`` on ``cfg``'s lattice, from a small cache keyed by value."""
     key = (cfg.N, cfg.spacing.value, cfg.mass.value, cfg.observer._c.tobytes(), L.matrix.tobytes())
-    with _PLAN_LOCK:
-        plan = _PLAN_CACHE.get(key)
-        if plan is not None:
-            _PLAN_CACHE.move_to_end(key)
-            return plan
-    plan = _build_plan(cfg, L)
-    with _PLAN_LOCK:
-        _PLAN_CACHE[key] = plan
-        while len(_PLAN_CACHE) > _PLAN_CACHE_SIZE:
-            _PLAN_CACHE.popitem(last=False)
-    return plan
+    return _plan_of(*key)
 
 
 def _class_products(coef: np.ndarray, plan: _PullbackPlan) -> None:
@@ -486,7 +472,7 @@ def _spline_pullback(
     # the zero extension to the refined lattice, walked back along axes 0, 1, 2
     ix = np.mod(cfg.signed_index, cfg.N * _PAD)
     box = [(axis, ix) for axis in (2, 1, 0)]
-    fine = _to_momentum(_to_position(arr), True, box, cfg.N * _PAD) * _PAD**1.5
+    fine = _to_momentum(_to_position(arr), box, cfg.N * _PAD) * _PAD**1.5
     return ndimage.map_coordinates(fine, plan.nodes, order=5, mode="grid-wrap", prefilter=True)
 
 

@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import math
 import os
-import threading
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -242,11 +241,10 @@ def run_stabilizer_suite(
     once and passes it as ``carried`` to every member, then drops it before
     the next group, so at most one right side per worker is live.  A member's
     left side runs per ``_state_blocks`` block, through two work fields of the
-    largest block that each worker thread allocates once and the suite frees;
-    its residual is the max over blocks, which is exact.  The groups fan out
-    over ``worker_cap()`` threads; results come back in element order, and
-    each group's first check is also timed over its right side.  Every check
-    must stay at or below 1e-10.
+    largest block allocated once per group; its residual is the max over blocks,
+    which is exact.  The groups fan out over ``worker_cap()`` threads; results
+    come back in element order, and each group's first check is also timed over
+    its right side.  Every check must stay at or below 1e-10.
     """
     states = random_states(cfg, np.random.default_rng(seed), n_states)
     region = cell_region(
@@ -261,16 +259,14 @@ def run_stabilizer_suite(
 
     blocks = _state_blocks(cfg.N, n_states)
     size = max(b.stop - b.start for b in blocks)
-    local = threading.local()  # one work pair per worker thread, freed with the suite
 
     def job(group):
         carried_mask, members = group
         check = Checks(cfg.N)
         rhs = _conjugate_mask(cfg, states, [], carried_mask)
-        if not hasattr(local, "work"):
-            local.work = np.empty((2, size, *states.shape[1:]), complex)
+        work = np.empty((2, size, *states.shape[1:]), complex)
         for _, name, S in members:
-            parts = ((states[b], rhs[b], local.work[:, : b.stop - b.start]) for b in blocks)
+            parts = ((states[b], rhs[b], work[:, : b.stop - b.start]) for b in blocks)
             res = max(stabilizer_covariance_residual(cfg, S, mask, *part) for part in parts)
             check(f"stabilizer-covariance/{name}", res, 1e-10, states=n_states)
         return zip([idx for idx, _, _ in members], check)
@@ -468,7 +464,7 @@ def causal_shadow(cfg: ModelConfig, delta_t=2.0, u2=None, margin=None):
     carry = canonical_map(cfg, t2)
     from .pvm import _pullback_region
 
-    pulled = _pullback_region(cfg, carry, shadow)
+    pulled = _pullback_region(carry, shadow)
     return carry, rasterize(cfg, pulled, inflate=0.5 * a * (1.0 + 1e-9) + margin)
 
 
@@ -584,8 +580,8 @@ def region_covariance_residual(
     """
     if not S.is_orthochronous():
         raise GeometryError("covariance drivers take orthochronous maps")
-    back, _ = represent_array(cfg, states, S.inverse())
-    lhs, _ = represent_array(cfg, _project_arr(cfg, region, back), S)
+    chain, mask = _projection(region, cfg)
+    lhs = _conjugate_mask(cfg, states, [*chain, S], mask)
     return _batch_max_norm(lhs - _project_arr(cfg, S.transform_region(region), states))
 
 

@@ -110,11 +110,11 @@ class TestDeterminism:
         # reuses the cached ones; the reports must not differ
         from minkabs.quantum import state
 
-        state._PLAN_CACHE.clear()
+        state._plan_of.cache_clear()
         path = small_config(tmp_path)
         assert main(["verify-covariance", "--config", path]) == 0
         first = capsys.readouterr().out
-        assert state._PLAN_CACHE
+        assert state._plan_of.cache_info().currsize
         assert main(["verify-covariance", "--config", path]) == 0
         second = capsys.readouterr().out
         assert first == second

@@ -406,7 +406,8 @@ class TestConjugateMask:
         for chain in chains:
             assert peak(chain) <= peak([]) + psi.nbytes
 
-    @pytest.mark.parametrize("transform", [_to_position, _to_momentum])
+    # _to_momentum consumes its input; _to_position copies unless told not to
+    @pytest.mark.parametrize("transform", [_to_position])
     def test_transforms_copy_by_default(self, cfg, transform):
         batch = np.stack([random_state(cfg, seed).psi for seed in (7, 8)])
         before = batch.tobytes()
@@ -465,8 +466,9 @@ class TestBoxPruning:
         # stabilizer suite rely on it)
         cfg = ModelConfig(N=n)
         states = np.stack([random_state(cfg, seed).psi for seed in (5, 6, 7)])
-        for transform in (_to_position, _to_momentum):
-            assert np.array_equal(transform(states), np.stack([transform(s) for s in states]))
+        for transform in (_to_position, _to_momentum):  # the latter consumes its input
+            got = transform(states.copy())
+            assert np.array_equal(got, np.stack([transform(s) for s in states.copy()]))
         wrapped = np.arange(n - 3, n + 4) % n
         rows = [(wrapped, np.arange(n), np.arange(2, 5)), (np.arange(2), wrapped, np.arange(5))]
         # outer axis 5 of 16 rows: pruned numpy.fft lines only
@@ -477,7 +479,7 @@ class TestBoxPruning:
             box = _box_of(mask)
 
             def pruned(arr):
-                return _to_momentum(_to_position(arr, box=box), True, box, n)
+                return _to_momentum(_to_position(arr, box=box), box, n)
 
             assert np.array_equal(pruned(states), np.stack([pruned(s) for s in states]))
 
@@ -501,7 +503,8 @@ class TestBoxPruning:
         assert got.shape == states.shape and got.flags.c_contiguous
         assert np.max(np.abs(got - ref)) <= 1e-15
 
-    # neither transform writes into an input it does not own, on either path
+    # neither the sandwich nor the forward transform writes into the states,
+    # on either path (the back transform consumes the sandwich's own cut)
     def test_read_only_input_comes_back_unwritten(self, cfg):
         states = np.stack([random_state(cfg, seed).psi for seed in (3, 4)])
         states.flags.writeable = False
@@ -510,12 +513,8 @@ class TestBoxPruning:
         for rows in [(np.arange(4), np.arange(6), np.arange(n)), (np.arange(5),) * 3]:
             box = _box_of(self.box(n, rows))
             _conjugate_mask(cfg, states, [], self.box(n, rows))
-            cut = _to_position(states, box=box)
+            _to_position(states, box=box)
             assert states.tobytes() == before
-            cut.flags.writeable = False
-            kept = cut.tobytes()
-            _to_momentum(cut, False, box, n)
-            assert cut.tobytes() == kept
 
     # the rule is on the box alone: an outer axis of more than n/4 rows makes
     # one numpy.fft line transform per axis each way, the partial-DFT box one
@@ -578,12 +577,11 @@ class TestWorkFields:
         }.get(kind)
         box = None if rows is None else _box_of(TestBoxPruning.box(n, rows))
         states = np.stack([random_state(cfg, seed).psi for seed in (3, 4, 5)])
-        cut = _to_position(states, box=box)
-        cut.flags.writeable = False
+        cut = _to_position(states, box=box)  # consumed by each _to_momentum: one copy each
         out = np.full(states.shape, np.nan, complex)
-        got = _to_momentum(cut, False, box, n, out=out)
+        got = _to_momentum(cut.copy(), box, n, out=out)
         assert np.shares_memory(got, out) == (kind == "partial-dft")
-        assert got.tobytes() == _to_momentum(cut, False, box, n).tobytes()
+        assert got.tobytes() == _to_momentum(cut.copy(), box, n).tobytes()
 
     @pytest.mark.parametrize("kind", ["symmetry", "carry-then-symmetry", "two-symmetries",
                                       "identity", "lattice-shift"])

@@ -1,5 +1,6 @@
 """Lattice states and the unitary spacetime actions."""
 
+import dataclasses
 import math
 import os
 import subprocess
@@ -15,6 +16,7 @@ from hypothesis import strategies as st
 import minkabs
 from minkabs.geometry import (
     GeometryError,
+    Instant,
     MeasureScalar,
     fiducial_origin,
     lorentz_product,
@@ -43,7 +45,9 @@ from minkabs.quantum.state import (
     _act,
     _apply_linear,
     _apply_perm,
+    _build_plan,
     _exact_pullback,
+    _plan_of,
     _pullback_plan,
     _represented,
     _spline_pullback,
@@ -632,6 +636,29 @@ class TestVelocityKernel:
         for i, out in enumerate(results):
             assert np.array_equal(out.psi, expected[i % len(maps)])
 
+    def test_plan_cache_is_keyed_by_value(self):
+        # lattices built apart share the plan of their values; the plan is built
+        # from the key alone, so a lattice's origin, which the key leaves out,
+        # does not reach it, and a value the key holds (the mass) misses
+        L = make_boost(U0, boosted(0.25))
+        _plan_of.cache_clear()
+        coarse = ModelConfig(N=16)
+        for c in (ModelConfig(N=32), ModelConfig(N=32), coarse.refined(), coarse.refined()):
+            _pullback_plan(c, L)
+        assert _plan_of.cache_info()[:2] == (3, 1)  # hits, misses
+        _pullback_plan(ModelConfig(N=32, mass=MeasureScalar(1.5, -1)), L)
+        assert _plan_of.cache_info()[:2] == (3, 2)
+        u = boosted(0.2, (0, 1, 0))
+        moving = ModelConfig(N=16, instant=Instant(u, fiducial_origin() + u * seconds(0.5)))
+        for u2 in (boosted(0.1, (1, 0, 0)), boosted(0.1, (1, 1, 0))):
+            M = make_boost(u, u2)
+            plan, ref = _pullback_plan(moving, M), _build_plan(moving, M)
+            for field in dataclasses.fields(ref):
+                got, want = getattr(plan, field.name), getattr(ref, field.name)
+                if isinstance(want, np.ndarray):
+                    got, want = got.tobytes(), want.tobytes()
+                assert got == want, field.name
+
 
 class TestActionWrappers:
     def test_boost_of_lattice_symmetry_is_the_rotation(self, cfg):
@@ -726,6 +753,17 @@ class TestTransformOrder:
             mom = np.fft.fft(mom, axis=axis, norm="ortho")
         assert np.array_equal(_to_position(batch), pos)
         assert np.array_equal(_to_momentum(batch), mom)
+
+    def test_momentum_transform_consumes_its_input(self):
+        # three per-axis numpy.fft transforms, each in place in the given buffer
+        c = ModelConfig(N=16)
+        arr = np.stack([white_state(c, seed).psi for seed in (1, 2)])
+        ref = arr
+        for axis in (-3, -2, -1):
+            ref = np.fft.fft(ref, axis=axis, norm="ortho")
+        got = _to_momentum(arr)
+        assert got.shape == arr.shape and np.shares_memory(got, arr)
+        assert got.tobytes() == arr.tobytes() == ref.tobytes()
 
     @pytest.mark.parametrize("n", [16, 32])
     def test_spline_grid_is_the_zero_padded_grid(self, n, monkeypatch):
