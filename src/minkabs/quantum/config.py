@@ -17,7 +17,6 @@ from ..geometry import (
     GeometryError,
     Instant,
     MeasureScalar,
-    SpacetimePoint,
     SpacetimeVector,
     fiducial_origin,
     normalize_velocity,
@@ -49,11 +48,11 @@ class ModelConfig:
         The momentum cutoff ``pi/spacing`` must be at least eight masses
         so wave packets stay band limited, and its square must not
         underflow a float.
-    instant, origin:
-        The instant carrying the spatial lattice (its observer is the
-        constructing observer) and the lattice origin event, which must
-        lie on it.  Defaults: the fiducial rest observer's instant through
-        ``origin``; the instant's anchor, else the fiducial origin.
+    instant:
+        The instant carrying the spatial lattice: its observer is the
+        constructing observer, and its anchor is the lattice origin event
+        (``origin``).  Default: the fiducial rest observer's instant
+        through the fiducial origin.
     """
 
     def __init__(
@@ -62,7 +61,6 @@ class ModelConfig:
         spacing: MeasureScalar = seconds(0.25),
         mass: MeasureScalar = MeasureScalar(1.0, -1),
         instant: Instant | None = None,
-        origin: SpacetimePoint | None = None,
     ):
         if not (abs(N) <= sys.float_info.max and float(N).is_integer()):
             raise GeometryError("lattice size must be an integer in the float range")
@@ -93,15 +91,11 @@ class ModelConfig:
         self.N = N
         self.spacing = spacing
         self.mass = mass
-        if origin is None:
-            origin = instant.anchor if instant is not None else fiducial_origin()
-        self.origin = origin
         if instant is None:
-            instant = Instant(normalize_velocity(vector(1, 0, 0, 0)), origin)
+            instant = Instant(normalize_velocity(vector(1, 0, 0, 0)), fiducial_origin())
         self.instant = instant
         self.observer = instant.observer
-        if not self.instant.contains(self.origin):
-            raise GeometryError("lattice origin must lie on the constructing instant")
+        self.origin = instant.anchor
         self.basis = spatial_basis_for(self.observer)
         self.axes = np.stack([b._c for b in self.basis])  # (3, 4), read-only as each b._c
         self.axes.flags.writeable = False
@@ -125,7 +119,7 @@ class ModelConfig:
 
     def refined(self) -> "ModelConfig":
         """Same physics on a lattice with twice the points per axis."""
-        return ModelConfig(self.N * 2, self.spacing, self.mass, self.instant, self.origin)
+        return ModelConfig(self.N * 2, self.spacing, self.mass, self.instant)
 
     def lattice_vector(self, steps) -> SpacetimeVector:
         """The spatial displacement of integer ``steps`` along the lattice axes."""

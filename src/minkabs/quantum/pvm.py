@@ -180,8 +180,8 @@ def _conjugate_mask(cfg: ModelConfig, states: np.ndarray, chain, mask, work=(Non
     when it is reached, so one phase is alive at a time.  ``work`` is two
     complex fields of the states' shape (``None``: new arrays).  The inverse
     steps and the back transform write into the first, dead once the forward
-    transform has cut, and the outer steps into the second; the result may be
-    either, and ``states`` is never written.
+    transform has cut, and the outer steps into the second (``None``: over the
+    back transform's output); the result may be either; ``states`` is never written.
 
     M is one ``_to_position``/``_to_momentum`` pair.  When ``mask`` is a box
     (``_box_of``: a boolean field equal to the outer product of its per-axis
@@ -195,11 +195,11 @@ def _conjugate_mask(cfg: ModelConfig, states: np.ndarray, chain, mask, work=(Non
     inverse = _represented(cfg, (P.inverse() for P in reversed(chain)))
     arr, _ = _act(cfg, states, inverse, out=work[0])
     box = _box_of(mask)
-    arr = _to_position(arr, arr is not states, box)
+    arr = _to_position(arr, box)
     if box is None:
         arr = arr * mask
     arr = _to_momentum(arr, box, cfg.N, out=work[0])
-    return _act(cfg, arr, _represented(cfg, chain), overwrite_x=True, out=work[1])[0]
+    return _act(cfg, arr, _represented(cfg, chain), out=arr if work[1] is None else work[1])[0]
 
 
 def _projection(region: Region, cfg: ModelConfig):

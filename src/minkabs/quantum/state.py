@@ -170,11 +170,11 @@ def _outer_dft(arr: np.ndarray, axis: int, rows, n: int, sign: int, out=None) ->
     return np.moveaxis(np.matmul(mat, np.moveaxis(arr, axis - 3, -2), out=planes), -2, axis - 3)
 
 
-# One line transform per axis into one buffer: ``numpy.fft.ifftn`` would
-# allocate a new array per axis; ``_to_momentum`` always, and ``_to_position``
-# with ``overwrite_x=True``, transforms in place.  A ``box`` (see ``pvm._box_of``)
+# One line transform per axis into one buffer: ``numpy.fft.ifftn`` would allocate
+# a new array per axis; ``_to_momentum`` transforms in place, ``_to_position`` from
+# its second axis on, so it never writes its input.  A ``box`` (see ``pvm._box_of``)
 # lists ``(axis, rows)`` per lattice axis, ``rows=None`` keeping every row.
-def _to_position(arr: np.ndarray, overwrite_x: bool = False, box=None) -> np.ndarray:
+def _to_position(arr: np.ndarray, box=None) -> np.ndarray:
     """Position amplitudes, cut to the cells of ``box``: one line transform
     per axis in the box's order, each output cut to the box's rows before
     the next (pruned output).  The first is ``_outer_dft`` when it keeps at
@@ -186,13 +186,11 @@ def _to_position(arr: np.ndarray, overwrite_x: bool = False, box=None) -> np.nda
             arr = _outer_dft(arr, axis, rows, arr.shape[lead + axis], 1)
             rows = np.arange(len(rows))  # kept already: the cut below lays out
         else:
-            out = arr if overwrite_x and arr.dtype == np.complex128 else None
-            arr = np.fft.ifft(arr, axis=lead + axis, norm="ortho", out=out)
+            arr = np.fft.ifft(arr, axis=lead + axis, norm="ortho", out=arr if k else None)
         if rows is not None:
             line = box[k + 1][0] if k + 1 < len(box) else axis
             view, at = _lines_last(arr, line, axis)
             arr = np.moveaxis(view[(slice(None),) * at + (rows,)], -1, line - 3)
-        overwrite_x = True  # every later input is this function's own
     return arr
 
 
@@ -453,9 +451,8 @@ def _exact_pullback(arr: np.ndarray, plan: _PullbackPlan) -> np.ndarray:
     """
     states, n = len(arr), arr.shape[-1]
     coef = np.empty((states, n, n, n), dtype=complex)
-    for i in range(states):
-        # the pinned kernel error holds for numpy.fft's rounding (scipy's FFT moves it)
-        np.fft.ifft(arr[i], axis=plan.axis, norm="ortho", out=np.moveaxis(coef[i], 0, plan.axis))
+    # the pinned kernel error holds for numpy.fft's rounding (scipy's FFT moves it)
+    np.fft.ifft(arr, axis=plan.axis + 1, norm="ortho", out=np.moveaxis(coef, 1, plan.axis + 1))
     coef = np.take(coef.reshape(states, n, n * n), plan.order, axis=2)
     _class_products(coef, plan)
     out = np.take(coef, plan.inverse, axis=2).reshape(states, n, n, n)
@@ -534,15 +531,15 @@ def _apply_linear(
     return out.reshape(arr.shape), drift
 
 
-def _act(cfg: ModelConfig, arr: np.ndarray, steps, overwrite_x: bool = False, out=None):
+def _act(cfg: ModelConfig, arr: np.ndarray, steps, out=None):
     """Apply ``_represented`` steps, first step first, to raw amplitudes (batch
     axes allowed): the result and the worst norm drift of any step.  Phases go in
-    place into complex arrays the steps made, and into ``arr`` only with
-    ``overwrite_x`` (an identity step hands ``arr`` back).  A complex work field
-    ``out`` of the result's shape takes a permutation whose input is not ``out``
-    itself, and a phase of the caller's ``arr``; the result may be ``out``.  Each
+    place into complex arrays the steps made.  A complex work field ``out`` of the
+    result's shape, or ``arr`` itself to give it up, takes a permutation whose input
+    is not ``out`` and a phase of the caller's ``arr`` (an identity step hands it
+    back); the result may be ``out``.  With ``None``, ``arr`` is never written.  Each
     step is dropped once applied, so a generator keeps one phase alive at a time."""
-    keep = None if overwrite_x else arr
+    keep = arr
     drift = 0.0
     for linear, phase in steps:
         arr, step_drift = _apply_linear(cfg, arr, linear, None if arr is out else out)

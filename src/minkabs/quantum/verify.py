@@ -88,6 +88,7 @@ __all__ = [
 # widths (s) of the standard and the time-variance witness packets; cli checks both fit
 STANDARD_PACKET_WIDTH = 0.75
 WIDE_PACKET_WIDTH = 1.0
+_CAUSAL_CELLS = ((-2, -2, -2), (1, 1, 1))  # the causality trials' source box, inclusive cells
 
 
 def worker_cap() -> int:
@@ -104,10 +105,10 @@ def worker_cap() -> int:
         return os.cpu_count() or 1
 
 
-def _fan_out(job, items, cap: int) -> list:
-    """``[job(x) for x in items]``, on up to ``cap`` threads, in item order."""
+def _fan_out(job, items) -> list:
+    """``[job(x) for x in items]``, on up to ``worker_cap()`` threads, in item order."""
     items = list(items)
-    cap = min(cap, len(items))
+    cap = min(worker_cap(), len(items))
     if cap <= 1:
         return [job(x) for x in items]
     with ThreadPoolExecutor(max_workers=cap) as pool:
@@ -271,7 +272,7 @@ def run_stabilizer_suite(
             check(f"stabilizer-covariance/{name}", res, 1e-10, states=n_states)
         return zip([idx for idx, _, _ in members], check)
 
-    done = _fan_out(job, groups.values(), worker_cap())
+    done = _fan_out(job, groups.values())
     results = sorted((pair for part in done for pair in part), key=lambda pair: pair[0])
     return [r for _, r in results]
 
@@ -345,7 +346,7 @@ def boost_convergence_rows(
                 cfg = cfg.refined()
         return rows
 
-    return [row for rows in _fan_out(seed_rows, seeds, worker_cap()) for row in rows]
+    return [row for rows in _fan_out(seed_rows, seeds) for row in rows]
 
 
 # ---------------------------------------------------------------------------
@@ -446,16 +447,16 @@ def time_variance_witness(cfg: ModelConfig, witness_chi: float = 0.5) -> float:
 
 def causal_shadow(cfg: ModelConfig, delta_t=2.0, u2=None, margin=None):
     """The shadow of one trial of ``causality_experiment``: the carry to the
-    later labels and the cell mask of the causally grown region (cells -2..1
-    per axis) pulled back to the constructing instant, rasterized
-    conservatively: every cell within half a spacing plus ``margin``
-    (default 0.2 spacings) of the cover counts as inside, so leakage can
-    only be under-reported.  No transform; raises ``GeometryError`` where
-    the geometry does not fit the lattice box."""
+    later labels and the cell mask of the causally grown ``_CAUSAL_CELLS`` box
+    pulled back to the constructing instant, rasterized conservatively: every
+    cell within half a spacing plus ``margin`` (default 0.2 spacings) of the
+    cover counts as inside, so leakage can only be under-reported.  No
+    transform; raises ``GeometryError`` where the geometry does not fit the
+    lattice box."""
     if delta_t < 0.0:
         raise GeometryError("the later instant must not precede the region")
     a = cfg.spacing.value
-    region = cell_region(cfg, (-2, -2, -2), (1, 1, 1))
+    region = cell_region(cfg, *_CAUSAL_CELLS)
     if margin is None:
         margin = 0.2 * a
     observer2 = cfg.observer if u2 is None else u2
@@ -472,7 +473,7 @@ def localized_state(cfg: ModelConfig) -> np.ndarray:
     """The state of every causality trial: a packet three spacings wide
     projected into the region of ``causal_shadow`` and renormalized, so it
     is localized there exactly."""
-    region = cell_region(cfg, (-2, -2, -2), (1, 1, 1))
+    region = cell_region(cfg, *_CAUSAL_CELLS)
     lo, hi = region.boxes[0]
     box_center = region.anchor + sum(
         float(0.5 * (lo[m] + hi[m])) * b for m, b in enumerate(region.basis)
@@ -545,7 +546,8 @@ def _overlap(cfg: ModelConfig, proj_a, proj_b) -> np.ndarray:
     if cells_a[0].size * cells_b[0].size > n**3:
         raise GeometryError("commutator witness regions: overlap matrix larger than one field")
     steps = _represented(cfg, [*chain_b, *(P.inverse() for P in reversed(chain_a))])
-    D, _ = _act(cfg, np.ones((n, n, n), complex), steps, True)
+    D = np.ones((n, n, n), complex)
+    D, _ = _act(cfg, D, steps, D)
     # the default-normalized inverse: its 1/n per axis is exact for the
     # power-of-two N, so identical boxes keep K[0] at exactly 1.0
     K = np.fft.ifftn(D)

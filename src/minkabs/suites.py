@@ -51,6 +51,7 @@ from .report import CheckResult, Checks
 __all__ = ["run_geometry_suite"]
 
 _HEAVY_SAMPLES = 10_000  # random inputs of the observer-splitting checks
+_MAX_RAPIDITY = 1.5  # the bound of every random velocity's uniform rapidity
 
 
 def _velocities(chi, d) -> np.ndarray:
@@ -63,9 +64,9 @@ def _velocities(chi, d) -> np.ndarray:
     return _check_velocity(_normalize(np.column_stack([ch, sh[:, None] * d])))
 
 
-def _random_velocity(rng, max_rapidity=1.5):
-    """A velocity of rapidity uniform below ``max_rapidity``, direction uniform on the sphere."""
-    return Velocity(_velocities([rng.uniform(0, max_rapidity)], rng.normal(size=(1, 3)))[0])
+def _random_velocity(rng):
+    """A velocity of rapidity uniform below ``_MAX_RAPIDITY``, direction uniform on the sphere."""
+    return Velocity(_velocities([rng.uniform(0, _MAX_RAPIDITY)], rng.normal(size=(1, 3)))[0])
 
 
 def _observed_vectors(rng, n):
@@ -73,18 +74,18 @@ def _observed_vectors(rng, n):
     as ``_random_velocity`` and ``vector`` would, as two (n, 4) stacks."""
     chi, d, x = np.empty(n), np.empty((n, 3)), np.empty((n, 4))
     for i in range(n):
-        chi[i] = rng.uniform(0, 1.5)
+        chi[i] = rng.uniform(0, _MAX_RAPIDITY)
         d[i] = rng.normal(size=3)
         x[i] = rng.uniform(-10, 10, 4)
     return _velocities(chi, d), x
 
 
-def _draw_map(rng, depth=3):
-    """The factors of one random composite of boosts and rotations, in draw
-    order: ``(True, rapidity, direction)`` for a boost of the rest observer,
-    ``(False, angle, axis components)`` for a rotation in its space."""
+def _draw_map(rng):
+    """The factors of a random composite of one to three boosts and rotations,
+    in draw order: ``(True, rapidity, direction)`` for a boost of the rest
+    observer, ``(False, angle, axis components)`` for a rotation in its space."""
     factors = []
-    for _ in range(rng.integers(1, depth + 1)):
+    for _ in range(rng.integers(1, 4)):
         if rng.random() < 0.5:
             factors.append((True, rng.uniform(0, 1.0), rng.normal(size=3)))
         else:
@@ -253,7 +254,7 @@ def run_geometry_suite(seed: int = 42) -> list[CheckResult]:
     for i in range(20):
         draws.append(_draw_map(rng))
         shift = vector(*rng.uniform(-3, 3, 4))
-        chi[i], d[i] = rng.uniform(0, 1.5), rng.normal(size=3)  # as _random_velocity
+        chi[i], d[i] = rng.uniform(0, _MAX_RAPIDITY), rng.normal(size=3)  # as _random_velocity
         # two anchors, a move of each within its instant, a slide of each along u
         anchors, moves = rng.uniform(-5, 5, (2, 4)), rng.uniform(-3, 3, (2, 4))
         samples.append((shift, anchors, moves, rng.uniform(-3, 3, 2)))

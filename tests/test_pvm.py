@@ -406,7 +406,7 @@ class TestConjugateMask:
         for chain in chains:
             assert peak(chain) <= peak([]) + psi.nbytes
 
-    # _to_momentum consumes its input; _to_position copies unless told not to
+    # _to_momentum consumes its input; _to_position never writes it
     @pytest.mark.parametrize("transform", [_to_position])
     def test_transforms_copy_by_default(self, cfg, transform):
         batch = np.stack([random_state(cfg, seed).psi for seed in (7, 8)])
@@ -539,9 +539,9 @@ class TestBoxPruning:
         # one transform pair per projection; only a box's cuts rows
         calls = []
 
-        def counting(arr, overwrite_x=False, box=None):
+        def counting(arr, box=None):
             calls.append(box is not None and any(rows is not None for _, rows in box))
-            return _to_position(arr, overwrite_x, box)
+            return _to_position(arr, box)
 
         monkeypatch.setattr(pvm, "_to_position", counting)
         states = np.stack([random_state(cfg, seed).psi for seed in (3, 4)])

@@ -218,6 +218,14 @@ class TestConfig:
         assert echo["N"] == 16
         assert echo["spacing_sec"] == 0.25
 
+    @pytest.mark.parametrize("given", [False, True])
+    def test_origin_is_the_instant_anchor(self, given):
+        # the lattice origin event is the constructing instant's anchor, kept on refinement
+        instant = Instant(boosted(0.3), fiducial_origin() + vector(0.5, 1, -2, 0.25))
+        c = ModelConfig(N=16, instant=instant if given else None)
+        assert c.origin is c.instant.anchor
+        assert c.refined().origin is c.instant.anchor
+
 
 class TestGaussian:
     def test_normalized(self, cfg):
@@ -572,9 +580,10 @@ class TestVelocityKernel:
         rows = np.repeat(plan.nodes, sizes, axis=0)
         assert np.max(np.abs(z[:, plan.order] - rows.T)) <= 1e-14
 
-    @pytest.mark.parametrize("axis", [(0, 1, 0), (1, 1, 0)])
+    @pytest.mark.parametrize("axis", [(0, 1, 0), (1, 1, 0), (1, 0, 0), (0, 0, 1)])
     def test_batch_matches_single_states(self, cfg32, axis):
-        # one kernel call per batch gives each state's bytes, a zero field included
+        # one kernel call per batch (one batched line transform on the exact
+        # path) gives each state's bytes, a zero field included
         zero = np.zeros((cfg32.N,) * 3, dtype=complex)
         batch = np.stack([white_state(cfg32, 1).psi, zero, white_state(cfg32, 2).psi])
         L = make_boost(U0, boosted(0.25, axis))
@@ -707,24 +716,32 @@ class TestPreparedAction:
             drift = max(drift, step_drift)
         return arr, drift
 
-    @pytest.mark.parametrize("dtype", [complex, float])
-    @pytest.mark.parametrize(
-        "kind", ["lattice-shift", "point-group", "shifted-symmetry", "velocity", "two-maps"]
-    )
-    def test_leaves_input_and_matches_out_of_place(self, cfg, kind, dtype):
+    @staticmethod
+    def chain(cfg, kind):
         a = cfg.spacing.value
         shift = PoincareMap.from_translation(2 * a * cfg.basis[0] - a * cfg.basis[2])
-        rot = PoincareMap.from_homogeneous(
-            make_rotation(cfg.observer, cfg.basis[2], np.pi / 2), cfg.origin
+        rot, turn = (
+            PoincareMap.from_homogeneous(make_rotation(cfg.observer, b, np.pi / 2), cfg.origin)
+            for b in (cfg.basis[2], cfg.basis[0])
         )
         boost = PoincareMap.from_homogeneous(make_boost(U0, boosted(0.2)), cfg.origin)
-        chain = {
+        return {
             "lattice-shift": [shift],
             "point-group": [rot],
             "shifted-symmetry": [shift.compose(rot)],
             "velocity": [boost],
             "two-maps": [shift, rot],
+            "two-symmetries": [rot, turn],
         }[kind]
+
+    @pytest.mark.parametrize("dtype", [complex, float])
+    @pytest.mark.parametrize(
+        "kind",
+        ["lattice-shift", "point-group", "shifted-symmetry", "velocity", "two-maps",
+         "two-symmetries"],
+    )
+    def test_leaves_input_and_matches_out_of_place(self, cfg, kind, dtype):
+        chain = self.chain(cfg, kind)
         batch = np.stack([white_state(cfg, seed).psi for seed in (5, 6)])
         batch = batch if dtype is complex else batch.real.copy()
         before = batch.tobytes()
@@ -737,6 +754,19 @@ class TestPreparedAction:
         assert out.tobytes() == ref.tobytes()
         assert drift == ref_drift
         assert (drift > 0.0) == (kind == "velocity")
+
+    # out=arr gives the input up: the result has the bytes of the chain on a
+    # copy, and lands in the input when a phase of it or a second permutation does
+    @pytest.mark.parametrize(
+        "kind", ["point-group", "lattice-shift", "two-maps", "two-symmetries"]
+    )
+    def test_given_up_input_matches_a_copy(self, cfg, kind):
+        chain = self.chain(cfg, kind)
+        batch = np.stack([white_state(cfg, seed).psi for seed in (5, 6)])
+        ref, _ = _act(cfg, batch.copy(), _represented(cfg, chain))
+        got, _ = _act(cfg, batch, _represented(cfg, chain), out=batch)
+        assert got.tobytes() == ref.tobytes()
+        assert (got is batch) == (kind in ("lattice-shift", "two-symmetries"))
 
 
 class TestTransformOrder:
@@ -753,6 +783,18 @@ class TestTransformOrder:
             mom = np.fft.fft(mom, axis=axis, norm="ortho")
         assert np.array_equal(_to_position(batch), pos)
         assert np.array_equal(_to_momentum(batch), mom)
+
+    @pytest.mark.parametrize("dtype", [complex, float])
+    def test_position_transform_never_writes_its_input(self, dtype):
+        # the first line transform allocates, the later ones go in place into it
+        c = ModelConfig(N=16)
+        batch = np.stack([white_state(c, seed).psi for seed in (1, 2)])
+        batch = batch if dtype is complex else batch.real.copy()
+        before, ref = batch.tobytes(), batch
+        for axis in (-3, -2, -1):
+            ref = np.fft.ifft(ref, axis=axis, norm="ortho")
+        assert _to_position(batch).tobytes() == ref.tobytes()
+        assert batch.tobytes() == before
 
     def test_momentum_transform_consumes_its_input(self):
         # three per-axis numpy.fft transforms, each in place in the given buffer
