@@ -166,7 +166,7 @@ def cmd_verify_covariance(config: dict) -> RunReport:
 
     check = Checks(cfg.N)
     rng = np.random.default_rng(seed)
-    white = V.random_states(cfg, rng, min(8, int(config["states"])))
+    white = V.random_states(cfg, rng, min(8, n_states))
     region = V.cell_region(cfg, (-3, -2, -4), (2, 3, 1))
     step = PoincareMap.from_translation(cfg.observer * seconds(0.7))
     rot = PoincareMap.from_homogeneous(
@@ -239,8 +239,7 @@ def cmd_demo_causality(config: dict) -> RunReport:
     margin_change = abs(leakage[longest, 0.0] - V.causality_experiment(cfg, phi, wide))
     check("leakage/margin-doubling-stable", margin_change, 1e-10)
     check("commutator/cross-instant-witness", V.commutator_witness(cfg), 1e-4, below=False)
-    # region_a is the default: cells (-5, -2, -2)..(-2, 1, 1) on the constructing instant
-    reg_b = V.cell_region(cfg, (2, -2, -2), (5, 1, 1))
+    reg_b = V.cell_region(cfg, *V.WITNESS_CELLS[1])  # on a's instant
     check("commutator/same-instant-disjoint", V.commutator_witness(cfg, region_b=reg_b), 1e-12)
     return RunReport("demo-causality", dict(config, **cfg.echo()), check, {"leakage_sweep": table})
 
@@ -250,13 +249,20 @@ def cmd_demo_causality(config: dict) -> RunReport:
 # ---------------------------------------------------------------------------
 
 
+COMMANDS = {
+    "verify-geometry": cmd_verify_geometry,
+    "verify-covariance": cmd_verify_covariance,
+    "demo-causality": cmd_demo_causality,
+}
+
+
 def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="minkabs",
         description="verification suites for the localization lab",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("verify-geometry", "verify-covariance", "demo-causality"):
+    for name in COMMANDS:
         p = sub.add_parser(name)
         p.add_argument("--config", help="flat JSON config file")
         p.add_argument("--out", help="write the report here instead of stdout")
@@ -274,13 +280,7 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     overrides = {"seed": args.seed, "N": args.lattice}
     try:
-        config = load_config(args.config, overrides)
-        if args.command == "verify-geometry":
-            report = cmd_verify_geometry(config)
-        elif args.command == "verify-covariance":
-            report = cmd_verify_covariance(config)
-        else:
-            report = cmd_demo_causality(config)
+        report = COMMANDS[args.command](load_config(args.config, overrides))
     except (ConfigError, MemoryError) as exc:
         why = "it needs more memory than is available: " if isinstance(exc, MemoryError) else ""
         print(f"configuration error: {why}{exc}", file=sys.stderr)

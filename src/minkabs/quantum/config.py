@@ -28,11 +28,6 @@ from ..geometry import (
 __all__ = ["ModelConfig"]
 
 
-def axis_views(v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """A 1-D lattice array as broadcast views along the three lattice axes."""
-    return v[:, None, None], v[None, :, None], v[None, None, :]
-
-
 class ModelConfig:
     """Geometry and resolution of the lattice realization.
 
@@ -108,7 +103,7 @@ class ModelConfig:
         self.k1d = self.signed_index * self.dk
         self.x1d = self.signed_index * a
         self.box_length = n * a
-        k1, k2, k3 = axis_views(self.k1d)
+        k1, k2, k3 = np.ix_(self.k1d, self.k1d, self.k1d)
         self.omega = np.sqrt(mass.value**2 + k1**2 + k2**2 + k3**2)
         self.cutoff = math.pi / a
 

@@ -37,7 +37,7 @@ from ..geometry import (
 )
 from ..geometry import _METRIC, _product
 from ..groups import LorentzMap, PoincareMap, Region, make_boost
-from .config import ModelConfig, axis_views
+from .config import ModelConfig
 from .state import LatticeState, _act, _represented, _to_momentum, _to_position
 from .state import represent_array
 
@@ -102,7 +102,7 @@ def rasterize(cfg: ModelConfig, region: Region, inflate: float = 0.0) -> np.ndar
     # affine map from lattice coordinates to the region frame
     mat = _product(cfg.axes[:, None], region.axes)
     off = region.coordinates_of(cfg.origin)
-    xs = axis_views(cfg.x1d)
+    xs = np.ix_(cfg.x1d, cfg.x1d, cfg.x1d)
     L = cfg.box_length
     snap = _SNAP * cfg.spacing.value
     mask = np.zeros((cfg.N,) * 3, dtype=bool)

@@ -70,7 +70,7 @@ from ..geometry import (
 )
 from ..geometry import _METRIC, Instant, _product, _split, fiducial_origin
 from ..groups import LorentzMap, PoincareMap, in_O_u, is_orthochronous, make_boost, time_inversion
-from .config import ModelConfig, axis_views
+from .config import ModelConfig
 
 __all__ = [
     "LatticeState",
@@ -343,14 +343,14 @@ class _PullbackPlan:
 
 def _free_axes(cfg: ModelConfig, q: np.ndarray) -> list[int]:
     """The lattice axes along which some label of ``q`` leaves its lattice point."""
-    own = axis_views(cfg.signed_index)
+    own = np.ix_(cfg.signed_index, cfg.signed_index, cfg.signed_index)
     return [i for i in range(3) if np.max(np.abs(q[..., i] / cfg.dk - own[i])) > _LABEL_TOL]
 
 
 def _pulled_labels(cfg: ModelConfig, li: np.ndarray) -> np.ndarray:
     """Labels of the image under the matrix ``li`` of each on-shell four-momentum."""
     u = cfg.observer._c
-    k1, k2, k3 = axis_views(cfg.k1d)
+    k1, k2, k3 = np.ix_(cfg.k1d, cfg.k1d, cfg.k1d)
     four = (
         cfg.omega[..., None] * u
         - k1[..., None] * cfg.axes[0]
@@ -478,30 +478,28 @@ def _boost_array(
 ) -> tuple[np.ndarray, float]:
     """Mass-shell pullback of a batch of amplitude fields along ``L``.
 
-    Returns the transformed fields, each rescaled to its input norm, plus
-    the largest relative norm drift of the raw pullbacks.
+    Returns the transformed fields, each rescaled to its input norm (a zero
+    field comes back as it is), plus the largest relative norm drift of the
+    raw pullbacks.
     """
-    norms = [float(np.linalg.norm(one)) for one in arr]
-    live = [i for i, norm_in in enumerate(norms) if norm_in != 0.0]
-    zero = [i for i, norm_in in enumerate(norms) if norm_in == 0.0]
-    raws = ()
-    if live:
-        plan = _pullback_plan(cfg, L)
-        batch = arr if len(live) == len(arr) else arr[live]
-        if plan.axis is None:
-            raws = (_spline_pullback(cfg, one, plan) for one in batch)
-        else:
-            raws = _exact_pullback(batch, plan)
+    plan = _pullback_plan(cfg, L)
+    if plan.axis is None:
+        raws = (_spline_pullback(cfg, one, plan) for one in arr)
+    else:
+        raws = _exact_pullback(arr, plan)
     out = np.empty(arr.shape, dtype=complex)
-    out[zero] = arr[zero]  # a zero field comes back as it is
     drift = 0.0
-    for i, raw in zip(live, raws):
+    for one, raw, res in zip(arr, raws, out):
+        norm_in = float(np.linalg.norm(one))
+        if norm_in == 0.0:
+            res[...] = one
+            continue
         np.multiply(raw, plan.weight, out=raw)
         norm_out = float(np.linalg.norm(raw))
         if norm_out == 0.0:
             raise GeometryError("velocity transform annihilated the state")
-        np.multiply(raw, norms[i] / norm_out, out=out[i])
-        drift = max(drift, abs(norm_out / norms[i] - 1.0))
+        np.multiply(raw, norm_in / norm_out, out=res)
+        drift = max(drift, abs(norm_out / norm_in - 1.0))
     return out, drift
 
 
@@ -600,7 +598,7 @@ def make_gaussian(
         raise GeometryError("packet center too close to the lattice boundary")
 
     sigma = width.value
-    k1, k2, k3 = axis_views(cfg.k1d)
+    k1, k2, k3 = np.ix_(cfg.k1d, cfg.k1d, cfg.k1d)
     envelope = np.exp(
         -(sigma**2)
         * ((k1 - kbar[0]) ** 2 + (k2 - kbar[1]) ** 2 + (k3 - kbar[2]) ** 2)

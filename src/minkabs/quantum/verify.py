@@ -89,6 +89,8 @@ __all__ = [
 STANDARD_PACKET_WIDTH = 0.75
 WIDE_PACKET_WIDTH = 1.0
 _CAUSAL_CELLS = ((-2, -2, -2), (1, 1, 1))  # the causality trials' source box, inclusive cells
+# the commutator witness's boxes a and b, inclusive cells; b sits half a second later
+WITNESS_CELLS = (((-5, -2, -2), (-2, 1, 1)), ((2, -2, -2), (5, 1, 1)))
 
 
 def worker_cap() -> int:
@@ -135,10 +137,14 @@ def cell_region(cfg: ModelConfig, lo_cells, hi_cells, instant: Instant | None = 
 
 
 def random_states(cfg: ModelConfig, rng: np.random.Generator, count: int) -> np.ndarray:
-    """Unit-norm white random momentum amplitudes, stacked (count, N, N, N)."""
-    shape = (count, cfg.N, cfg.N, cfg.N)
-    psi = rng.normal(size=shape) + 1j * rng.normal(size=shape)
-    psi /= np.linalg.norm(psi.reshape(count, -1), axis=1)[:, None, None, None]
+    """Unit-norm white random momentum amplitudes, stacked (count, N, N, N): the real
+    parts, then the imaginary ones, drawn and normalized in place field by field."""
+    psi = np.empty((count, cfg.N, cfg.N, cfg.N), dtype=complex)
+    for part in (psi.real, psi.imag):
+        for field in part:
+            field[...] = rng.normal(size=field.shape)
+    for row in psi.reshape(count, 1, -1):
+        row /= np.linalg.norm(row, axis=1)
     return psi
 
 
@@ -366,11 +372,10 @@ def _family_residual(
     ``S`` and compare with the fields of ``rhs_mult`` mixed by ``mix``.
 
     The norm aggregates over the four vector components and takes the
-    max over the batch.
+    max over the batch ``states``.
     """
-    batch = states if states.ndim == 4 else states[None]
-    moved = _conjugate_mask(cfg, batch[:, None], [S], mult)
-    rhs = np.einsum("mn,bn...->bm...", mix, _conjugate_mask(cfg, batch[:, None], [], rhs_mult))
+    moved = _conjugate_mask(cfg, states[:, None], [S], mult)
+    rhs = np.einsum("mn,bn...->bm...", mix, _conjugate_mask(cfg, states[:, None], [], rhs_mult))
     return _batch_max_norm(moved - rhs)
 
 
@@ -398,7 +403,7 @@ def fixed_label_boost_witness(cfg: ModelConfig, chi: float = 0.25) -> float:
     """
     boost = make_boost(cfg.observer, boosted_velocity(chi))
     hom = PoincareMap.from_homogeneous(boost, cfg.origin)
-    s = make_gaussian(cfg, width=seconds(STANDARD_PACKET_WIDTH)).psi
+    s = make_gaussian(cfg, width=seconds(STANDARD_PACKET_WIDTH)).psi[None]
     mult = position_multipliers(cfg, cfg.origin)
     return _family_residual(cfg, hom, s, mult, mult, boost.matrix)
 
@@ -518,10 +523,10 @@ def commutator_witness(
     one field; otherwise ``GeometryError``.
     """
     if region_a is None:
-        region_a = cell_region(cfg, (-5, -2, -2), (-2, 1, 1))
+        region_a = cell_region(cfg, *WITNESS_CELLS[0])
     if region_b is None:
         t2 = Instant(cfg.observer, cfg.origin + cfg.observer * seconds(0.5))
-        region_b = cell_region(cfg, (2, -2, -2), (5, 1, 1), instant=t2)
+        region_b = cell_region(cfg, *WITNESS_CELLS[1], instant=t2)
     if not all(r.instant.observer.approx_eq(cfg.observer) for r in (region_a, region_b)):
         raise GeometryError("commutator witness needs instants of the constructing observer")
     proj_a = _projection(region_a, cfg)
@@ -597,41 +602,38 @@ def _random_lattice_map(cfg: ModelConfig, rng: np.random.Generator) -> PoincareM
     )
 
 
-def _probe_bundle(
-    cfg: ModelConfig, P: PoincareMap | None, seed: int
-) -> dict[str, float]:
-    """Reported numbers with every input optionally carried by ``P``.
+def _probe_bundle(cfg: ModelConfig, P: PoincareMap, seed: int) -> dict[str, float]:
+    """Reported numbers with every input carried by ``P``.
 
-    All quantities go through the region-labeled projections, so the carried
-    variant exercises exactly the same public surface with transformed
-    observers, instants, origins, regions and states.
+    All quantities go through the region-labeled projections, so a carried
+    bundle exercises exactly the same public surface as the identity's, with
+    transformed observers, instants, origins, regions and states.
     """
-    ident = PoincareMap.identity() if P is None else P
     rng = np.random.default_rng(seed)
     states = random_states(cfg, rng, 3)
-    moved_states, _ = represent_array(cfg, states, ident)
+    moved_states, _ = represent_array(cfg, states, P)
     region = cell_region(cfg, (-3, -2, -4), (2, 3, 1))
-    moved_region = ident.transform_region(region)
-    t1 = ident.transform_instant(cfg.instant)
+    moved_region = P.transform_region(region)
+    t1 = P.transform_instant(cfg.instant)
     out: dict[str, float] = {}
     for i in range(3):
         out[f"localization-{i}"] = localization_probability(
             moved_region, LatticeState(cfg, moved_states[i])
         )
     gauss = make_gaussian(cfg, width=seconds(STANDARD_PACKET_WIDTH))
-    mg, _ = represent_array(cfg, gauss.psi, ident)
+    mg, _ = represent_array(cfg, gauss.psi, P)
     mg_state = LatticeState(cfg, mg)
     out["localization-gauss"] = localization_probability(moved_region, mg_state)
 
-    w = NwPosition(t1, ident(cfg.origin))
+    w = NwPosition(t1, P(cfg.origin))
     own = nw_component_stats(w, t1.observer, mg_state)
     for m, val in enumerate(own.space_variances):
         out[f"space-variance-{m}"] = val.value
-    tilted = ident.linear.transform_velocity(boosted_velocity(0.5))
+    tilted = P.linear.transform_velocity(boosted_velocity(0.5))
     out["time-variance-witness"] = nw_component_stats(w, tilted, mg_state).time_variance.value
 
     S = PoincareMap.from_homogeneous(lattice_point_group(cfg.observer, cfg.basis)[9], cfg.origin)
-    moved_S = ident.compose(S).compose(ident.inverse())
+    moved_S = P.compose(S).compose(P.inverse())
     out["covariance-residual"] = region_covariance_residual(
         cfg, moved_S, moved_region, moved_states
     )
@@ -639,7 +641,7 @@ def _probe_bundle(
     # causal leakage with a non-cell-aligned horizon
     phi = pvm_project(moved_region, mg_state).normalized()
     dt = 0.8
-    t2 = ident.transform_instant(
+    t2 = P.transform_instant(
         Instant(cfg.observer, cfg.origin + cfg.observer * seconds(dt))
     )
     shadow = grow_region_causally(moved_region, t2)
@@ -652,6 +654,6 @@ def equivariance_residual(cfg: ModelConfig, seed: int = 42) -> float:
     random lattice-compatible orthochronous map."""
     rng = np.random.default_rng(seed + 100)
     P = _random_lattice_map(cfg, rng)
-    base = _probe_bundle(cfg, None, seed)
+    base = _probe_bundle(cfg, PoincareMap.identity(), seed)
     moved = _probe_bundle(cfg, P, seed)
     return max(abs(base[k] - moved[k]) for k in base)

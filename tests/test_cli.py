@@ -1,5 +1,6 @@
 """Command-line driver: configs, reports, determinism, exit codes."""
 
+import argparse
 import json
 import re
 from pathlib import Path
@@ -9,8 +10,10 @@ import numpy as np
 import pytest
 
 from minkabs.cli import (
+    COMMANDS,
     ConfigError,
     DEFAULTS,
+    _parser,
     build_model,
     cmd_demo_causality,
     load_config,
@@ -88,6 +91,10 @@ class TestExitCodes:
             main(["verify-geometry", "--csv"])
         assert exc.value.code == 2
         assert "--csv" in capsys.readouterr().err
+
+    def test_subcommands_are_the_command_table(self):
+        sub = next(a for a in _parser()._actions if isinstance(a, argparse._SubParsersAction))
+        assert list(sub.choices) == list(COMMANDS)
 
     def test_geometry_all_pass(self, capsys):
         assert main(["verify-geometry", "--seed", "3"]) == 0

@@ -1,6 +1,7 @@
 """The leaf comparison behind ``tools/report_diff.py``."""
 
 import importlib.util
+import subprocess
 from itertools import product
 from pathlib import Path
 
@@ -76,3 +77,14 @@ def test_thread_agreement_per_command():
         "threads differ demo-causality",
         "threads agree demo-causality --csv",
     ]
+
+
+def test_digests_exit_1_when_a_command_fails(monkeypatch, capsys):
+    # one failing run of ten sets the status; the thread-agreement lines do not
+    def run(src, command, threads):
+        code = 1 if (threads, command) == ("1", ("demo-causality",)) else 0
+        return subprocess.CompletedProcess([], code, stdout=b"", stderr=b"")
+
+    monkeypatch.setattr(report_diff, "run", run)
+    assert report_diff.digests(Path("src")) == 1
+    assert capsys.readouterr().out.count("threads agree") == len(report_diff.COMMANDS)

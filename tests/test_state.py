@@ -336,12 +336,11 @@ class TestTranslation:
         # exponential byte for byte for a pure time shift, and within 1e-13
         # of it for any shift
         from minkabs.geometry import _product, _split
-        from minkabs.quantum.config import axis_views
         from minkabs.quantum.state import _translation_phase
 
         cfg = ModelConfig(N=n)
         rng = np.random.default_rng(n)
-        k1, k2, k3 = axis_views(cfg.k1d)
+        k1, k2, k3 = np.ix_(cfg.k1d, cfg.k1d, cfg.k1d)
         for _ in range(20):
             v = vector(*rng.normal(0.0, 2.0, 4))
             for w in (v, vector(v._c[0], 0, 0, 0), vector(0, *v._c[1:])):
@@ -591,6 +590,11 @@ class TestVelocityKernel:
         singles = [_apply_linear(cfg32, one, L) for one in batch]
         assert out.tobytes() == np.stack([one for one, _ in singles]).tobytes()
         assert drift == max(d for _, d in singles)
+        # an all-zero batch, signed zeros included, comes back as its own bytes
+        zeros = np.stack([zero, -zero])
+        out, drift = _apply_linear(cfg32, zeros, L)
+        assert out.tobytes() == zeros.tobytes()
+        assert drift == 0.0
 
     def test_diagonal_boost_takes_spline_path(self, cfg, spline_calls):
         s = make_gaussian(cfg, width=seconds(1.0))

@@ -127,6 +127,28 @@ class TestStabilizerCovariance:
         assert [r.residual for r in serial] == [r.residual for r in threaded]
 
 
+class TestRandomStates:
+    def test_draws_of_one_expression_in_place(self):
+        # the bytes of one (count, N, N, N) draw of real parts, one of imaginary
+        # parts, and one batched norm, with no full-size temporary: the old
+        # expression peaked at 2.0 results
+        for n, count in [(16, 1), (32, 3), (32, 10), (64, 2)]:
+            cfg, shape = ModelConfig(N=n), (count, n, n, n)
+            rng = np.random.default_rng(n + count)
+            ref = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+            ref /= np.linalg.norm(ref.reshape(count, -1), axis=1)[:, None, None, None]
+            states = V.random_states(cfg, np.random.default_rng(n + count), count)
+            assert states.tobytes() == ref.tobytes()
+        cfg = ModelConfig(N=32)
+        tracemalloc.start()
+        try:
+            states = V.random_states(cfg, np.random.default_rng(0), 10)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.2 * states.nbytes
+
+
 class TestStateBlocks:
     # the suite's left sides run per block of states through per-worker work
     # fields; blocks come from the lattice alone and never hold one state,
@@ -378,6 +400,9 @@ class TestCommutators:
         reg_a = V.cell_region(cfg32, (-5, -2, -2), (-2, 1, 1))
         reg_b = V.cell_region(cfg32, (2, -2, -2), (5, 1, 1))
         assert V.commutator_witness(cfg32, region_a=reg_a, region_b=reg_b) == 0.0
+        # demo-causality's same-instant check: the witness's b cells on a's instant
+        reg_b = V.cell_region(cfg32, *V.WITNESS_CELLS[1])
+        assert V.commutator_witness(cfg32, region_b=reg_b) == 0.0
 
     @pytest.mark.parametrize("n", [8, 16, 32, 64])
     def test_identical_region_commutes(self, n):

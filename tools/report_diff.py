@@ -17,7 +17,8 @@ sha256 of stderr and the exit code.  A refactor that claims unchanged
 reports prints the same lines for the parent's ``src`` and its own.  It
 ends with one line per command, ``threads agree <command>`` or
 ``threads differ <command>``: whether the two environments gave the same
-stdout.  The exit status does not depend on it.
+stdout.  Those lines do not affect the exit status: 1 when any command
+exits non-zero (a failed check or a config error), else 0.
 
 With ``OLD_SRC NEW_SRC`` it compares the two trees within each
 environment and prints one line per reported value that differs: the
@@ -133,8 +134,10 @@ def thread_agreement(stdout: dict) -> list[str]:
 
 def digests(src: Path) -> int:
     stdout = {}
+    failed = False
     for threads, command in product(THREADS, COMMANDS):
         proc = run(src, command, threads)
+        failed |= proc.returncode != 0
         stdout[threads, command] = hashlib.sha256(proc.stdout).hexdigest()
         print(
             f"threads={threads}",
@@ -145,7 +148,7 @@ def digests(src: Path) -> int:
             flush=True,
         )
     print("\n".join(thread_agreement(stdout)))
-    return 0
+    return 1 if failed else 0
 
 
 def diff(trees: list[Path]) -> int:
