@@ -64,55 +64,45 @@ def _velocities(chi, d) -> np.ndarray:
     return _check_velocity(_normalize(np.column_stack([ch, sh[:, None] * d])))
 
 
-def _random_velocity(rng):
-    """A velocity of rapidity uniform below ``_MAX_RAPIDITY``, direction uniform on the sphere."""
-    return Velocity(_velocities([rng.uniform(0, _MAX_RAPIDITY)], rng.normal(size=(1, 3)))[0])
+def _random_velocities(rng, n) -> np.ndarray:
+    """``n`` velocities of rapidity uniform below ``_MAX_RAPIDITY`` and
+    direction uniform on the sphere, as an (n, 4) stack: one draw of the
+    rapidities, then one of the directions."""
+    return _velocities(rng.uniform(0, _MAX_RAPIDITY, n), rng.normal(size=(n, 3)))
 
 
 def _observed_vectors(rng, n):
-    """``n`` random velocities and vectors in [-10, 10]^4, drawn pair by pair
-    as ``_random_velocity`` and ``vector`` would, as two (n, 4) stacks."""
-    chi, d, x = np.empty(n), np.empty((n, 3)), np.empty((n, 4))
-    for i in range(n):
-        chi[i] = rng.uniform(0, _MAX_RAPIDITY)
-        d[i] = rng.normal(size=3)
-        x[i] = rng.uniform(-10, 10, 4)
-    return _velocities(chi, d), x
+    """``n`` random velocities and vectors in [-10, 10]^4 as two (n, 4)
+    stacks, drawn as three stacks: rapidities, directions, then vectors."""
+    return _random_velocities(rng, n), rng.uniform(-10, 10, (n, 4))
 
 
-def _draw_map(rng):
-    """The factors of a random composite of one to three boosts and rotations,
-    in draw order: ``(True, rapidity, direction)`` for a boost of the rest
-    observer, ``(False, angle, axis components)`` for a rotation in its space."""
-    factors = []
-    for _ in range(rng.integers(1, 4)):
-        if rng.random() < 0.5:
-            factors.append((True, rng.uniform(0, 1.0), rng.normal(size=3)))
-        else:
-            axis = rng.normal(size=3)
-            factors.append((False, rng.uniform(0, 2 * math.pi), axis))
-    return factors
-
-
-def _maps(draws) -> np.ndarray:
-    """The (n, 4, 4) matrices of ``n`` drawn maps. The factors of one depth
-    level are built as one stack per kind, then composed onto the levels
-    before them, starting from the identity."""
-    acc = np.tile(np.eye(4), (len(draws), 1, 1))
-    for level in range(max(map(len, draws))):
-        rows = [i for i, f in enumerate(draws) if len(f) > level]
-        boost, param, vec = (np.array(v) for v in zip(*(draws[i][level] for i in rows)))
-        factor = np.empty((len(rows), 4, 4))
-        factor[boost] = _boosts(_REST, _velocities(param[boost], vec[boost]))
-        c = vec[~boost]  # the axis as the sum of its fiducial parts
+def _random_maps(rng, n) -> np.ndarray:
+    """The (n, 4, 4) matrices of ``n`` random composites of one to three
+    factors, each a boost of the rest observer (rapidity uniform below 1) or
+    a rotation in its space (angle uniform below 2 pi), drawn as four stacks
+    over all three levels: depths, kinds, parameters, then directions or
+    axes; a map's draws past its depth go unused.  The factors of one level
+    are built as one stack per kind, then composed onto the levels before
+    them, starting from the identity."""
+    depth = rng.integers(1, 4, n)
+    boost, param, vec = rng.random((3, n)) < 0.5, rng.random((3, n)), rng.normal(size=(3, n, 3))
+    acc = np.tile(np.eye(4), (n, 1, 1))
+    for level, (kind, p, c) in enumerate(zip(boost, param, vec)):
+        b, r = (depth > level) & kind, (depth > level) & ~kind
+        acc[b] = _boosts(_REST, _velocities(p[b], c[b])) @ acc[b]
+        c = c[r]  # the axis as the sum of its fiducial parts
         axis = c[:, :1] * _AXES[0] + c[:, 1:2] * _AXES[1] + c[:, 2:] * _AXES[2]
-        factor[~boost] = _rotations(_REST, axis, param[~boost])
-        acc[rows] = factor @ acc[rows]
+        acc[r] = _rotations(_REST, axis, 2 * math.pi * p[r]) @ acc[r]
     return acc
 
 
 def run_geometry_suite(seed: int = 42) -> list[CheckResult]:
-    """All geometry and group invariants at their stated tolerances."""
+    """All geometry and group invariants at their stated tolerances.
+
+    Each row draws all of its random inputs on the one generator, one
+    call per quantity, before it computes anything; the rows draw in
+    report order, so a row's draws come after every earlier row's."""
     check = Checks()
     rng = np.random.default_rng(seed)
 
@@ -127,12 +117,8 @@ def run_geometry_suite(seed: int = 42) -> list[CheckResult]:
     check("splitting-orthogonality", worst, 1e-12, samples=_HEAVY_SAMPLES)
 
     # product preservation under composed maps
-    draws, xy = [], np.empty((1000, 2, 4))
-    for i in range(1000):
-        draws.append(_draw_map(rng))
-        xy[i, 0] = rng.uniform(-5, 5, 4)
-        xy[i, 1] = rng.uniform(-5, 5, 4)
-    mxy = (_maps(draws)[:, None] @ xy[..., None])[..., 0]
+    maps, xy = _random_maps(rng, 1000), rng.uniform(-5, 5, (1000, 2, 4))
+    mxy = (maps[:, None] @ xy[..., None])[..., 0]
     x, y, mx, my = xy[:, 0], xy[:, 1], mxy[:, 0], mxy[:, 1]
     scale = np.maximum(1.0, np.maximum(abs(_product(x, x)), abs(_product(y, y))))
     worst = (abs(_product(mx, my) - _product(x, y)) / scale).max()
@@ -146,17 +132,9 @@ def run_geometry_suite(seed: int = 42) -> list[CheckResult]:
     check("simultaneous-space-positive", min_norm, 1e-12, below=False, samples=1000)
 
     # causal classification partitions nonzero vectors
-    bad = 0
-    for _ in range(1000):
-        x = vector(*rng.uniform(-3, 3, 4))
-        if causal_class(x) not in (
-            CausalClass.TIMELIKE,
-            CausalClass.SPACELIKE,
-            CausalClass.LIGHTLIKE,
-        ):
-            bad += 1
-    light = vector(1, 1, 0, 0)
-    if causal_class(light) is not CausalClass.LIGHTLIKE:
+    classes = (CausalClass.TIMELIKE, CausalClass.SPACELIKE, CausalClass.LIGHTLIKE)
+    bad = sum(causal_class(vector(*x)) not in classes for x in rng.uniform(-3, 3, (1000, 4)))
+    if causal_class(vector(1, 1, 0, 0)) is not CausalClass.LIGHTLIKE:
         bad += 1
     check("causal-partition", float(bad), 0.0, samples=1001)
 
@@ -173,7 +151,7 @@ def run_geometry_suite(seed: int = 42) -> list[CheckResult]:
     check("dimension-safety-error-path", float(2 - caught), 0.0, samples=2)
 
     # group laws over random composites
-    a, b, c = _maps([_draw_map(rng) for _ in range(300)]).reshape(100, 3, 4, 4).swapaxes(0, 1)
+    a, b, c = _random_maps(rng, 300).reshape(100, 3, 4, 4).swapaxes(0, 1)
     ab = a @ b
     worst = max(
         0.0 if _lorentz_rows(ab).all() else 1.0,
@@ -184,42 +162,40 @@ def run_geometry_suite(seed: int = 42) -> list[CheckResult]:
 
     # orientation characters compose as expected
     u0 = normalize_velocity(vector(1, 0, 0, 0))
-    a, b = _maps([_draw_map(rng) for _ in range(100)]).reshape(50, 2, 4, 4).swapaxes(0, 1)
+    maps, flip = _random_maps(rng, 101), Velocity(_random_velocities(rng, 1)[0])
+    a, b = maps[:100].reshape(50, 2, 4, 4).swapaxes(0, 1)
     bad = int((~((a @ b)[:, 0, 0] > 0.0)).sum())
     if is_orthochronous(time_inversion(u0)):
         bad += 1
-    flip = time_inversion(_random_velocity(rng))
-    if is_orthochronous(flip.compose(LorentzMap(_maps([_draw_map(rng)])[0], check=False))):
+    if is_orthochronous(time_inversion(flip).compose(LorentzMap(maps[100], check=False))):
         bad += 1
     check("orientation-characters", float(bad), 0.0, samples=52)
 
     # velocity stabilizers of different observers differ
     misses = 0
     rotations = [make_rotation(u0, vector(*axis), 0.9) for axis in _AXES]
-    for _ in range(50):
-        u2 = _random_velocity(rng)
-        if abs(u2._c[0] - 1.0) < 1e-6:
+    for c in _random_velocities(rng, 50):
+        if abs(c[0] - 1.0) < 1e-6:
             continue
+        u2 = Velocity(c)
         if not any(in_O_u(r, u0) and not in_O_u(r, u2) for r in rotations):
             misses += 1
     check("velocity-stabilizers-differ", float(misses), 0.0, samples=50)
 
     # instant stabilizers restrict to isometries of the hyperplane
+    axes, angles = rng.normal(size=(50, 3)), rng.uniform(0, 2 * math.pi, 50)
+    shifts, points = rng.uniform(-3, 3, (50, 3)), rng.uniform(-5, 5, (50, 2, 3))
+    rots = _rotations(_REST, np.column_stack([np.zeros(50), axes]), angles)
     worst = 0.0
     o = fiducial_origin()
     t_inst = Instant(u0, o)
-    for _ in range(50):
-        axis = vector(0, *rng.normal(size=3))
-        rot = PoincareMap.from_homogeneous(
-            make_rotation(u0, axis, rng.uniform(0, 2 * math.pi)), o
-        )
-        shift = PoincareMap.from_translation(vector(0, *rng.uniform(-3, 3, 3)))
-        m = shift.compose(rot)
+    for rot, shift, (p, q) in zip(rots, shifts, points):
+        rot = PoincareMap.from_homogeneous(LorentzMap(rot, check=False), o)
+        m = PoincareMap.from_translation(vector(0, *shift)).compose(rot)
         if not stabilizes_instant(m, t_inst):
-            worst = max(worst, 1.0)
+            worst = max(worst, 1.0)  # the sample's points go unused
             continue
-        p = o + vector(0, *rng.uniform(-5, 5, 3))
-        q = o + vector(0, *rng.uniform(-5, 5, 3))
+        p, q = o + vector(0, *p), o + vector(0, *q)
         d0 = lorentz_product(p - q, p - q).value
         d1 = lorentz_product(m(p) - m(q), m(p) - m(q)).value
         worst = max(worst, abs(d1 - d0) / max(1.0, abs(d0)))
@@ -227,9 +203,8 @@ def run_geometry_suite(seed: int = 42) -> list[CheckResult]:
 
     # the time inversion about an instant stabilizes it
     bad = 0
-    for _ in range(20):
-        u = _random_velocity(rng)
-        anchor = o + vector(*rng.uniform(-3, 3, 4))
+    for c, x in zip(_random_velocities(rng, 20), rng.uniform(-3, 3, (20, 4))):
+        u, anchor = Velocity(c), o + vector(*x)
         inst = Instant(u, anchor)
         inv = PoincareMap.from_homogeneous(time_inversion(u), anchor)
         if not stabilizes_instant(inv, inst):
@@ -250,17 +225,14 @@ def run_geometry_suite(seed: int = 42) -> list[CheckResult]:
     check("causal-growth-unit-speed", worst, 1e-10, samples=2)
 
     # an observer's time and space, carried by Poincare maps, keep their differences
-    draws, chi, d, samples = [], np.empty(20), np.empty((20, 3)), []
-    for i in range(20):
-        draws.append(_draw_map(rng))
-        shift = vector(*rng.uniform(-3, 3, 4))
-        chi[i], d[i] = rng.uniform(0, _MAX_RAPIDITY), rng.normal(size=3)  # as _random_velocity
-        # two anchors, a move of each within its instant, a slide of each along u
-        anchors, moves = rng.uniform(-5, 5, (2, 4)), rng.uniform(-3, 3, (2, 4))
-        samples.append((shift, anchors, moves, rng.uniform(-3, 3, 2)))
+    maps, shifts = _random_maps(rng, 20), rng.uniform(-3, 3, (20, 4))
+    velocities = _random_velocities(rng, 20)
+    # two anchors, a move of each within its instant, a slide of each along u
+    ends, steps = rng.uniform(-5, 5, (20, 2, 4)), rng.uniform(-3, 3, (20, 2, 4))
+    samples = zip(maps, shifts, velocities, ends, steps, rng.uniform(-3, 3, (20, 2)))
     worst = 0.0
-    for m, c, (shift, anchors, moves, slides) in zip(_maps(draws), _velocities(chi, d), samples):
-        P, u = PoincareMap(LorentzMap(m, check=False), shift), Velocity(c)
+    for m, shift, c, anchors, moves, slides in samples:
+        P, u = PoincareMap(LorentzMap(m, check=False), vector(*shift)), Velocity(c)
         a = [point(*x) for x in anchors]
         moved = [Instant(u, p + space_part(u, vector(*w))) for p, w in zip(a, moves)]
         t1, t2 = map(P.transform_instant, moved)

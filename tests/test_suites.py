@@ -10,6 +10,10 @@ import pytest
 from minkabs import suites
 from minkabs.cli import main
 from minkabs.geometry import (
+    CausalClass,
+    Instant,
+    causal_class,
+    fiducial_origin,
     lorentz_product,
     normalize_velocity,
     space_part,
@@ -18,47 +22,62 @@ from minkabs.geometry import (
 )
 from minkabs.groups import (
     LorentzMap,
+    PoincareMap,
+    in_O_u,
     is_lorentz,
     is_orthochronous,
     make_boost,
     make_rotation,
+    stabilizes_instant,
     time_inversion,
 )
 
 SAMPLES = 1000
 U0 = normalize_velocity(vector(1, 0, 0, 0))
+O = fiducial_origin()
 
 
-def random_velocity(rng, max_rapidity=1.5):
-    chi = rng.uniform(0, max_rapidity)
-    d = rng.normal(size=3)
-    d /= np.linalg.norm(d)
+def velocity(chi, d):
+    d = d / np.linalg.norm(d)
     return normalize_velocity(vector(math.cosh(chi), *(math.sinh(chi) * d)))
 
 
-def random_map(rng, depth=3):
-    """One random composite map, built factor by factor through the public
-    constructors on the suite's draws in the suite's order."""
-    m = LorentzMap.identity()
-    for _ in range(rng.integers(1, depth + 1)):
-        if rng.random() < 0.5:
-            m = make_boost(U0, random_velocity(rng, 1.0)).compose(m)
-        else:
-            c = rng.normal(size=3)
-            axis = c[0] * vector(0, 1, 0, 0) + c[1] * vector(0, 0, 1, 0) + c[2] * vector(0, 0, 0, 1)
-            m = make_rotation(U0, axis, rng.uniform(0, 2 * math.pi)).compose(m)
-    return m
+def random_velocities(rng, n):
+    """The suite's ``n`` velocity draws, built one at a time."""
+    chi, d = rng.uniform(0, 1.5, n), rng.normal(size=(n, 3))
+    return [velocity(x, v) for x, v in zip(chi, d)]
+
+
+def random_maps(rng, n):
+    """The suite's ``n`` composite-map draws (depths, kinds, parameters,
+    then directions or axes, each over all three levels), each map built
+    factor by factor through the public constructors."""
+    depth = rng.integers(1, 4, n)
+    boost, param, vec = rng.random((3, n)) < 0.5, rng.random((3, n)), rng.normal(size=(3, n, 3))
+    maps = []
+    for i in range(n):
+        m = LorentzMap.identity()
+        for level in range(depth[i]):
+            p, c = param[level, i], vec[level, i]
+            if boost[level, i]:
+                m = make_boost(U0, velocity(p, c)).compose(m)
+            else:
+                axis = c[0] * vector(0, 1, 0, 0) + c[1] * vector(0, 0, 1, 0) + c[2] * vector(0, 0, 0, 1)
+                m = make_rotation(U0, axis, 2 * math.pi * p).compose(m)
+        maps.append(m)
+    return maps
 
 
 def reference_residuals(seed):
-    """The splitting and map residuals, one sample at a time through the
-    public kernel, on the suite's draws in the suite's order."""
+    """The residuals of every drawn row up to ``time-inversion-stabilizes-instant``,
+    on the suite's draw stacks in the suite's order, one sample at a time
+    through the public kernel."""
     rng = np.random.default_rng(seed)
     worst_split = 0.0
     worst_orth = 0.0
-    for _ in range(SAMPLES):
-        u = random_velocity(rng)
-        x = vector(*rng.uniform(-10, 10, 4))
+    us = random_velocities(rng, SAMPLES)
+    for u, x in zip(us, rng.uniform(-10, 10, (SAMPLES, 4))):
+        x = vector(*x)
         tp = time_part(u, x)
         sp = space_part(u, x)
         recon = u * tp + sp
@@ -69,45 +88,73 @@ def reference_residuals(seed):
             abs(lorentz_product(u.as_vector(), sp).value) / max(1.0, tp.value**2),
         )
     worst_product = 0.0
-    for _ in range(1000):
-        m = random_map(rng)
-        x = vector(*rng.uniform(-5, 5, 4))
-        y = vector(*rng.uniform(-5, 5, 4))
+    maps = random_maps(rng, 1000)
+    for m, (x, y) in zip(maps, rng.uniform(-5, 5, (1000, 2, 4))):
+        x, y = vector(*x), vector(*y)
         before = lorentz_product(x, y).value
         after = lorentz_product(m(x), m(y)).value
         scale = max(1.0, abs(lorentz_product(x, x).value), abs(lorentz_product(y, y).value))
         worst_product = max(worst_product, abs(after - before) / scale)
     min_norm = math.inf
-    for _ in range(1000):
-        u = random_velocity(rng)
-        v = space_part(u, vector(*rng.uniform(-10, 10, 4)))
+    us = random_velocities(rng, 1000)
+    for u, x in zip(us, rng.uniform(-10, 10, (1000, 4))):
+        v = space_part(u, vector(*x))
         if float(np.max(np.abs(v._c))) > 1e-10:
             min_norm = min(min_norm, lorentz_product(v, v).value)
-    # the causal-partition check draws between the two
-    for _ in range(1000):
-        rng.uniform(-3, 3, 4)
+    classes = (CausalClass.TIMELIKE, CausalClass.SPACELIKE, CausalClass.LIGHTLIKE)
+    partition = sum(causal_class(vector(*x)) not in classes for x in rng.uniform(-3, 3, (1000, 4)))
+    partition += causal_class(vector(1, 1, 0, 0)) is not CausalClass.LIGHTLIKE
     worst_laws = 0.0
-    for _ in range(100):
-        a, b, c = random_map(rng), random_map(rng), random_map(rng)
+    maps = random_maps(rng, 300)
+    for a, b, c in zip(maps[0::3], maps[1::3], maps[2::3]):
         if not is_lorentz(a.compose(b)):
             worst_laws = 1.0
         ident = a.compose(a.inverse())
         worst_laws = max(worst_laws, float(np.max(np.abs(ident.matrix - np.eye(4)))))
         assoc = a.compose(b).compose(c).matrix - a.compose(b.compose(c)).matrix
         worst_laws = max(worst_laws, float(np.max(np.abs(assoc))))
-    bad = 0
-    for _ in range(50):
-        a, b = random_map(rng), random_map(rng)
-        bad += not is_orthochronous(a.compose(b))
+    maps = random_maps(rng, 101)
+    flip = time_inversion(random_velocities(rng, 1)[0])
+    bad = sum(not is_orthochronous(a.compose(b)) for a, b in zip(maps[0:100:2], maps[1:100:2]))
     bad += is_orthochronous(time_inversion(U0))
-    bad += is_orthochronous(time_inversion(random_velocity(rng)).compose(random_map(rng)))
+    bad += is_orthochronous(flip.compose(maps[100]))
+    rotations = [make_rotation(U0, vector(*axis), 0.9) for axis in np.eye(4)[1:]]
+    misses = 0
+    for u2 in random_velocities(rng, 50):
+        if abs(u2.as_vector()._c[0] - 1.0) >= 1e-6:
+            misses += not any(in_O_u(r, U0) and not in_O_u(r, u2) for r in rotations)
+    axes, angles = rng.normal(size=(50, 3)), rng.uniform(0, 2 * math.pi, 50)
+    shifts, points = rng.uniform(-3, 3, (50, 3)), rng.uniform(-5, 5, (50, 2, 3))
+    worst_iso = 0.0
+    t_inst = Instant(U0, O)
+    for axis, angle, shift, (p, q) in zip(axes, angles, shifts, points):
+        rot = PoincareMap.from_homogeneous(make_rotation(U0, vector(0, *axis), angle), O)
+        m = PoincareMap.from_translation(vector(0, *shift)).compose(rot)
+        if not stabilizes_instant(m, t_inst):
+            worst_iso = max(worst_iso, 1.0)
+            continue
+        p, q = O + vector(0, *p), O + vector(0, *q)
+        d0 = lorentz_product(p - q, p - q).value
+        d1 = lorentz_product(m(p) - m(q), m(p) - m(q)).value
+        worst_iso = max(worst_iso, abs(d1 - d0) / max(1.0, abs(d0)))
+    inversion = 0
+    us = random_velocities(rng, 20)
+    for u, x in zip(us, rng.uniform(-3, 3, (20, 4))):
+        anchor = O + vector(*x)
+        inv = PoincareMap.from_homogeneous(time_inversion(u), anchor)
+        inversion += not stabilizes_instant(inv, Instant(u, anchor))
+        inversion += inv.is_orthochronous()
     return {
         "splitting-reconstruction": worst_split,
         "splitting-orthogonality": worst_orth,
         "product-preservation": worst_product,
         "simultaneous-space-positive": min_norm,
+        "causal-partition": float(partition),
         "group-laws": worst_laws,
         "orientation-characters": float(bad),
+        "velocity-stabilizers-differ": float(misses),
+        "instant-stabilizer-isometry": worst_iso,
+        "time-inversion-stabilizes-instant": float(inversion),
     }
 
 
@@ -123,11 +170,8 @@ def test_stacked_checks_equal_the_per_sample_loop(monkeypatch, seed):
 
 @pytest.mark.parametrize("seed", [5, 42])
 def test_stacked_maps_equal_the_per_sample_maps(seed):
-    rng = np.random.default_rng(seed)
-    draws = [suites._draw_map(rng) for _ in range(300)]
-    rng = np.random.default_rng(seed)
-    reference = np.array([random_map(rng).matrix for _ in range(300)])
-    stacked = suites._maps(draws)
+    stacked = suites._random_maps(np.random.default_rng(seed), 300)
+    reference = np.array([m.matrix for m in random_maps(np.random.default_rng(seed), 300)])
     # byte equality also tells signed zeros apart
     assert stacked.tobytes() == reference.tobytes()
 
@@ -189,3 +233,25 @@ def test_observer_time_space_row_sees_a_coordinate_difference(
     last = suites.run_geometry_suite(42)[-1]
     assert last.name == "observer-time-space-covariance"
     assert not last.passed and last.residual > 1e-3
+
+
+def _row(checks, name):
+    return next(c for c in checks if c.name == name)
+
+
+def test_instant_stabilizer_row_scores_a_map_that_moves_the_instant(monkeypatch):
+    monkeypatch.setattr(suites, "stabilizes_instant", lambda m, t: False)
+    row = _row(suites.run_geometry_suite(42), "instant-stabilizer-isometry")
+    assert row.residual == 1.0 and not row.passed
+
+
+def test_velocity_stabilizer_row_sees_a_shared_stabilizer(monkeypatch):
+    monkeypatch.setattr(suites, "in_O_u", lambda m, u: True)
+    row = _row(suites.run_geometry_suite(42), "velocity-stabilizers-differ")
+    assert row.residual > 0.0 and not row.passed
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_every_row_passes_over_a_seed_sweep(seed):
+    failed = [c.name for c in suites.run_geometry_suite(seed) if not c.passed]
+    assert failed == []
