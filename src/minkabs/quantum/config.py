@@ -8,6 +8,7 @@ quantum of action are 1, so masses and momenta carry inverse seconds.
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 
@@ -103,14 +104,19 @@ class ModelConfig:
         self.k1d = self.signed_index * self.dk
         self.x1d = self.signed_index * a
         self.box_length = n * a
-        k1, k2, k3 = np.ix_(self.k1d, self.k1d, self.k1d)
-        self.omega = np.sqrt(mass.value**2 + k1**2 + k2**2 + k3**2)
         self.cutoff = math.pi / a
 
         # band-limit energy assuming packet support within half the cutoff,
         # which the gaussian factory enforces; caps usable rapidity
         band_energy = math.sqrt(3.0 * (0.5 * self.cutoff) ** 2 + mass.value**2)
         self.chi_max = math.asinh(0.25 * self.cutoff / band_energy)
+
+    @functools.cached_property
+    def omega(self) -> np.ndarray:
+        """The on-shell energy at each lattice label, built on first use: a lattice
+        that a pullback plan rebuilds from its key never holds it."""
+        k1, k2, k3 = np.ix_(self.k1d, self.k1d, self.k1d)
+        return np.sqrt(self.mass.value**2 + k1**2 + k2**2 + k3**2)
 
     def refined(self) -> "ModelConfig":
         """Same physics on a lattice with twice the points per axis."""

@@ -347,17 +347,28 @@ def _free_axes(cfg: ModelConfig, q: np.ndarray) -> list[int]:
     return [i for i in range(3) if np.max(np.abs(q[..., i] / cfg.dk - own[i])) > _LABEL_TOL]
 
 
-def _pulled_labels(cfg: ModelConfig, li: np.ndarray) -> np.ndarray:
-    """Labels of the image under the matrix ``li`` of each on-shell four-momentum."""
-    u = cfg.observer._c
-    k1, k2, k3 = np.ix_(cfg.k1d, cfg.k1d, cfg.k1d)
-    four = (
-        cfg.omega[..., None] * u
-        - k1[..., None] * cfg.axes[0]
-        - k2[..., None] * cfg.axes[1]
-        - k3[..., None] * cfg.axes[2]
-    )
-    return -((four @ li.T) @ (cfg.axes * _METRIC).T)
+def _pulled_labels(cfg: ModelConfig, li: np.ndarray, weight=None) -> np.ndarray:
+    """Labels of the image under the matrix ``li`` of each on-shell four-momentum,
+    and into the float field ``weight``, when given, the on-shell measure weight
+    ``sqrt(omega(labels) / omega)``.  Built one first-axis plane at a time, with
+    each plane's energies, so neither ``cfg.omega`` nor an N^3 four-momentum
+    field is made; every matmul is still one (N, 4) matrix per row of labels."""
+    u, m2, to_labels = cfg.observer._c, cfg.mass.value**2, (cfg.axes * _METRIC).T
+    _, k2, k3 = np.ix_(cfg.k1d, cfg.k1d, cfg.k1d)
+    k2, k3 = k2[0], k3[0]
+    q = np.empty((cfg.N,) * 3 + (3,))
+    for i, (k1, plane) in enumerate(zip(cfg.k1d[:, None, None], q)):
+        omega = np.sqrt(m2 + k1**2 + k2**2 + k3**2)
+        four = (
+            omega[..., None] * u
+            - k1[..., None] * cfg.axes[0]
+            - k2[..., None] * cfg.axes[1]
+            - k3[..., None] * cfg.axes[2]
+        )
+        np.negative((four @ li.T) @ to_labels, out=plane)
+        if weight is not None:
+            np.sqrt(np.sqrt(m2 + np.sum(plane * plane, axis=-1)) / omega, out=weight[i])
+    return q
 
 
 def moves_labels(cfg: ModelConfig, u2: Velocity) -> bool:
@@ -368,10 +379,8 @@ def moves_labels(cfg: ModelConfig, u2: Velocity) -> bool:
 
 def _build_plan(cfg: ModelConfig, L: LorentzMap) -> _PullbackPlan:
     # labels of the inverse image of each on-shell four-momentum
-    q = _pulled_labels(cfg, L.inverse().matrix)
-    omega_q = np.sqrt(cfg.mass.value**2 + np.sum(q * q, axis=-1))
-    weight = np.sqrt(omega_q / cfg.omega)
-
+    weight = np.empty((cfg.N,) * 3)
+    q = _pulled_labels(cfg, L.inverse().matrix, weight)
     free = _free_axes(cfg, q)
     if len(free) != 1:
         dk_fine = cfg.dk / _PAD
@@ -379,7 +388,9 @@ def _build_plan(cfg: ModelConfig, L: LorentzMap) -> _PullbackPlan:
         return _PullbackPlan(None, coords, weight)
     axis = free[0]
     qa = q[..., axis] * cfg.spacing.value
-    recenter = np.exp(0.5j * cfg.N * qa) / math.sqrt(cfg.N)
+    recenter = np.multiply(0.5j * cfg.N, qa)  # exp(i N q_a / 2) / sqrt(N), in place
+    np.exp(recenter, out=recenter)
+    recenter /= math.sqrt(cfg.N)
     # the two fixed labels stay on the lattice, so L acts on the moving axis
     # and the time axis alone and q_a depends on k_a and k_b^2 + k_c^2 only:
     # columns with the same unordered pair (|n_b|, |n_c|) share their nodes
@@ -394,7 +405,7 @@ def _build_plan(cfg: ModelConfig, L: LorentzMap) -> _PullbackPlan:
     return _PullbackPlan(
         axis,
         np.ascontiguousarray(np.exp(-1j * rows).T),
-        weight * recenter,
+        np.multiply(weight, recenter, out=recenter),
         order,
         np.argsort(order),
         tuple((int(s), int(c)) for s, c in zip(*counts)),
@@ -403,7 +414,8 @@ def _build_plan(cfg: ModelConfig, L: LorentzMap) -> _PullbackPlan:
 
 @functools.lru_cache(maxsize=4)  # two maps (a boost and its inverse) at two lattice sizes
 def _plan_of(N: int, spacing: float, mass: float, observer: bytes, matrix: bytes) -> _PullbackPlan:
-    """The plan of ``matrix`` on a lattice rebuilt from the key alone (any origin will do)."""
+    """The plan of ``matrix`` on a lattice rebuilt from the key alone (any origin will
+    do), which never builds its ``omega`` field."""
     instant = Instant(Velocity(np.frombuffer(observer)), fiducial_origin())
     cfg = ModelConfig(N, MeasureScalar(spacing, 1), MeasureScalar(mass, -1), instant)
     return _build_plan(cfg, LorentzMap(np.frombuffer(matrix).reshape(4, 4), check=False))
@@ -576,6 +588,14 @@ def make_gaussian(
     coordinates in the lattice basis, in inverse seconds, bounded by
     half the momentum cutoff so the packet stays band limited.
     """
+    return LatticeState(cfg, _gaussian(cfg, center, width, mean_momentum))
+
+
+def _gaussian(cfg: ModelConfig, center, width, mean_momentum, out=None) -> np.ndarray:
+    """The amplitudes of ``make_gaussian``, checked as there, in the complex field
+    ``out`` (a new one if ``None``): the envelope ``exp(-sigma^2 |k - kbar|^2)`` and
+    the phase ``exp(-i (k - kbar).c)`` go through one float and one complex
+    field in place, with the expressions and their order of the plain form."""
     if center is None:
         center = cfg.origin
     if width is None:
@@ -597,17 +617,18 @@ def make_gaussian(
     if np.any(np.abs(c) > half - width.value):
         raise GeometryError("packet center too close to the lattice boundary")
 
-    sigma = width.value
-    k1, k2, k3 = np.ix_(cfg.k1d, cfg.k1d, cfg.k1d)
-    envelope = np.exp(
-        -(sigma**2)
-        * ((k1 - kbar[0]) ** 2 + (k2 - kbar[1]) ** 2 + (k3 - kbar[2]) ** 2)
-    )
-    phase = np.exp(
-        -1j * ((k1 - kbar[0]) * c[0] + (k2 - kbar[1]) * c[1] + (k3 - kbar[2]) * c[2])
-    )
-    raw = envelope * phase
-    return LatticeState(cfg, raw / np.linalg.norm(raw))
+    d1, d2, d3 = (k - m for k, m in zip(np.ix_(cfg.k1d, cfg.k1d, cfg.k1d), kbar))
+    real = np.empty((cfg.N,) * 3)
+    out = np.empty(real.shape, complex) if out is None else out
+    np.add(d1 * c[0] + d2 * c[1], d3 * c[2], out=real)
+    np.multiply(-1j, real, out=out)
+    np.exp(out, out=out)
+    np.add(d1**2 + d2**2, d3**2, out=real)
+    np.multiply(-(width.value**2), real, out=real)
+    np.exp(real, out=real)
+    np.multiply(real, out, out=out)
+    out /= np.linalg.norm(out)
+    return out
 
 
 def apply_boost(state: LatticeState, L: LorentzMap, return_report: bool = False):

@@ -22,6 +22,7 @@ order.
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -58,8 +59,9 @@ from .pvm import (
     pvm_project,
     rasterize,
 )
-from .state import LatticeState, _act, _represented, _to_position, make_gaussian, represent_array
-from .state import _row_norms, _to_momentum  # noqa: F401  the latter for the benchmark tracer
+from .state import LatticeState, _act, _apply_linear, _gaussian, _represented, _row_norms
+from .state import _to_position, make_gaussian, represent_array
+from .state import _to_momentum  # noqa: F401  for the benchmark tracer
 
 __all__ = [
     "cell_region",
@@ -80,6 +82,7 @@ __all__ = [
     "causal_shadow",
     "localized_state",
     "causality_experiment",
+    "causality_leakages",
     "commutator_witness",
     "region_covariance_residual",
     "equivariance_residual",
@@ -153,14 +156,15 @@ def smooth_states(cfg: ModelConfig, rng: np.random.Generator, count: int) -> np.
 
     Mixture parameters are drawn from the generator, so two lattices at
     different resolution realize the same physical states when fed the
-    same seed.
+    same seed.  Each state sums its two packets in its own row of the
+    result, through one more complex field.
     """
     w_hi = min(1.1, 0.25 * cfg.box_length)
     w_lo = min(0.75, w_hi)
     out = np.empty((count, cfg.N, cfg.N, cfg.N), dtype=complex)
-    for i in range(count):
-        acc = None
-        for _ in range(2):
+    g = np.empty(out.shape[1:], dtype=complex)
+    for acc in out:
+        for first in (True, False):
             width = rng.uniform(w_lo, w_hi)
             center_coords = rng.uniform(-0.75, 0.75, 3)
             kbar = rng.uniform(-1.2, 1.2, 3)
@@ -168,11 +172,11 @@ def smooth_states(cfg: ModelConfig, rng: np.random.Generator, count: int) -> np.
             center = cfg.origin + sum(
                 float(c) * b for c, b in zip(center_coords, cfg.basis)
             )
-            g = make_gaussian(
-                cfg, center=center, width=seconds(width), mean_momentum=tuple(kbar)
-            )
-            acc = amp * g.psi if acc is None else acc + amp * g.psi
-        out[i] = acc / np.linalg.norm(acc)
+            packet = _gaussian(cfg, center, seconds(width), tuple(kbar), acc if first else g)
+            np.multiply(amp, packet, out=packet)
+            if not first:
+                acc += g
+        acc /= np.linalg.norm(acc)
     return out
 
 
@@ -317,8 +321,8 @@ def factorization_residual(
         # the same map factored two ways: shift-then-transform equals
         # transform-then-shifted-shift
         lhs, _ = represent_array(cfg, _conjugate_mask(cfg, back, [t_d], mask), hom)
-        rhs = _conjugate_mask(cfg, states, [hom, t_bd], mask)
-        worst = max(worst, _batch_max_norm(lhs - rhs))
+        lhs -= _conjugate_mask(cfg, states, [hom, t_bd], mask)
+        worst = max(worst, _batch_max_norm(lhs))
     return worst
 
 
@@ -495,6 +499,34 @@ def causality_experiment(cfg: ModelConfig, phi: np.ndarray, shadow) -> float:
     carry, mask = shadow
     arr, _ = represent_array(cfg, phi, carry.inverse())
     return 1.0 - float(np.sum((np.abs(_to_position(arr)) ** 2) * mask))
+
+
+def causality_leakages(cfg: ModelConfig, phi: np.ndarray, shadows) -> list[float]:
+    """``[causality_experiment(cfg, phi, s) for s in shadows]``, bit for bit, with
+    each distinct linear step of the carries applied to ``phi`` once.  The trials
+    run grouped by the bytes of their carry's linear part, so one group's moved
+    field is alive at a time; each trial's phase goes on a copy, and trials with
+    equal carries share one position probability."""
+    carries = [carry for carry, _ in shadows]
+
+    def key(i):
+        return carries[i].linear.matrix.tobytes(), carries[i].translation._c.tobytes()
+
+    leakage = [0.0] * len(shadows)
+    for _, group in itertools.groupby(sorted(range(len(shadows)), key=key), lambda i: key(i)[0]):
+        moved = None  # phi under the group's linear step, made by its first carry
+        for _, same in itertools.groupby(group, key):
+            same = list(same)
+            ((linear, phase),) = _represented(cfg, [carries[same[0]].inverse()])
+            if moved is None:
+                moved, _ = _apply_linear(cfg, phi, linear)
+            arr = moved if phase is None else moved * phase
+            del phase  # one trial's fields at a time, as in causality_experiment
+            prob = np.abs(_to_position(arr)) ** 2
+            for i in same:
+                leakage[i] = 1.0 - float(np.sum(prob * shadows[i][1]))
+            del arr, prob
+    return leakage
 
 
 def commutator_witness(

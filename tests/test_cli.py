@@ -171,21 +171,23 @@ class TestDemoCausality:
         from minkabs.quantum import verify as V
 
         experiment, localized = V.causality_experiment, V.localized_state
+        sweep_of = V.causality_leakages
         states, shadows = [], []
 
         def counted_state(cfg):
             states.append(cfg.N)
             return localized(cfg)
 
-        def counted(cfg, phi, shadow):
-            shadows.append(shadow)
-            return experiment(cfg, phi, shadow)
+        def counted(cfg, phi, trials):
+            shadows.extend(trials)
+            return sweep_of(cfg, phi, trials)
 
         monkeypatch.setattr(V, "localized_state", counted_state)
-        monkeypatch.setattr(V, "causality_experiment", counted)
+        monkeypatch.setattr(V, "causality_leakages", counted)
         config = sweep_config()
         again = cmd_demo_causality(config)
-        # one state; the zero interval, 2 x 2 sweep trials and the 0.4-spacing margin
+        # one state; one sweep of the zero interval, 2 x 2 sweep trials and the
+        # 0.4-spacing margin
         assert states == [16]
         assert len(shadows) == 6 and len({id(shadow) for shadow in shadows}) == 6
 
@@ -218,6 +220,41 @@ class TestDemoCausality:
         for got in (again, report):
             assert got.tables["leakage_sweep"] == rows
             assert {c.name: c.residual for c in got.checks if c.name in want} == want
+
+
+class TestCausalitySweep:
+    def test_one_velocity_change_per_sweep_rapidity(self, monkeypatch):
+        from minkabs.quantum import state
+
+        calls, boost = [], state._boost_array
+
+        def counted(cfg, arr, L):
+            calls.append(len(arr))
+            return boost(cfg, arr, L)
+
+        monkeypatch.setattr(state, "_boost_array", counted)
+        assert cmd_demo_causality(load_config(None, {})).all_passed()
+        assert calls == [1, 1]  # rapidities 0.1 and 0.2, one state each
+
+    def test_rows_match_per_trial_experiments_in_any_order(self):
+        from minkabs.quantum import verify as V
+
+        config = load_config(None, {"N": 32})
+        config["delta_t_sweep"] = [2.0, 0.5, 1.0]
+        config["rapidity_sweep"] = [0.0, 0.2, 0.1]
+        report = cmd_demo_causality(config)
+        cfg = build_model(config)
+        phi = V.localized_state(cfg)
+        rows = report.tables["leakage_sweep"]
+        assert len(rows) == 10
+        for row in rows:
+            u2 = V.boosted_velocity(row["rapidity"]) if row["rapidity"] else None
+            shadow = V.causal_shadow(cfg, delta_t=row["delta_t_sec"], u2=u2)
+            assert row["leakage"].hex() == V.causality_experiment(cfg, phi, shadow).hex()
+        wide = V.causal_shadow(cfg, delta_t=2.0, margin=0.4 * cfg.spacing.value)
+        margin = abs(rows[1]["leakage"] - V.causality_experiment(cfg, phi, wide))
+        residuals = {c.name: c.residual for c in report.checks}
+        assert residuals["leakage/margin-doubling-stable"].hex() == margin.hex()
 
 
 class TestReport:

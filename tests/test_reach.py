@@ -45,6 +45,9 @@ ALLOWED = {
         "the benchmark tracer's _project_raw hook reads it"
     ),
     ("quantum/state.py", "represent"): "the state-level form of represent_array",
+    ("quantum/verify.py", "causality_experiment"): (
+        "one trial of causality_leakages, the reference its rows are held to"
+    ),
     ("quantum/state.py", "_spline_pullback"): "off-axis velocity changes; no report makes one yet",
 }
 

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 import minkabs
 from minkabs.geometry import (
+    _METRIC,
     GeometryError,
     Instant,
     MeasureScalar,
@@ -49,6 +50,7 @@ from minkabs.quantum.state import (
     _exact_pullback,
     _plan_of,
     _pullback_plan,
+    _pulled_labels,
     _represented,
     _spline_pullback,
     _to_momentum,
@@ -218,6 +220,22 @@ class TestConfig:
         assert echo["N"] == 16
         assert echo["spacing_sec"] == 0.25
 
+    def test_energy_field_built_on_first_use_under_threads(self):
+        # racing first reads of the lazy omega all see the plain expression's bytes
+        c = ModelConfig(N=16)
+        assert "omega" not in vars(c)
+        k1, k2, k3 = np.ix_(c.k1d, c.k1d, c.k1d)
+        want = np.sqrt(c.mass.value**2 + k1**2 + k2**2 + k3**2).tobytes()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                futures = [pool.submit(lambda: c.omega) for _ in range(32)]
+                reads = [f.result(timeout=60) for f in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        assert all(r.tobytes() == want for r in reads) and c.omega.tobytes() == want
+
     @pytest.mark.parametrize("given", [False, True])
     def test_origin_is_the_instant_anchor(self, given):
         # the lattice origin event is the constructing instant's anchor, kept on refinement
@@ -278,6 +296,72 @@ class TestGaussian:
         marginal = prob.sum(axis=(1, 2))
         kbar = float(np.sum(k * marginal))
         assert abs(kbar - 2.0) <= 2 * cfg32.dk
+
+
+def plain_gaussian(cfg, c, sigma, kbar):
+    """The packet amplitudes as out-of-place expressions, one new field per step."""
+    k1, k2, k3 = np.ix_(cfg.k1d, cfg.k1d, cfg.k1d)
+    envelope = np.exp(
+        -(sigma**2) * ((k1 - kbar[0]) ** 2 + (k2 - kbar[1]) ** 2 + (k3 - kbar[2]) ** 2)
+    )
+    phase = np.exp(-1j * ((k1 - kbar[0]) * c[0] + (k2 - kbar[1]) * c[1] + (k3 - kbar[2]) * c[2]))
+    raw = envelope * phase
+    return raw / np.linalg.norm(raw)
+
+
+class TestInPlaceSynthesis:
+    @pytest.mark.parametrize("n", [16, 32, 64])
+    def test_packet_bytes_match_the_plain_expressions(self, n):
+        c = ModelConfig(N=n)
+        edge = 0.4999 * c.cutoff  # just inside the half-cutoff bound
+        means = ((0.0, 0.0, 0.0), (1.5, -0.5, 0.25), (edge, 0.0, 0.0), (0.0, -edge, 0.0))
+        for sigma in (0.75, 0.9, 1.0):
+            for x in ((0.0, 0.0, 0.0), (0.5, -0.25, 0.125), (-1.0, 0.75, 0.3)):
+                for kbar in means:
+                    got = make_gaussian(
+                        c,
+                        center=c.origin + vector(0, *x),
+                        width=seconds(sigma),
+                        mean_momentum=kbar,
+                    )
+                    want = plain_gaussian(c, np.array(x), sigma, np.array(kbar))
+                    assert got.psi.tobytes() == want.tobytes(), (sigma, x, kbar)
+
+    @pytest.mark.parametrize("n", [16, 32, 64])
+    def test_smooth_states_match_the_plain_mixture(self, n):
+        from minkabs.quantum import verify as V
+
+        c = ModelConfig(N=n)
+        rng = np.random.default_rng(5)
+        w_hi = min(1.1, 0.25 * c.box_length)
+        want = []
+        for _ in range(3):
+            acc = None
+            for _ in range(2):
+                sigma = rng.uniform(min(0.75, w_hi), w_hi)
+                x, kbar = rng.uniform(-0.75, 0.75, 3), rng.uniform(-1.2, 1.2, 3)
+                amp = rng.normal() + 1j * rng.normal()
+                g = plain_gaussian(c, x, sigma, kbar)
+                acc = amp * g if acc is None else acc + amp * g
+            want.append(acc / np.linalg.norm(acc))
+        got = V.smooth_states(c, np.random.default_rng(5), 3)
+        assert got.tobytes() == np.stack(want).tobytes()
+
+    def test_smooth_states_hold_no_full_lattice_temporaries(self):
+        # the two result fields, one packet field and one float field: 1.75
+        # results, where out-of-place expressions peaked at 4.25
+        import tracemalloc
+
+        from minkabs.quantum import verify as V
+
+        c = ModelConfig(N=64)
+        tracemalloc.start()
+        try:
+            out = V.smooth_states(c, np.random.default_rng(1), 2)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3.0 * out.nbytes
 
 
 class TestTranslation:
@@ -648,6 +732,40 @@ class TestVelocityKernel:
             sys.setswitchinterval(interval)
         for i, out in enumerate(results):
             assert np.array_equal(out.psi, expected[i % len(maps)])
+
+    @pytest.mark.parametrize("n", [16, 32, 64])
+    def test_plane_wise_plan_matches_the_whole_lattice_expressions(self, n):
+        # labels, weight and recentered weight, bit for bit, as built over the
+        # whole lattice from an N^3 four-momentum field
+        c = ModelConfig(N=n)
+        k1, k2, k3 = np.ix_(c.k1d, c.k1d, c.k1d)
+        four = (
+            c.omega[..., None] * c.observer._c
+            - k1[..., None] * c.axes[0]
+            - k2[..., None] * c.axes[1]
+            - k3[..., None] * c.axes[2]
+        )
+        for axis in [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0)]:
+            b = make_boost(U0, boosted(0.25, axis))
+            for L in (b, b.inverse()):
+                q = -((four @ L.inverse().matrix.T) @ (c.axes * _METRIC).T)
+                weight = np.sqrt(np.sqrt(c.mass.value**2 + np.sum(q * q, axis=-1)) / c.omega)
+                got = np.empty(q.shape[:-1])
+                assert _pulled_labels(c, L.inverse().matrix, got).tobytes() == q.tobytes()
+                assert got.tobytes() == weight.tobytes()
+                plan = _build_plan(c, L)
+                if plan.axis is not None:
+                    qa = q[..., plan.axis] * c.spacing.value
+                    weight = weight * (np.exp(0.5j * c.N * qa) / math.sqrt(c.N))
+                assert plan.weight.tobytes() == weight.tobytes()
+
+    def test_plan_build_reads_no_energy_field(self, monkeypatch):
+        # neither the caller's lattice nor the one rebuilt from the key makes omega
+        _plan_of.cache_clear()
+        c = ModelConfig(N=16)
+        monkeypatch.setattr(ModelConfig, "omega", property(lambda _: pytest.fail("omega built")))
+        for axis in [(1, 0, 0), (1, 1, 0)]:
+            _pullback_plan(c, make_boost(U0, boosted(0.25, axis)))
 
     def test_plan_cache_is_keyed_by_value(self):
         # lattices built apart share the plan of their values; the plan is built
