@@ -33,15 +33,16 @@ underneath:
   transform along the moving axis, then the sum over its positions.  The
   moving label depends on the fixed ones only through the sum of their
   squares, so the transverse columns with the same unordered pair of
-  absolute labels share their nodes, and the sum is one matrix product
-  per class with the Vandermonde matrix of those nodes, batched over
-  blocks of classes and over states.  Every other direction uses
-  quintic spline interpolation on a twice-oversampled grid, a pruned
-  embed in zeros (``scipy.ndimage``, imported on the first such
-  boost).  Neither path is exactly unitary; the norm drift
-  is reported and the result rescaled to the input norm.  The
-  state-independent part of each velocity change (labels, weight,
-  interpolation nodes) is cached per lattice and map, built from its value key.
+  absolute labels share their nodes ``z``, and the sum is one matrix
+  product per class with the Vandermonde matrix of the signed powers
+  ``z**m``, ``|m| <= N/2`` (the negative ones conjugates), batched over
+  blocks of classes and over states.  Every other direction uses quintic
+  spline interpolation on a twice-oversampled grid, a pruned embed in
+  zeros (``scipy.ndimage``, imported on the first such boost).  Neither
+  path is exactly unitary; the norm drift is reported and the result
+  rescaled to the input norm.  The state-independent part of each velocity
+  change (labels, real weight, nodes) is cached per lattice and map, built
+  from its value key.
 
 Every represented map, and every projection that ``pvm`` defines by
 covariance as ``U M U^-1``, is applied through one loop, ``_act``, over
@@ -328,9 +329,9 @@ class _PullbackPlan:
     ``order`` lists the columns by class size, then by class, with the
     members of a class adjacent; ``inverse`` undoes it; ``sizes`` gives
     (class size, number of classes) in that order; and ``nodes`` holds one
-    row of ``z`` per class, shape (classes, N).  ``weight`` includes the
-    ``z**(-N/2) / sqrt(N)`` that recenters the powers ``z**0 .. z**(N-1)``
-    on signed positions.
+    row of ``z`` per class, shape (classes, N).  ``weight`` is the real
+    on-shell weight ``sqrt(omega(q) / omega)`` on both paths, divided on the
+    exact path by the interpolant's ``sqrt(N)``.
     """
 
     axis: int | None
@@ -387,10 +388,6 @@ def _build_plan(cfg: ModelConfig, L: LorentzMap) -> _PullbackPlan:
         coords = np.moveaxis(np.mod(q / dk_fine, cfg.N * _PAD), -1, 0)
         return _PullbackPlan(None, coords, weight)
     axis = free[0]
-    qa = q[..., axis] * cfg.spacing.value
-    recenter = np.multiply(0.5j * cfg.N, qa)  # exp(i N q_a / 2) / sqrt(N), in place
-    np.exp(recenter, out=recenter)
-    recenter /= math.sqrt(cfg.N)
     # the two fixed labels stay on the lattice, so L acts on the moving axis
     # and the time axis alone and q_a depends on k_a and k_b^2 + k_c^2 only:
     # columns with the same unordered pair (|n_b|, |n_c|) share their nodes
@@ -400,12 +397,12 @@ def _build_plan(cfg: ModelConfig, L: LorentzMap) -> _PullbackPlan:
     _, cls, size = np.unique(key, return_inverse=True, return_counts=True)
     order = np.lexsort((cls, size[cls]))
     first = order[np.flatnonzero(np.diff(cls[order], prepend=-1))]
-    rows = np.moveaxis(qa, axis, 0).reshape(cfg.N, -1)[:, first]
+    rows = np.moveaxis(q[..., axis], axis, 0).reshape(cfg.N, -1)[:, first] * cfg.spacing.value
     counts = np.unique(size[cls[first]], return_counts=True)
     return _PullbackPlan(
         axis,
         np.ascontiguousarray(np.exp(-1j * rows).T),
-        np.multiply(weight, recenter, out=recenter),
+        np.divide(weight, math.sqrt(cfg.N), out=weight),  # the interpolant's 1/sqrt(N)
         order,
         np.argsort(order),
         tuple((int(s), int(c)) for s, c in zip(*counts)),
@@ -438,10 +435,12 @@ def _class_products(coef: np.ndarray, plan: _PullbackPlan) -> None:
         for lo in range(cls, cls + count, _CLASS_CHUNK):
             hi = min(lo + _CLASS_CHUNK, cls + count)
             w, z = vander[:, : hi - lo], plan.nodes[lo:hi]
-            # z**j goes to row (j + N/2) mod N, the row of the fftshift
-            w[n // 2] = 1.0
-            for j in range(1, n):
-                np.multiply(w[(j - 1 + n // 2) % n], z, out=w[(j + n // 2) % n])
+            # row m mod N holds z**m, |m| <= N/2, the negatives as conjugates (|z| = 1)
+            w[0] = 1.0
+            for m in range(1, n // 2 + 1):
+                np.multiply(w[m - 1], z, out=w[m])
+            np.conjugate(w[n // 2], out=w[n // 2])
+            np.conjugate(w[n // 2 - 1 : 0 : -1], out=w[n // 2 + 1 :])
             block = coef[:, :, col : col + (hi - lo) * size]
             block = block.reshape(states, n, hi - lo, size).transpose(0, 2, 1, 3)
             # in place: numpy buffers an output that overlaps an input
@@ -456,8 +455,8 @@ def _exact_pullback(arr: np.ndarray, plan: _PullbackPlan) -> np.ndarray:
 
     A 1-D transform along that axis gives the coefficients of each
     transverse column; the columns of one class share their nodes ``z``,
-    so a class is one product of the Vandermonde matrix ``z**m`` (powers
-    in the transform's unshifted order) with the coefficient block of its
+    so a class is one product of the Vandermonde matrix ``z**m`` (signed
+    powers, ``z**m`` in row ``m mod N``) with the coefficient block of its
     members in every state.  Returns a view in lattice index order of the
     batch laid out with the moving axis first.
     """

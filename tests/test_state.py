@@ -645,6 +645,36 @@ class TestVelocityKernel:
             assert np.linalg.norm(apply_boost(s, L).psi - ref) <= 1e-12
         assert not spline_calls
 
+    def test_lattice_axis_boost_error_at_n64(self, spline_calls):
+        # signed powers z**m, |m| <= N/2, keep the rounding of the sum under
+        # 1e-15 on the study's smooth state (measured 6.4-6.6e-16; powers up
+        # to z**(N-1), recentered after, read 1.25-1.33e-15)
+        from minkabs.quantum.verify import smooth_states
+
+        c = ModelConfig(N=64)
+        s = LatticeState(c, smooth_states(c, np.random.default_rng(42), 1)[0])
+        b = make_boost(U0, boosted(0.25))
+        for L in (b, b.inverse()):
+            ref = axis_sum_pullback(c, s.psi, L, 0)
+            assert np.linalg.norm(apply_boost(s, L).psi - ref) <= 1.0e-15
+        assert not spline_calls
+
+    @pytest.mark.parametrize("n", [8, 16])
+    def test_own_axis_boost_on_a_moving_instant_is_exact(self, n, spline_calls):
+        # a lattice drawn on a moving instant: a boost along one of its own
+        # basis axes takes the exact path along that axis (measured 0.98-2.4e-15)
+        u = boosted(0.2, (0, 1, 0))
+        c = ModelConfig(N=n, instant=Instant(u, fiducial_origin() + u * seconds(0.5)))
+        s = white_state(c, 3)
+        ch, sh = math.cosh(0.25), math.sinh(0.25)
+        for i, b in enumerate(c.basis):
+            M = make_boost(u, normalize_velocity(u.as_vector() * ch + b * sh))
+            for L in (M, M.inverse()):
+                assert _pullback_plan(c, L).axis == i
+                ref = direct_sum_pullback(c, s.psi, L)
+                assert np.linalg.norm(apply_boost(s, L).psi - ref) <= 1e-12
+        assert not spline_calls
+
     @pytest.mark.parametrize("n", [16, 32, 64])
     @pytest.mark.parametrize("axis", [0, 1, 2])
     def test_columns_of_a_class_share_their_nodes(self, n, axis):
@@ -735,8 +765,8 @@ class TestVelocityKernel:
 
     @pytest.mark.parametrize("n", [16, 32, 64])
     def test_plane_wise_plan_matches_the_whole_lattice_expressions(self, n):
-        # labels, weight and recentered weight, bit for bit, as built over the
-        # whole lattice from an N^3 four-momentum field
+        # labels and the real weight (over sqrt(N) on the exact path), bit for
+        # bit, as built over the whole lattice from an N^3 four-momentum field
         c = ModelConfig(N=n)
         k1, k2, k3 = np.ix_(c.k1d, c.k1d, c.k1d)
         four = (
@@ -755,8 +785,7 @@ class TestVelocityKernel:
                 assert got.tobytes() == weight.tobytes()
                 plan = _build_plan(c, L)
                 if plan.axis is not None:
-                    qa = q[..., plan.axis] * c.spacing.value
-                    weight = weight * (np.exp(0.5j * c.N * qa) / math.sqrt(c.N))
+                    weight = weight / math.sqrt(c.N)
                 assert plan.weight.tobytes() == weight.tobytes()
 
     def test_plan_build_reads_no_energy_field(self, monkeypatch):
