@@ -20,6 +20,7 @@ Conventions baked into the internal frame:
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -341,6 +342,16 @@ def _normalize(c: np.ndarray) -> np.ndarray:
     if not ((s < 0.0) & (abs(s) > _REL_TOL * np.vecdot(c, c))).all():  # as causal_class
         raise GeometryError("only a timelike vector defines a velocity")
     return c / np.sqrt(-s)[..., None]
+
+
+def _velocities(chi, d) -> np.ndarray:
+    """An (n, 4) stack of velocities of rapidities ``chi`` along the
+    directions ``d``; cosh and sinh stay one ``math`` call per sample,
+    because numpy's vector versions round some inputs differently."""
+    d = d / np.sqrt(np.vecdot(d, d))[:, None]
+    ch = np.array([math.cosh(x) for x in chi])
+    sh = np.array([math.sinh(x) for x in chi])
+    return _check_velocity(_normalize(np.column_stack([ch, sh[:, None] * d])))
 
 
 def _split(u: np.ndarray, x: np.ndarray):

@@ -3,14 +3,15 @@
 A localization projection family is labeled by an instant alone: the
 instant is a simultaneity hyperplane of one observer, so it fixes the
 observer too.  Every region sits on its instant, so the region alone
-names its projection.  For the constructing instant, the projection of a
-region is realized directly: transform to the position lattice, keep the
-amplitudes whose cells lie in the region, transform back.  For any other
-instant the projection is *defined* by covariance: conjugate the
-constructing projection with the represented canonical map carrying the
-constructing instant to the requested one.
-The verification drivers then test that this definition coheres with
-the transform numerics.
+names its projection.  Every projection is one ``(carry, mask)`` pair: the
+canonical map carrying the constructing instant to the region's instant,
+and the cell mask of the region carried back.  It is *defined* by
+covariance: carry back, keep the amplitudes whose cells lie in the mask
+on the position lattice, carry forward.  On the constructing instant the
+carry is the identity, which every lattice frame represents exactly, so
+there the projection is the cell indicator conjugated by the position
+transform.  The verification drivers then test that this definition
+coheres with the transform numerics.
 
 Cells are half-open boxes centered on the position lattice points, and
 membership is evaluated on the torus (coordinates wrap at the box
@@ -131,12 +132,12 @@ def rasterize(cfg: ModelConfig, region: Region, inflate: float = 0.0) -> np.ndar
 
 
 def canonical_map(cfg: ModelConfig, instant: Instant) -> PoincareMap:
-    """The canonical affine map from the constructing instant to ``instant``.
-
-    Linear part: the canonical velocity-to-velocity transform fixing the
-    lattice origin; then a step along the target observer reaches the
-    target instant.
-    """
+    """The canonical affine map from the constructing instant to ``instant``:
+    the identity for any instant equal to the constructing one, else the
+    canonical velocity-to-velocity transform fixing the lattice origin, then
+    a step along the target observer to the target instant."""
+    if instant == cfg.instant:
+        return PoincareMap.identity()
     observer = instant.observer
     if observer.approx_eq(cfg.observer):
         linear = LorentzMap.identity()
@@ -203,19 +204,19 @@ def _conjugate_mask(cfg: ModelConfig, states: np.ndarray, chain, mask, work=(Non
 
 
 def _projection(region: Region, cfg: ModelConfig):
-    """The localization projection of ``region`` as the ``(chain, mask)``
-    that ``_conjugate_mask`` applies: ``chain`` is ``[]`` on the constructing
-    instant and ``[carry]`` to the region's instant elsewhere."""
-    if region.instant == cfg.instant:
-        return [], rasterize(cfg, region)
+    """The localization projection of ``region`` as ``(carry, mask)``, which
+    ``_conjugate_mask`` applies with the chain ``[carry]``: ``carry`` is the
+    ``canonical_map`` to the region's instant (the identity on the
+    constructing one) and ``mask`` rasterizes the region carried back."""
     carry = canonical_map(cfg, region.instant)
-    return [carry], rasterize(cfg, _pullback_region(carry, region))
+    return carry, rasterize(cfg, _pullback_region(carry, region))
 
 
 def _project_raw(
     handle: PvmHandle, region: Region, psi: np.ndarray, cfg: ModelConfig
 ) -> np.ndarray:
-    return _conjugate_mask(cfg, psi, *_projection(region, cfg))
+    carry, mask = _projection(region, cfg)
+    return _conjugate_mask(cfg, psi, [carry], mask)
 
 
 def pvm_project(region: Region, state: LatticeState) -> LatticeState:
@@ -289,8 +290,6 @@ class NwComponentStats:
 
 def _stats_weights(w: NwPosition, state: LatticeState):
     cfg = state.cfg
-    if w.instant == cfg.instant:
-        return state.position_probability(), position_multipliers(cfg, w.origin), None
     carry = canonical_map(cfg, w.instant)
     back, _ = represent_array(cfg, state.psi, carry.inverse())
     prob = LatticeState(cfg, back).position_probability()
@@ -307,12 +306,11 @@ def nw_component_stats(
     duration coordinate, so the duration variance vanishes (exactly on the
     fiducial lattice frame, to a few ulps on a lattice on a moving instant);
     for other observers it is generally positive.  Space components are
-    taken in the deterministic basis attached to ``u2`` (carried to the
-    constructing frame for non-constructing labels).
+    taken in the deterministic basis attached to ``u2``, carried back to
+    the constructing frame by the family's canonical map.
     """
     prob, mult, push = _stats_weights(w, state)
-    if push is not None:
-        u2 = push.inverse().transform_velocity(u2)
+    u2 = push.inverse().transform_velocity(u2)
     gu2 = _METRIC * u2._c
     fields = [-np.tensordot(gu2, mult, axes=(0, 0))]
     for bvec in spatial_basis_for(u2):

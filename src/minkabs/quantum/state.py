@@ -662,7 +662,8 @@ def represent_array(cfg: ModelConfig, arr: np.ndarray, P: PoincareMap):
     represented map.  In particular ``represent`` of a step to a later
     instant has the forward evolution ``exp(-i omega dt)`` as its
     inverse, so localization probabilities at later instants see the
-    spread packet.
+    spread packet.  The identity hands back ``arr`` itself on every
+    lattice frame.
     """
     return _act(cfg, arr, _represented(cfg, [P]))
 
@@ -672,8 +673,12 @@ def _represented(cfg: ModelConfig, chain):
     ``chain``, first map first, each built when it is reached: the map
     conjugated by the constructing observer's time inversion anchored at the
     lattice origin, as its homogeneous part at the origin and the read-only
-    phase of its shift of the origin or ``None``."""
+    phase of its shift of the origin or ``None``.  The identity (exactly
+    ``np.eye(4)``, no shift) is left untwisted, so it is exact on every frame."""
     for P in chain:
+        if np.array_equal(P.linear.matrix, np.eye(4)) and not P.translation._c.any():
+            yield P.linear, None
+            continue
         inv = PoincareMap.from_homogeneous(time_inversion(cfg.observer), cfg.origin)
         P = inv.compose(P).compose(inv)
         shift = P(cfg.origin) - cfg.origin
@@ -681,6 +686,7 @@ def _represented(cfg: ModelConfig, chain):
 
 
 def represent(state: LatticeState, P: PoincareMap) -> LatticeState:
-    """Covariance-representation unitary on states (see ``represent_array``)."""
+    """Covariance-representation unitary on states, exact for the identity on
+    every lattice frame (see ``represent_array``)."""
     out, _ = represent_array(state.cfg, state.psi, P)
     return LatticeState(state.cfg, out)

@@ -29,15 +29,8 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from ..geometry import (
-    GeometryError,
-    Instant,
-    Velocity,
-    normalize_velocity,
-    seconds,
-    vector,
-)
-from ..geometry import _METRIC
+from ..geometry import GeometryError, Instant, Velocity, seconds
+from ..geometry import _METRIC, _velocities
 from ..groups import (
     LorentzMap,
     PoincareMap,
@@ -52,13 +45,13 @@ from .pvm import (
     NwPosition,
     _conjugate_mask,
     _projection,
-    canonical_map,
     localization_probability,
     nw_component_stats,
     position_multipliers,
     pvm_project,
     rasterize,
 )
+from .pvm import canonical_map  # noqa: F401  for the benchmark tracer
 from .state import LatticeState, _act, _apply_linear, _gaussian, _represented, _row_norms
 from .state import _to_position, make_gaussian, represent_array
 from .state import _to_momentum  # noqa: F401  for the benchmark tracer
@@ -181,9 +174,11 @@ def smooth_states(cfg: ModelConfig, rng: np.random.Generator, count: int) -> np.
 
 
 def boosted_velocity(chi: float, axis=(1.0, 0.0, 0.0)) -> Velocity:
-    d = np.asarray(axis, float)
-    d = d / np.linalg.norm(d)
-    return normalize_velocity(vector(math.cosh(chi), *(math.sinh(chi) * d)))
+    """The velocity of rapidity ``chi`` along ``axis`` from the fiducial rest
+    observer; ``axis`` is read in fiducial components, not in a lattice's
+    basis.  From a rapidity of about 14 the normalization rejects the
+    velocity as not timelike (``GeometryError``)."""
+    return Velocity(_velocities([chi], np.array([axis], float))[0])
 
 
 # ---------------------------------------------------------------------------
@@ -455,10 +450,10 @@ def time_variance_witness(cfg: ModelConfig, witness_chi: float = 0.5) -> float:
 
 
 def causal_shadow(cfg: ModelConfig, delta_t=2.0, u2=None, margin=None):
-    """The shadow of one trial of ``causality_experiment``: the carry to the
-    later labels and the cell mask of the causally grown ``_CAUSAL_CELLS`` box
-    pulled back to the constructing instant, rasterized conservatively: every
-    cell within half a spacing plus ``margin`` (default 0.2 spacings) of the
+    """The shadow of one trial of ``causality_experiment``: the ``(carry,
+    mask)`` projection of the causally grown ``_CAUSAL_CELLS`` box on the
+    later instant, inflated first so the mask is conservative: every cell
+    within half a spacing plus ``margin`` (default 0.2 spacings) of the
     cover counts as inside, so leakage can only be under-reported.  No
     transform; raises ``GeometryError`` where the geometry does not fit the
     lattice box."""
@@ -470,12 +465,10 @@ def causal_shadow(cfg: ModelConfig, delta_t=2.0, u2=None, margin=None):
         margin = 0.2 * a
     observer2 = cfg.observer if u2 is None else u2
     t2 = Instant(observer2, cfg.origin + cfg.observer * seconds(delta_t))
-    shadow = grow_region_causally(region, t2)
-    carry = canonical_map(cfg, t2)
-    from .pvm import _pullback_region
-
-    pulled = _pullback_region(carry, shadow)
-    return carry, rasterize(cfg, pulled, inflate=0.5 * a * (1.0 + 1e-9) + margin)
+    grown = grow_region_causally(region, t2)
+    pad = 0.5 * a * (1.0 + 1e-9) + margin
+    boxes = [(lo - pad, hi + pad) for lo, hi in grown.boxes]
+    return _projection(Region(t2, boxes, basis=grown.basis, anchor=grown.anchor), cfg)
 
 
 def localized_state(cfg: ModelConfig) -> np.ndarray:
@@ -569,7 +562,7 @@ def commutator_witness(
 
 
 def _overlap(cfg: ModelConfig, proj_a, proj_b) -> np.ndarray:
-    """``G = A^H B`` of two ``(chain, mask)`` projections whose carries are
+    """``G = A^H B`` of two ``(carry, mask)`` projections whose carries are
     pure phases.
 
     ``A^H B`` is the position-space convolution by ``K``, the position
@@ -578,11 +571,11 @@ def _overlap(cfg: ModelConfig, proj_a, proj_b) -> np.ndarray:
     ``x_j`` of mask b.
     """
     n = cfg.N
-    (chain_a, mask_a), (chain_b, mask_b) = proj_a, proj_b
+    (carry_a, mask_a), (carry_b, mask_b) = proj_a, proj_b
     cells_a, cells_b = np.nonzero(mask_a), np.nonzero(mask_b)
     if cells_a[0].size * cells_b[0].size > n**3:
         raise GeometryError("commutator witness regions: overlap matrix larger than one field")
-    steps = _represented(cfg, [*chain_b, *(P.inverse() for P in reversed(chain_a))])
+    steps = _represented(cfg, [carry_b, carry_a.inverse()])
     D = np.ones((n, n, n), complex)
     D, _ = _act(cfg, D, steps, D)
     # the default-normalized inverse: its 1/n per axis is exact for the
@@ -619,8 +612,8 @@ def region_covariance_residual(
     """
     if not S.is_orthochronous():
         raise GeometryError("covariance drivers take orthochronous maps")
-    chain, mask = _projection(region, cfg)
-    lhs = _conjugate_mask(cfg, states, [*chain, S], mask)
+    carry, mask = _projection(region, cfg)
+    lhs = _conjugate_mask(cfg, states, [carry, S], mask)
     return _batch_max_norm(lhs - _project_arr(cfg, S.transform_region(region), states))
 
 

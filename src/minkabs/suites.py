@@ -29,7 +29,7 @@ from .geometry import (
     space_subtract,
     vector,
 )
-from .geometry import _check_velocity, _normalize, _product, _split  # stack kernel
+from .geometry import _product, _split, _velocities  # stack kernel
 from .geometry import _AXES, _FUTURE as _REST  # the rest observer's components
 from .groups import (
     LorentzMap,
@@ -52,16 +52,6 @@ __all__ = ["run_geometry_suite"]
 
 _HEAVY_SAMPLES = 10_000  # random inputs of the observer-splitting checks
 _MAX_RAPIDITY = 1.5  # the bound of every random velocity's uniform rapidity
-
-
-def _velocities(chi, d) -> np.ndarray:
-    """An (n, 4) stack of velocities of rapidities ``chi`` along the
-    directions ``d``; cosh and sinh stay one ``math`` call per sample,
-    because numpy's vector versions round some inputs differently."""
-    d = d / np.sqrt(np.vecdot(d, d))[:, None]
-    ch = np.array([math.cosh(x) for x in chi])
-    sh = np.array([math.sinh(x) for x in chi])
-    return _check_velocity(_normalize(np.column_stack([ch, sh[:, None] * d])))
 
 
 def _random_velocities(rng, n) -> np.ndarray:

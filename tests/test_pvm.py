@@ -15,13 +15,16 @@ from hypothesis import strategies as st
 import minkabs
 import minkabs.quantum.pvm as pvm
 from minkabs.geometry import (
+    _METRIC,
     GeometryError,
     Instant,
     fiducial_origin,
     lorentz_product,
     normalize_velocity,
+    point,
     seconds,
     space_part,
+    spatial_basis_for,
     vector,
 )
 from minkabs.groups import (
@@ -275,6 +278,83 @@ class TestProjection:
         # the packet spreads, so the later-instant probability drops
         p_now = localization_probability(reg0, s)
         assert p_later < p_now
+
+
+def frame(kind, n=16):
+    """The fiducial lattice frame, or a lattice drawn on a moving instant off
+    the fiducial origin, whose time twist of the identity rounds."""
+    if kind == "fiducial":
+        return ModelConfig(N=n)
+    chi, axis, anchor = {
+        "moving-123": (0.3, (1, 2, 3), point(0.3, -1.1, 0.7, 2.9)),
+        "moving-y": (0.2, (0, 1, 0), point(0.5, 0.1, -0.2, 0.3)),
+    }[kind]
+    return ModelConfig(N=n, instant=Instant(boosted_velocity(chi, axis), anchor))
+
+
+FRAMES = ["fiducial", "moving-123", "moving-y"]
+
+
+def constructing_stats(w, u2, state):
+    """``nw_component_stats`` as its constructing-instant branch computed it,
+    with no carry: the state's own probabilities and ``u2`` as given, as the
+    list of (mean, variance) of the duration, then of each space component."""
+    prob = state.position_probability()
+    mult = position_multipliers(state.cfg, w.origin)
+    fields = [-np.tensordot(_METRIC * u2._c, mult, axes=(0, 0))]
+    fields += [np.tensordot(_METRIC * b._c, mult, axes=(0, 0)) for b in spatial_basis_for(u2)]
+    out = []
+    for f in fields:
+        m = float(np.sum(f * prob))
+        out.append((m, float(np.sum((f - m) ** 2 * prob))))
+    return out
+
+
+class TestIdentityCarry:
+    # the constructing instant is the canonical map's identity, which every
+    # lattice frame represents exactly, so the one (carry, mask) path gives
+    # what the constructing instant's own branch gave, bit for bit
+    @pytest.mark.parametrize("kind", FRAMES)
+    def test_identity_is_exact(self, kind):
+        cfg = frame(kind)
+        psi = random_state(cfg, 3).psi
+        out, drift = represent_array(cfg, psi, PoincareMap.identity())
+        assert out is psi and drift == 0.0
+
+    @pytest.mark.parametrize("kind", FRAMES)
+    def test_canonical_map_of_the_constructing_instant(self, kind):
+        cfg = frame(kind)
+        elsewhere = cfg.origin + 1.3 * cfg.basis[0] - 0.7 * cfg.basis[2]
+        for inst in (cfg.instant, Instant(cfg.observer, elsewhere)):
+            assert inst == cfg.instant
+            carry = canonical_map(cfg, inst)
+            assert np.array_equal(carry.linear.matrix, np.eye(4))
+            assert not carry.translation._c.any()
+
+    @pytest.mark.parametrize("kind", FRAMES)
+    def test_projection_is_the_cell_indicator(self, kind):
+        cfg = frame(kind)
+        region = Region(cfg.instant, [cell_box(cfg, (-3, -2, -1), (1, 2, 3))])
+        mask = rasterize(cfg, region)
+        for seed in (5, 6):
+            state = random_state(cfg, seed)
+            want = _conjugate_mask(cfg, state.psi, [], mask)
+            assert pvm_project(region, state).psi.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("kind", FRAMES)
+    def test_stats_match_the_constructing_branch(self, kind):
+        cfg = frame(kind)
+        tilted = boosted_velocity(0.5, (1, -1, 2))
+        states = [random_state(cfg, 7), make_gaussian(cfg, width=seconds(0.9))]
+        for origin in (cfg.origin, cfg.origin + 0.4 * cfg.basis[1]):
+            w = NwPosition(cfg.instant, origin)
+            for u2 in (cfg.observer, tilted):
+                for state in states:
+                    got = nw_component_stats(w, u2, state)
+                    pairs = [(got.time_mean, got.time_variance)]
+                    pairs += zip(got.space_means, got.space_variances)
+                    values = [(m.value, v.value) for m, v in pairs]
+                    assert values == constructing_stats(w, u2, state)
 
 
 class TestCanonicalMap:
@@ -614,9 +694,9 @@ class TestWorkFields:
 
 
 class TestPreparedProjection:
-    # a projection is the (chain, mask) that _conjugate_mask applies: it must
-    # act like the one-shot definition (carry back, mask, carry forward) and
-    # must not change between applications
+    # a projection is the (carry, mask) that _conjugate_mask applies as the
+    # chain [carry]: it must act like the one-shot definition (carry back,
+    # mask, carry forward) and must not change between applications
     @staticmethod
     def labels(cfg, kind):
         if kind == "constructing":
@@ -630,23 +710,27 @@ class TestPreparedProjection:
         reg = Region(inst, [cell_box(cfg, (-2, -2, -2), (1, 1, 1))], anchor=inst.anchor)
         carry = canonical_map(cfg, inst)
         mask = rasterize(cfg, carry.inverse().transform_region(reg))
-        proj = _projection(reg, cfg)
+        got_carry, got_mask = _projection(reg, cfg)
+        assert got_carry.approx_eq(carry, tol=0.0)
+        assert np.array_equal(got_mask, mask)
         for seed in (11, 12):
             psi = random_state(cfg, seed).psi
             back, _ = represent_array(cfg, psi, carry.inverse())
             ref, _ = represent_array(cfg, _to_momentum(_to_position(back) * mask), carry)
-            assert np.max(np.abs(_conjugate_mask(cfg, psi, *proj) - ref)) <= 1e-15
+            assert np.max(np.abs(_conjugate_mask(cfg, psi, [got_carry], mask) - ref)) <= 1e-15
 
     @pytest.mark.parametrize("kind", ["constructing", "later", "boosted"])
     def test_repeated_application_is_identical(self, cfg, kind):
         inst = self.labels(cfg, kind)
         reg = Region(inst, [cell_box(cfg, (-2, -2, -2), (1, 1, 1))], anchor=inst.anchor)
-        chain, mask = _projection(reg, cfg)
-        assert len(chain) == (0 if kind == "constructing" else 1)
+        carry, mask = _projection(reg, cfg)
+        if kind == "constructing":
+            assert np.array_equal(carry.linear.matrix, np.eye(4))
+            assert not carry.translation._c.any()
         batch = np.stack([random_state(cfg, seed).psi for seed in (13, 14)])
         before = mask.tobytes(), batch.tobytes()
-        first = _conjugate_mask(cfg, batch, chain, mask)
-        assert np.array_equal(first, _conjugate_mask(cfg, batch, chain, mask))
+        first = _conjugate_mask(cfg, batch, [carry], mask)
+        assert np.array_equal(first, _conjugate_mask(cfg, batch, [carry], mask))
         assert (mask.tobytes(), batch.tobytes()) == before
 
 

@@ -11,8 +11,24 @@ import numpy as np
 import pytest
 
 import minkabs
-from minkabs.geometry import GeometryError, Instant, normalize_velocity, point, seconds, vector
-from minkabs.groups import PoincareMap, Region, make_boost, make_rotation, time_inversion
+from minkabs.geometry import (
+    GeometryError,
+    Instant,
+    normalize_velocity,
+    point,
+    seconds,
+    time_part,
+    vector,
+)
+from minkabs.groups import (
+    LorentzMap,
+    PoincareMap,
+    Region,
+    grow_region_causally,
+    make_boost,
+    make_rotation,
+    time_inversion,
+)
 from minkabs.quantum import LatticeState, ModelConfig, rapidity_of
 import minkabs.quantum.pvm as pvm
 import minkabs.quantum.verify as V
@@ -296,6 +312,58 @@ class TestCausality:
         assert V.causality_experiment(cfg32, V.localized_state(cfg32), shadow) > 1e-6
 
 
+def _pulled_back_shadow(cfg, delta_t, u2, margin):
+    """``causal_shadow`` built as before it was a projection: the canonical
+    map by its general formula, the grown box carried back by its inverse,
+    then rasterized with the inflation."""
+    a = cfg.spacing.value
+    observer = cfg.observer if u2 is None else u2
+    t2 = Instant(observer, cfg.origin + cfg.observer * seconds(delta_t))
+    same = observer.approx_eq(cfg.observer)
+    linear = LorentzMap.identity() if same else make_boost(cfg.observer, observer)
+    gap = time_part(observer, t2.anchor - cfg.origin)
+    carry = PoincareMap.from_translation(observer * gap).compose(
+        PoincareMap.from_homogeneous(linear, cfg.origin)
+    )
+    grown = grow_region_causally(V.cell_region(cfg, *V._CAUSAL_CELLS), t2)
+    pulled = carry.inverse().transform_region(grown)
+    return carry, V.rasterize(cfg, pulled, inflate=0.5 * a * (1.0 + 1e-9) + margin)
+
+
+class TestCausalShadow:
+    # a shadow is the projection of the inflated grown box: the same carry and
+    # the same mask bytes as the pulled-back rasterization it replaced
+    @pytest.mark.parametrize(
+        "frame",
+        [
+            None,
+            (0.3, (1, 2, 3), point(0.3, -1.1, 0.7, 2.9)),
+        ],
+        ids=["fiducial", "moving"],
+    )
+    def test_matches_pulled_back_rasterization(self, frame):
+        if frame is None:
+            cfg = ModelConfig(N=32)
+        else:
+            chi, axis, anchor = frame
+            cfg = ModelConfig(N=32, instant=Instant(V.boosted_velocity(chi, axis), anchor))
+        a = cfg.spacing.value
+        trials = [
+            (0.0, None, 0.2),
+            (2.0, None, 0.2),
+            (2.0, None, 0.4),
+            (1.0, V.boosted_velocity(0.15), 0.2),
+            (2.0, V.boosted_velocity(0.2, (0, 1, 1)), 0.4),
+        ]
+        for dt, u2, m in trials:
+            carry, mask = V.causal_shadow(cfg, delta_t=dt, u2=u2, margin=m * a)
+            want_carry, want_mask = _pulled_back_shadow(cfg, dt, u2, m * a)
+            assert np.array_equal(carry.linear.matrix, want_carry.linear.matrix)
+            assert np.array_equal(carry.translation._c, want_carry.translation._c)
+            assert mask.tobytes() == want_mask.tobytes()
+            assert mask.any()
+
+
 def _full_space_witness(cfg, region_a=None, region_b=None, seed=42, starts=3, iterations=12):
     """A power iteration on N^3 fields: a lower bound of the commutator norm."""
     from minkabs.quantum.pvm import _conjugate_mask, _projection
@@ -306,14 +374,14 @@ def _full_space_witness(cfg, region_a=None, region_b=None, seed=42, starts=3, it
         t2 = Instant(cfg.observer, cfg.origin + cfg.observer * seconds(0.5))
         region_b = V.cell_region(cfg, (2, -2, -2), (5, 1, 1), instant=t2)
     # each projection is rasterized once, then applied by the power iteration
-    proj_a = _projection(region_a, cfg)
-    proj_b = _projection(region_b, cfg)
+    carry_a, mask_a = _projection(region_a, cfg)
+    carry_b, mask_b = _projection(region_b, cfg)
 
     def pa(arr):
-        return _conjugate_mask(cfg, arr, *proj_a)
+        return _conjugate_mask(cfg, arr, [carry_a], mask_a)
 
     def pb(arr):
-        return _conjugate_mask(cfg, arr, *proj_b)
+        return _conjugate_mask(cfg, arr, [carry_b], mask_b)
 
     def commutator(arr):
         return pa(pb(arr)) - pb(pa(arr))
@@ -338,10 +406,8 @@ def _dense_commutator_norm(cfg, region_a, region_b):
 
     units = np.eye(cfg.N**3, dtype=complex).reshape((-1,) + (cfg.N,) * 3)
     pa, pb = (
-        _conjugate_mask(cfg, units, *_projection(r, cfg))
-        .reshape(cfg.N**3, -1)
-        .T
-        for r in (region_a, region_b)
+        _conjugate_mask(cfg, units, [carry], mask).reshape(cfg.N**3, -1).T
+        for carry, mask in (_projection(r, cfg) for r in (region_a, region_b))
     )
     return float(np.linalg.norm(pa @ pb - pb @ pa, 2))
 
@@ -513,14 +579,14 @@ class TestBatchedDrivers:
         region = V.cell_region(cfg, (-3, -2, -4), (2, 3, 1))
         for L in maps(cfg):
             for here in (region, L.transform_region(region)):
-                chain, mask = pvm._projection(here, cfg)
-                later = pvm._projection(L.transform_region(here), cfg)
+                carry, mask = pvm._projection(here, cfg)
+                later, later_mask = pvm._projection(L.transform_region(here), cfg)
                 lhs, rhs = [], []
                 for one in states:
                     back, _ = represent_array(cfg, one, L.inverse())
-                    side, _ = represent_array(cfg, pvm._conjugate_mask(cfg, back, chain, mask), L)
+                    side, _ = represent_array(cfg, pvm._conjugate_mask(cfg, back, [carry], mask), L)
                     lhs.append(side)
-                    rhs.append(pvm._conjugate_mask(cfg, one, *later))
+                    rhs.append(pvm._conjugate_mask(cfg, one, [later], later_mask))
                 want = V._batch_max_norm(np.stack(lhs) - np.stack(rhs))
                 assert V.region_covariance_residual(cfg, L, here, states) == want
 
@@ -538,7 +604,7 @@ class TestBatchedDrivers:
     @pytest.mark.parametrize("n", [16, 32])
     def test_two_factorizations_are_one(self, n):
         # the projection of a region conjugated by S, built as one chain
-        # [*carry, S] or as represent(S) . project . represent(S^-1), is the
+        # [carry, S] or as represent(S) . project . represent(S^-1), is the
         # same array bit for bit, on the constructing instant and off it
         from minkabs.quantum.state import represent_array
 
@@ -551,11 +617,11 @@ class TestBatchedDrivers:
         lattice = V._random_lattice_map(cfg, np.random.default_rng(142))
         region = V.cell_region(cfg, (-3, -2, -4), (2, 3, 1))
         for here in (region, lattice.transform_region(region)):
-            chain, mask = pvm._projection(here, cfg)
+            carry, mask = pvm._projection(here, cfg)
             for S in (step, turn, lattice):
                 back, _ = represent_array(cfg, states, S.inverse())
                 want, _ = represent_array(cfg, V._project_arr(cfg, here, back), S)
-                got = pvm._conjugate_mask(cfg, states, [*chain, S], mask)
+                got = pvm._conjugate_mask(cfg, states, [carry, S], mask)
                 assert got.tobytes() == want.tobytes()
 
     def test_covariance_driver_refuses_time_reversal(self, cfg, white):
@@ -592,6 +658,20 @@ class TestMovingLatticeFrame:
         region = V.cell_region(moving, (-3, -2, -4), (2, 3, 1))
         step = PoincareMap.from_translation(moving.observer * seconds(0.7))
         assert V.region_covariance_residual(moving, step, region, white) <= 1e-10
+
+
+def test_boosted_velocity_is_the_stack_kernel():
+    # one rapidity-to-velocity kernel: the same bytes as the normalized
+    # (cosh, sinh d) it replaced, over lattice, diagonal and random axes
+    rng = np.random.default_rng(7)
+    chis = [*np.linspace(0.0, 3.0, 61), *rng.uniform(0.0, 3.0, 20)]
+    axes = [tuple(row) for row in np.vstack([np.eye(3), -np.eye(3)])]
+    axes += [(1, 1, 0), (1, 2, 3), *map(tuple, rng.normal(size=(200, 3)))]
+    for chi in chis:
+        for axis in axes:
+            d = np.asarray(axis, float) / np.linalg.norm(axis)
+            want = normalize_velocity(vector(math.cosh(chi), *(math.sinh(chi) * d)))
+            assert V.boosted_velocity(chi, axis)._c.tobytes() == want._c.tobytes()
 
 
 class TestWorkerCap:
