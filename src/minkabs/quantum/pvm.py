@@ -85,29 +85,26 @@ class NwPosition:
 # ---------------------------------------------------------------------------
 
 
-def rasterize(cfg: ModelConfig, region: Region, inflate: float = 0.0) -> np.ndarray:
+def rasterize(cfg: ModelConfig, region: Region) -> np.ndarray:
     """Boolean cell mask of a region on the constructing position lattice.
 
     A cell belongs to the mask when its center falls in one of the
     region's boxes, with coordinates compared on the torus and a snap
     tolerance of 1e-9 spacings so exactly aligned boundaries rasterize
-    stably.  ``inflate`` grows every box by that amount per side first
-    (used for conservative causal covers).  Any box, grown or not, wider
-    than the lattice box raises ``GeometryError``.
+    stably.  Any box wider than the lattice box raises ``GeometryError``.
     """
     if not region.instant == cfg.instant:
         raise GeometryError("region instant differs from the constructing instant")
-    boxes = [(lo - inflate, hi + inflate) for lo, hi in region.boxes]
-    if any(np.any(hi - lo > cfg.box_length + _SNAP * cfg.spacing.value) for lo, hi in boxes):
+    L = cfg.box_length
+    snap = _SNAP * cfg.spacing.value
+    if any(np.any(hi - lo > L + snap) for lo, hi in region.boxes):
         raise GeometryError("region box wider than the lattice box")
     # affine map from lattice coordinates to the region frame
     mat = _product(cfg.axes[:, None], region.axes)
     off = region.coordinates_of(cfg.origin)
     xs = np.ix_(cfg.x1d, cfg.x1d, cfg.x1d)
-    L = cfg.box_length
-    snap = _SNAP * cfg.spacing.value
     mask = np.zeros((cfg.N,) * 3, dtype=bool)
-    for lo, hi in boxes:
+    for lo, hi in region.boxes:
         box_mask = None
         for m in range(3):
             # a zero coefficient adds nothing, so an axis-aligned box stays
@@ -290,11 +287,9 @@ class NwComponentStats:
 
 def _stats_weights(w: NwPosition, state: LatticeState):
     cfg = state.cfg
-    carry = canonical_map(cfg, w.instant)
-    back, _ = represent_array(cfg, state.psi, carry.inverse())
-    prob = LatticeState(cfg, back).position_probability()
-    mult = position_multipliers(cfg, carry.inverse()(w.origin))
-    return prob, mult, carry.linear
+    back = canonical_map(cfg, w.instant).inverse()
+    pos = _to_position(represent_array(cfg, state.psi, back)[0])
+    return pos.real**2 + pos.imag**2, position_multipliers(cfg, back(w.origin)), back.linear
 
 
 def nw_component_stats(
@@ -309,8 +304,8 @@ def nw_component_stats(
     taken in the deterministic basis attached to ``u2``, carried back to
     the constructing frame by the family's canonical map.
     """
-    prob, mult, push = _stats_weights(w, state)
-    u2 = push.inverse().transform_velocity(u2)
+    prob, mult, pull = _stats_weights(w, state)
+    u2 = pull.transform_velocity(u2)
     gu2 = _METRIC * u2._c
     fields = [-np.tensordot(gu2, mult, axes=(0, 0))]
     for bvec in spatial_basis_for(u2):

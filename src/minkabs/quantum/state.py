@@ -662,27 +662,27 @@ def represent_array(cfg: ModelConfig, arr: np.ndarray, P: PoincareMap):
     represented map.  In particular ``represent`` of a step to a later
     instant has the forward evolution ``exp(-i omega dt)`` as its
     inverse, so localization probabilities at later instants see the
-    spread packet.  The identity hands back ``arr`` itself on every
-    lattice frame.
+    spread packet.  With ``T`` the time inversion, ``P`` twists to ``T L T``
+    (``L`` itself when exactly ``np.eye(4)``) with the shift ``T(P(o) - o)``
+    of the lattice origin ``o``: the identity hands back ``arr`` on every frame.
     """
     return _act(cfg, arr, _represented(cfg, [P]))
 
 
 def _represented(cfg: ModelConfig, chain):
     """The steps that ``_act`` applies for the representation of each map of
-    ``chain``, first map first, each built when it is reached: the map
-    conjugated by the constructing observer's time inversion anchored at the
-    lattice origin, as its homogeneous part at the origin and the read-only
-    phase of its shift of the origin or ``None``.  The identity (exactly
-    ``np.eye(4)``, no shift) is left untwisted, so it is exact on every frame."""
+    ``chain``, first map first, each built when it is reached: ``P``, with
+    linear part ``L``, conjugated by the constructing observer's time inversion
+    ``T`` about the lattice origin ``o``, as its homogeneous part ``T L T`` at
+    ``o`` (``L`` itself when exactly ``np.eye(4)``, so exact on every frame)
+    and the read-only phase of its shift of ``o``, ``T(P(o) - o)`` since ``T``
+    fixes ``o``, or ``None`` for no shift."""
+    T = time_inversion(cfg.observer)
     for P in chain:
-        if np.array_equal(P.linear.matrix, np.eye(4)) and not P.translation._c.any():
-            yield P.linear, None
-            continue
-        inv = PoincareMap.from_homogeneous(time_inversion(cfg.observer), cfg.origin)
-        P = inv.compose(P).compose(inv)
-        shift = P(cfg.origin) - cfg.origin
-        yield P.linear, _translation_phase(cfg, shift) if np.any(shift._c != 0.0) else None
+        L = P.linear
+        linear = L if np.array_equal(L.matrix, np.eye(4)) else T.compose(L).compose(T)
+        shift = T(P(cfg.origin) - cfg.origin)
+        yield linear, _translation_phase(cfg, shift) if np.any(shift._c != 0.0) else None
 
 
 def represent(state: LatticeState, P: PoincareMap) -> LatticeState:

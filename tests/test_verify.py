@@ -315,7 +315,7 @@ class TestCausality:
 def _pulled_back_shadow(cfg, delta_t, u2, margin):
     """``causal_shadow`` built as before it was a projection: the canonical
     map by its general formula, the grown box carried back by its inverse,
-    then rasterized with the inflation."""
+    then padded by half a spacing plus the margin per side and rasterized."""
     a = cfg.spacing.value
     observer = cfg.observer if u2 is None else u2
     t2 = Instant(observer, cfg.origin + cfg.observer * seconds(delta_t))
@@ -327,7 +327,9 @@ def _pulled_back_shadow(cfg, delta_t, u2, margin):
     )
     grown = grow_region_causally(V.cell_region(cfg, *V._CAUSAL_CELLS), t2)
     pulled = carry.inverse().transform_region(grown)
-    return carry, V.rasterize(cfg, pulled, inflate=0.5 * a * (1.0 + 1e-9) + margin)
+    pad = 0.5 * a * (1.0 + 1e-9) + margin
+    boxes = [(lo - pad, hi + pad) for lo, hi in pulled.boxes]
+    return carry, V.rasterize(cfg, Region(pulled.instant, boxes, pulled.basis, pulled.anchor))
 
 
 class TestCausalShadow:
