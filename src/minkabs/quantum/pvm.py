@@ -190,14 +190,24 @@ def _conjugate_mask(cfg: ModelConfig, states: np.ndarray, chain, mask, work=(Non
     by a rule on the box alone, partial-DFT matmuls for the outer axis when
     it keeps at most a quarter of its rows.  Every other multiplier (float
     fields, stacks, non-box unions, turned frames) multiplies the whole field."""
+    return _sandwich(cfg, states, *_conjugation(cfg, chain, mask), work)
+
+
+def _conjugation(cfg: ModelConfig, chain, mask, build=iter):
+    """``_conjugate_mask``'s ``_represented`` steps of the inverse chain and of the chain,
+    ``mask`` and ``_box_of(mask)``: each step built when reached, or all at once by ``list``."""
     inverse = _represented(cfg, (P.inverse() for P in reversed(chain)))
+    return build(inverse), build(_represented(cfg, chain)), mask, _box_of(mask)
+
+
+def _sandwich(cfg: ModelConfig, states, inverse, forward, mask, box, work=(None, None)):
+    """``_conjugate_mask`` by the four parts of a ``_conjugation``."""
     arr, _ = _act(cfg, states, inverse, out=work[0])
-    box = _box_of(mask)
     arr = _to_position(arr, box)
     if box is None:
         arr = arr * mask
     arr = _to_momentum(arr, box, cfg.N, out=work[0])
-    return _act(cfg, arr, _represented(cfg, chain), out=arr if work[1] is None else work[1])[0]
+    return _act(cfg, arr, forward, out=arr if work[1] is None else work[1])[0]
 
 
 def _projection(region: Region, cfg: ModelConfig):

@@ -113,10 +113,6 @@ class LatticeState:
             raise GeometryError("cannot normalize the zero field")
         return LatticeState(self.cfg, self.psi / n)
 
-    def position_probability(self) -> np.ndarray:
-        pos = _to_position(self.psi)
-        return pos.real**2 + pos.imag**2
-
     def __repr__(self) -> str:
         return f"LatticeState(N={self.cfg.N}, norm={self.norm():.6g})"
 
@@ -141,8 +137,8 @@ class BoostReport:
 def _lines_last(arr: np.ndarray, line: int, axis: int) -> tuple[np.ndarray, int]:
     """``arr`` viewed with lattice axis ``line`` moved last, and the position
     of lattice axis ``axis`` in that view."""
-    order = [a for a in range(3) if a != line] + [line]
-    return np.moveaxis(arr, line - 3, -1), arr.ndim - 3 + order.index(axis)
+    order = [a for a in range(arr.ndim) if a != arr.ndim - 3 + line] + [arr.ndim - 3 + line]
+    return arr.transpose(order), order.index(arr.ndim - 3 + axis)
 
 
 _WHOLE = ((0, None), (1, None), (2, None))  # every row, lattice axes in order
@@ -167,8 +163,8 @@ def _outer_dft(arr: np.ndarray, axis: int, rows, n: int, sign: int, out=None) ->
     mat = mat if sign > 0 else mat.T  # (rows out, rows in)
     if axis == 2:
         return np.matmul(arr, mat.T, out=out)
-    planes = None if out is None else np.moveaxis(out, axis - 3, -2)
-    return np.moveaxis(np.matmul(mat, np.moveaxis(arr, axis - 3, -2), out=planes), -2, axis - 3)
+    planes = None if out is None else out.swapaxes(axis - 3, -2)
+    return np.matmul(mat, arr.swapaxes(axis - 3, -2), out=planes).swapaxes(-2, axis - 3)
 
 
 # One line transform per axis into one buffer: ``numpy.fft.ifftn`` would allocate
@@ -267,12 +263,17 @@ def signed_permutation_of(cfg: ModelConfig, L: LorentzMap) -> np.ndarray | None:
     """The integer signed-permutation matrix of ``L`` on the lattice axes.
 
     ``None`` when ``L`` does not fix the constructing observer or does
-    not permute the axes (within 1e-10).
+    not permute the axes (within 1e-10).  Read-only, cached by value.
     """
     if not in_O_u(L, cfg.observer):
         return None
-    images = np.stack([L.matrix @ b for b in cfg.axes])
-    r = _product(cfg.axes[:, None], images)  # r[i, j] = b_i . L(b_j)
+    return _perm_of(cfg.axes.tobytes(), L.matrix.tobytes())
+
+
+@functools.lru_cache(maxsize=128)  # a stabilizer suite's 48 symmetries and their twists
+def _perm_of(axes: bytes, matrix: bytes) -> np.ndarray | None:
+    axes, m = np.frombuffer(axes).reshape(3, 4), np.frombuffer(matrix).reshape(4, 4)
+    r = _product(axes[:, None], np.stack([m @ b for b in axes]))  # r[i, j] = b_i . L(b_j)
     rounded = np.round(r)
     if np.max(np.abs(r - rounded)) > 1e-10:
         return None
@@ -282,6 +283,7 @@ def signed_permutation_of(cfg: ModelConfig, L: LorentzMap) -> np.ndarray | None:
         and np.all(np.abs(rounded).sum(axis=1) == 1)
     ):
         return None
+    rounded.flags.writeable = False
     return rounded
 
 

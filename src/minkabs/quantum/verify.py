@@ -25,6 +25,7 @@ from __future__ import annotations
 import itertools
 import math
 import os
+import time
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -44,7 +45,9 @@ from .config import ModelConfig
 from .pvm import (
     NwPosition,
     _conjugate_mask,
+    _conjugation,
     _projection,
+    _sandwich,
     localization_probability,
     nw_component_stats,
     position_multipliers,
@@ -211,23 +214,22 @@ def _batch_max_norm(diff: np.ndarray) -> float:
 
 
 def stabilizer_covariance_residual(
-    cfg: ModelConfig, S: PoincareMap, mask, states: np.ndarray, carried, work=(None, None)
+    cfg: ModelConfig, conjugation, states: np.ndarray, carried, work=(None, None)
 ) -> float:
-    """Max residual of conjugation-vs-carried-region on the given states:
-    ``mask`` is ``rasterize(cfg, region)`` and ``carried`` the right side, the
-    projection of the carried region ``S.transform_region(region)`` applied
-    to ``states``; elements that carry the region onto the same cells share
-    it.  ``work`` is ``_conjugate_mask``'s pair of work fields."""
-    lhs = _conjugate_mask(cfg, states, [S], mask, work)
+    """Max residual of conjugation-vs-carried-region on the given states: ``conjugation``
+    is ``_conjugation(cfg, [S], rasterize(cfg, region))`` of an element ``S``, ``carried``
+    the projection of ``S.transform_region(region)`` applied to ``states`` (elements that
+    carry the region onto the same cells share it), ``work`` ``_conjugate_mask``'s pair."""
+    lhs = _sandwich(cfg, states, *conjugation, work)
     lhs -= carried
     return _batch_max_norm(lhs)
 
 
 def _state_blocks(n: int, n_states: int) -> list[slice]:
-    """Near-equal blocks of states, of at most 5 MiB of ``n``-point fields where two
-    states fit, and never of one state when there are two or more: ``_row_norms``
-    of one row rounds differently from the same row in a batch."""
-    count = max(1, min(math.ceil(16 * n**3 * n_states / (5 << 20)), n_states // 2))
+    """Near-equal blocks of states, of at most 2 MiB of ``n``-point fields where two
+    states fit (a suite job's right side and work pair then take 6 MiB), and never of one
+    state out of several: ``_row_norms`` of one row rounds differently in a batch."""
+    count = max(1, min(math.ceil(16 * n**3 * n_states / (2 << 20)), n_states // 2))
     ends = [n_states * i // count for i in range(count + 1)]
     return [slice(a, b) for a, b in zip(ends, ends[1:])]
 
@@ -238,19 +240,18 @@ def run_stabilizer_suite(
     """Covariance of the localization family under every lattice-preserving
     stabilizer element, on white random states.
 
-    The elements draw from a generator of their own, ``default_rng((seed,
-    1))``, and the states from ``default_rng(seed)``, so ``n_states`` does
-    not change which elements are checked.  Elements are grouped by the
-    cells they carry the region onto (the suite's box is symmetric, so the
-    48 axis symmetries share 12 carried masks; at the default config all 56
-    elements share 20).  Each group computes its right side over all states
-    once and passes it as ``carried`` to every member, then drops it before
-    the next group, so at most one right side per worker is live.  A member's
-    left side runs per ``_state_blocks`` block, through two work fields of the
-    largest block allocated once per group; its residual is the max over blocks,
-    which is exact.  The groups fan out over ``worker_cap()`` threads; results
-    come back in element order, and each group's first check is also timed over
-    its right side.  Every check must stay at or below 1e-10.
+    The elements draw from a generator of their own, ``default_rng((seed, 1))``, and the
+    states from ``default_rng(seed)``, so ``n_states`` does not change which elements are
+    checked.  Elements are grouped by the cells they carry the region onto (the suite's box
+    is symmetric, so the 48 axis symmetries share 12 carried masks; at the default config
+    all 56 elements share 20).  A group job prepares each member's conjugation once
+    (``_conjugation`` with ``list``), then walks the ``_state_blocks`` blocks: per block it
+    computes the group's right side for that block only, runs every member's left side
+    through two work fields of one block, and drops the right side.  A member's residual is
+    the max over blocks, which is exact.  The groups fan out over ``worker_cap()`` threads;
+    results come back in element order.  Each check is timed over its own left sides, and a
+    group's first check also over the group's preparation and right sides.  Every check
+    must stay at or below 1e-10.
     """
     states = random_states(cfg, np.random.default_rng(seed), n_states)
     region = cell_region(
@@ -267,14 +268,22 @@ def run_stabilizer_suite(
     size = max(b.stop - b.start for b in blocks)
 
     def job(group):
+        since = time.perf_counter()
         carried_mask, members = group
-        check = Checks(cfg.N)
-        rhs = _conjugate_mask(cfg, states, [], carried_mask)
+        right = _conjugation(cfg, [], carried_mask, list)
+        lefts = [_conjugation(cfg, [S], mask, list) for _, _, S in members]
         work = np.empty((2, size, *states.shape[1:]), complex)
-        for _, name, S in members:
-            parts = ((states[b], rhs[b], work[:, : b.stop - b.start]) for b in blocks)
-            res = max(stabilizer_covariance_residual(cfg, S, mask, *part) for part in parts)
-            check(f"stabilizer-covariance/{name}", res, 1e-10, states=n_states)
+        res, spent = [0.0] * len(members), [0.0] * len(members)
+        for b in blocks:
+            part = (states[b], _sandwich(cfg, states[b], *right), work[:, : b.stop - b.start])
+            for i, left in enumerate(lefts):
+                res[i] = max(res[i], stabilizer_covariance_residual(cfg, left, *part))
+                now = time.perf_counter()
+                spent[i], since = spent[i] + now - since, now
+            del part
+        check = Checks(cfg.N)
+        for (_, name, _), r, s in zip(members, res, spent):
+            check(f"stabilizer-covariance/{name}", r, 1e-10, seconds=s, states=n_states)
         return zip([idx for idx, _, _ in members], check)
 
     done = _fan_out(job, groups.values())

@@ -31,20 +31,20 @@ class CheckResult:
 
 
 class Checks(list):
-    """Checks recorded in order, as ``check(name, residual, tolerance,
-    below=True, **details)``; each is timed over the work since the previous
-    record, the first since the recorder was made.  ``n`` is the lattice
-    size, 0 without one."""
+    """Checks recorded in order, as ``check(name, residual, tolerance, below=True,
+    seconds=None, **details)``; each is timed over the work since the previous
+    record (the first since the recorder was made), or over the ``seconds`` its
+    caller timed.  ``n`` is the lattice size, 0 without one."""
 
     def __init__(self, n: int = 0):
         super().__init__()
         self.n = n
         self._since = time.perf_counter()
 
-    def __call__(self, name, residual, tolerance, below=True, **details) -> None:
+    def __call__(self, name, residual, tolerance, below=True, seconds=None, **details) -> None:
         now = time.perf_counter()
         ok = bool(residual <= tolerance if below else residual >= tolerance)
-        seconds, self._since = now - self._since, now
+        seconds, self._since = now - self._since if seconds is None else seconds, now
         residual, tolerance = float(residual), float(tolerance)
         self.append(CheckResult(name, residual, tolerance, ok, self.n, seconds, details, below))
 

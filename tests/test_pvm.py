@@ -301,7 +301,8 @@ def constructing_stats(w, u2, state):
     """``nw_component_stats`` as its constructing-instant branch computed it,
     with no carry: the state's own probabilities and ``u2`` as given, as the
     list of (mean, variance) of the duration, then of each space component."""
-    prob = state.position_probability()
+    pos = _to_position(state.psi)
+    prob = pos.real**2 + pos.imag**2
     mult = position_multipliers(state.cfg, w.origin)
     fields = [-np.tensordot(_METRIC * u2._c, mult, axes=(0, 0))]
     fields += [np.tensordot(_METRIC * b._c, mult, axes=(0, 0)) for b in spatial_basis_for(u2)]

@@ -45,9 +45,6 @@ ALLOWED = {
         "the benchmark tracer's _project_raw hook reads it"
     ),
     ("quantum/state.py", "represent"): "the state-level form of represent_array",
-    ("quantum/state.py", "LatticeState.position_probability"): (
-        "the state-level form of the probabilities nw_component_stats takes from _to_position"
-    ),
     ("quantum/verify.py", "causality_experiment"): (
         "one trial of causality_leakages, the reference its rows are held to"
     ),
